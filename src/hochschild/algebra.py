@@ -325,11 +325,9 @@ def outer_bimodule(A: FiniteAlgebra, n: int, guard: int | None = None) -> Bimodu
     size = d ** (n + 2)
     if guard is not None:
         check_guard(size, size, guard)
-    mid = Matrix.identity(A.ring, d**n)
     inner = Matrix.identity(A.ring, d ** (n + 1))
     left = tuple(left_mult_matrix(A, i).kron(inner) for i in range(d))
     right = tuple(inner.kron(right_mult_matrix(A, i)) for i in range(d))
-    del mid
     return Bimodule(A, size, left, right)
 
 

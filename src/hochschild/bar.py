@@ -62,27 +62,24 @@ def _differential(A: FiniteAlgebra, n: int, normalized: bool) -> Matrix:
     src = _level_tuples(A, n, normalized)
     dst = _level_tuples(A, n - 1, normalized) if n >= 1 else [(i,) for i in range(d)]
     dst_index = _index_map(dst)
-    rows, cols = len(dst), len(src)
-    flat = [z] * (rows * cols)
-    for col, t in enumerate(src):
-        for i in range(n + 1):
-            sign = 1 if i % 2 == 0 else -1
-            a, b = t[i], t[i + 1]
-            base = (a * d + b) * d
-            # in the normalized complex a merge inside the middle block lands
-            # in Abar: the unit component of the product is dropped
-            middle_merge = normalized and n >= 1 and 1 <= i <= n - 1
-            for k in range(d):
-                c = A.mul[base + k]
-                if c == z or (middle_merge and k == 0):
-                    continue
-                if n == 0:
-                    row = k
-                else:
-                    row = dst_index[t[:i] + (k,) + t[i + 2 :]]
-                cur = flat[row * cols + col]
-                flat[row * cols + col] = A.ring.canon(cur + (c if sign > 0 else -c))
-    return Matrix(A.ring, rows, cols, tuple(flat))
+
+    def triplets():
+        for col, t in enumerate(src):
+            for i in range(n + 1):
+                sign = 1 if i % 2 == 0 else -1
+                a, b = t[i], t[i + 1]
+                base = (a * d + b) * d
+                # in the normalized complex a merge inside the middle block lands
+                # in Abar: the unit component of the product is dropped
+                middle_merge = normalized and n >= 1 and 1 <= i <= n - 1
+                for k in range(d):
+                    c = A.mul[base + k]
+                    if c == z or (middle_merge and k == 0):
+                        continue
+                    row = k if n == 0 else dst_index[t[:i] + (k,) + t[i + 2 :]]
+                    yield row, col, c if sign > 0 else -c
+
+    return Matrix.from_triplets(A.ring, len(dst), len(src), triplets())
 
 
 def bar_differential(A: FiniteAlgebra, n: int, guard: int | None = DEFAULT_GUARD) -> Matrix:
@@ -108,25 +105,20 @@ def _homotopy(A: FiniteAlgebra, n: int, normalized: bool) -> Matrix:
     src = _level_tuples(A, n, normalized)
     dst = _level_tuples(A, n + 1, normalized)
     dst_index = _index_map(dst)
-    rows, cols = len(dst), len(src)
-    flat = [z] * (rows * cols)
-    for col, t in enumerate(src):
-        if normalized:
-            # prepend the unit and push the old left factor into Abar
-            if n == -1:
-                row = dst_index[(0,) + t]
-                flat[row * cols + col] = A.ring.one
+
+    def triplets():
+        for col, t in enumerate(src):
+            if normalized:
+                # prepend the unit and push the old left factor into Abar,
+                # where the class of 1 is zero
+                if n == -1 or t[0] != 0:
+                    yield dst_index[(0,) + t], col, A.ring.one
             else:
-                if t[0] == 0:
-                    continue  # class of 1 in Abar is zero
-                row = dst_index[(0,) + t]
-                flat[row * cols + col] = A.ring.one
-        else:
-            for j, u in enumerate(A.unit):
-                if u != z:
-                    row = dst_index[(j,) + t]
-                    flat[row * cols + col] = A.ring.canon(flat[row * cols + col] + u)
-    return Matrix(A.ring, rows, cols, tuple(flat))
+                for j, u in enumerate(A.unit):
+                    if u != z:
+                        yield dst_index[(j,) + t], col, u
+
+    return Matrix.from_triplets(A.ring, len(dst), len(src), triplets())
 
 
 def contracting_homotopy(A: FiniteAlgebra, n: int, guard: int | None = DEFAULT_GUARD) -> Matrix:

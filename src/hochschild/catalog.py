@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .algebra import Bimodule, FiniteAlgebra, regular_bimodule, truncated_tensor_algebra, validate_algebra
+from .algebra import Bimodule, FiniteAlgebra, truncated_tensor_algebra, validate_algebra
 from .matrix import Matrix
 from .rings import ScalarRing
 
@@ -90,7 +90,3 @@ def standard_corpus(rings: dict[str, ScalarRing]) -> dict[str, FiniteAlgebra]:
         "x3_z": truncated_poly(Z, 3),
         "free2_trunc_q": free2_truncated(Q),
     }
-
-
-def regular_coefficients(A: FiniteAlgebra) -> Bimodule:
-    return regular_bimodule(A)

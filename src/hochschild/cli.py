@@ -49,7 +49,7 @@ def _invariants_doc(invs) -> dict:
 
 
 def _matrix_doc(M) -> list:
-    return [[M.ring.format(M[i, j]) for j in range(M.cols)] for i in range(M.rows)]
+    return [[M.ring.format(x) for x in row] for row in M.to_rows()]
 
 
 def _emit(doc, out_path) -> None:

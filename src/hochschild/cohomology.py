@@ -64,59 +64,44 @@ def _tensor_tuples(d: int, n: int, normalized: bool):
     return list(product(rng, repeat=n))
 
 
-def cochain_vec_index(m_rank: int, tensor_count: int, p: int, t: int) -> int:
-    return p * tensor_count + t
-
-
 @lru_cache(maxsize=None)
 def _coboundary(A: FiniteAlgebra, M: Bimodule, n: int, normalized: bool) -> Matrix:
     d = A.rank
     m = M.rank
-    ring = A.ring
-    z = ring.zero
+    z = A.ring.zero
     src_tuples = _tensor_tuples(d, n, normalized)
     dst_tuples = _tensor_tuples(d, n + 1, normalized)
     dst_index = {t: i for i, t in enumerate(dst_tuples)}
     T_src, T_dst = len(src_tuples), len(dst_tuples)
-    rows, cols = m * T_dst, m * T_src
-    flat = [z] * (rows * cols)
     arg_range = range(1, d) if normalized else range(d)
+    trailing = 1 if (n + 1) % 2 == 0 else -1  # (-1)^(n+1)
 
-    def add(row, col, v):
-        cur = flat[row * cols + col]
-        flat[row * cols + col] = ring.canon(cur + v)
+    def triplets():
+        for ti, t in enumerate(src_tuples):
+            for p in range(m):
+                col = p * T_src + ti
+                # leading term: a0 . f(a1..an) for every choice of a0
+                for a0 in arg_range:
+                    srow = dst_index[(a0,) + t]
+                    for q, v in M.left[a0].columns[p]:
+                        yield q * T_dst + srow, col, v
+                # merge terms: f evaluated where positions i, i+1 multiply to t_i
+                for i in range(n):
+                    sign = -1 if i % 2 == 0 else 1  # (-1)^(i+1)
+                    for a in arg_range:
+                        for b in arg_range:
+                            c = A.c(a, b, t[i])
+                            if c == z:
+                                continue
+                            srow = dst_index[t[:i] + (a, b) + t[i + 1 :]]
+                            yield p * T_dst + srow, col, c if sign > 0 else -c
+                # trailing term: (-1)^(n+1) f(a0..a(n-1)) . an
+                for an in arg_range:
+                    srow = dst_index[t + (an,)]
+                    for q, v in M.right[an].columns[p]:
+                        yield q * T_dst + srow, col, v if trailing > 0 else -v
 
-    for ti, t in enumerate(src_tuples):
-        for p in range(m):
-            col = p * T_src + ti
-            # leading term: a0 . f(a1..an) for every choice of a0
-            for a0 in arg_range:
-                L = M.left[a0]
-                srow = dst_index[(a0,) + t]
-                for q in range(m):
-                    v = L[q, p]
-                    if v != z:
-                        add(q * T_dst + srow, col, v)
-            # merge terms: f evaluated where positions i, i+1 multiply to t_i
-            for i in range(n):
-                sign = -1 if i % 2 == 0 else 1  # (-1)^(i+1)
-                for a in arg_range:
-                    for b in arg_range:
-                        c = A.c(a, b, t[i])
-                        if c == z:
-                            continue
-                        srow = dst_index[t[:i] + (a, b) + t[i + 1 :]]
-                        add(p * T_dst + srow, col, c if sign > 0 else -c)
-            # trailing term: (-1)^(n+1) f(a0..a(n-1)) . an
-            sign = 1 if (n + 1) % 2 == 0 else -1
-            for an in arg_range:
-                R = M.right[an]
-                srow = dst_index[t + (an,)]
-                for q in range(m):
-                    v = R[q, p]
-                    if v != z:
-                        add(q * T_dst + srow, col, v if sign > 0 else -v)
-    return Matrix(ring, rows, cols, tuple(flat))
+    return Matrix.from_triplets(A.ring, m * T_dst, m * T_src, triplets())
 
 
 def coboundary_matrix(
@@ -138,21 +123,14 @@ def coboundary_matrix(
     return _coboundary(A, M, n, normalized)
 
 
-def _embed_normalized_cochain(A: FiniteAlgebra, M: Bimodule, n: int, vec) -> Matrix:
-    """Zero-extend a normalized cochain to the full tensor basis."""
-    d, m = A.rank, M.rank
+def _embed_normalized_cochain(A: FiniteAlgebra, M: Bimodule, n: int, vec: Matrix) -> Matrix:
+    """Zero-extend a normalized cochain (a vectorized column) to the full tensor basis."""
+    d = A.rank
     src_tuples = _tensor_tuples(d, n, True)
-    full = _tensor_tuples(d, n, False)
-    full_index = {t: i for i, t in enumerate(full)}
-    z = A.ring.zero
-    T = len(full)
-    flat = [z] * (m * T)
-    for i, t in enumerate(src_tuples):
-        for p in range(m):
-            v = vec[p * len(src_tuples) + i]
-            if v != z:
-                flat[p * T + full_index[t]] = v
-    return Matrix(A.ring, m, T, tuple(flat))
+    full_index = {t: i for i, t in enumerate(_tensor_tuples(d, n, False))}
+    T = len(src_tuples)
+    triplets = ((k // T, full_index[src_tuples[k % T]], v) for k, v in vec.columns[0])
+    return Matrix.from_triplets(A.ring, M.rank, d**n, triplets)
 
 
 def hh(
@@ -188,23 +166,16 @@ def hh(
                 A,
                 M,
                 n,
-                _embed_normalized_cochain(A, M, n, g.col_list(0))
-                if normalized
-                else _vec_to_cochain_matrix(A, M, n, g.col_list(0)),
+                _embed_normalized_cochain(A, M, n, g) if normalized else g.reshape(M.rank, A.rank**n),
             )
             for g in gens
         )
     return CohomologyReport(n, invs, reps)
 
 
-def _vec_to_cochain_matrix(A: FiniteAlgebra, M: Bimodule, n: int, vec) -> Matrix:
-    T = A.rank**n
-    return Matrix(A.ring, M.rank, T, tuple(A.ring.canon(v) for v in vec))
-
-
 def is_cocycle(c: Cochain, guard: int | None = DEFAULT_GUARD) -> bool:
     bn = coboundary_matrix(c.algebra, c.bimodule, c.degree, False, guard)
-    vec = Matrix.column(c.algebra.ring, list(c.matrix.entries))
+    vec = c.matrix.reshape(c.matrix.rows * c.matrix.cols, 1)
     return (bn * vec).is_zero
 
 
@@ -229,34 +200,26 @@ def _leibniz_system(A: FiniteAlgebra, M: Bimodule) -> Matrix:
     row-major; one equation block per basis pair (i, j).
     """
     d, m = A.rank, M.rank
-    ring = A.ring
-    z = ring.zero
-    rows = d * d * m
-    cols = m * d
-    flat = [z] * (rows * cols)
+    z = A.ring.zero
 
-    def add(r, c, v):
-        flat[r * cols + c] = ring.canon(flat[r * cols + c] + v)
+    def triplets():
+        for i in range(d):
+            for j in range(d):
+                block = (i * d + j) * m
+                # sum_k c[i][j][k] D(e_k) - e_i D(e_j) - D(e_i) e_j = 0
+                for k in range(d):
+                    c = A.c(i, j, k)
+                    if c != z:
+                        for p in range(m):
+                            yield block + p, p * d + k, c
+                L, R = M.left[i], M.right[j]
+                for q in range(m):
+                    for p, v in L.columns[q]:
+                        yield block + p, q * d + j, -v
+                    for p, w in R.columns[q]:
+                        yield block + p, q * d + i, -w
 
-    for i in range(d):
-        for j in range(d):
-            block = (i * d + j) * m
-            # sum_k c[i][j][k] D(e_k) - e_i D(e_j) - D(e_i) e_j = 0
-            for k in range(d):
-                c = A.c(i, j, k)
-                if c != z:
-                    for p in range(m):
-                        add(block + p, p * d + k, c)
-            L, R = M.left[i], M.right[j]
-            for q in range(m):
-                for p in range(m):
-                    v = L[p, q]
-                    if v != z:
-                        add(block + p, q * d + j, -v)
-                    w = R[p, q]
-                    if w != z:
-                        add(block + p, q * d + i, -w)
-    return Matrix(ring, rows, cols, tuple(flat))
+    return Matrix.from_triplets(A.ring, d * d * m, m * d, triplets())
 
 
 def derivations(A: FiniteAlgebra, M: Bimodule) -> Matrix:
@@ -267,20 +230,16 @@ def derivations(A: FiniteAlgebra, M: Bimodule) -> Matrix:
 def inner_derivation_generators(A: FiniteAlgebra, M: Bimodule) -> Matrix:
     """The maps a -> a m - m a for each basis vector m of M (a spanning set)."""
     d, m = A.rank, M.rank
-    ring = A.ring
-    cols = []
-    for w in range(m):
-        vec = [ring.zero] * (m * d)
-        for i in range(d):
-            Li, Ri = M.left[i], M.right[i]
-            for p in range(m):
-                v = ring.canon(Li[p, w] - Ri[p, w])
-                if v != ring.zero:
-                    vec[p * d + i] = v
-        cols.append(vec)
-    if not cols:
-        return Matrix.zeros(ring, m * d, 0)
-    return Matrix.from_cols(ring, cols, nrows=m * d)
+
+    def triplets():
+        for w in range(m):
+            for i in range(d):
+                for p, v in M.left[i].columns[w]:
+                    yield p * d + i, w, v
+                for p, v in M.right[i].columns[w]:
+                    yield p * d + i, w, -v
+
+    return Matrix.from_triplets(A.ring, m * d, m, triplets())
 
 
 def inner_derivations(A: FiniteAlgebra, M: Bimodule) -> Matrix:
@@ -295,7 +254,7 @@ def hh1_report(A: FiniteAlgebra, M: Bimodule) -> CohomologyReport:
     Der = derivations(A, M)
     Inn = inner_derivations(A, M)
     invs, gens = quotient_generators(Der, Inn)
-    reps = tuple(Cochain(A, M, 1, _vec_to_cochain_matrix(A, M, 1, g.col_list(0))) for g in gens)
+    reps = tuple(Cochain(A, M, 1, g.reshape(M.rank, A.rank)) for g in gens)
     return CohomologyReport(1, invs, reps)
 
 
@@ -308,45 +267,36 @@ def hh1_report(A: FiniteAlgebra, M: Bimodule) -> CohomologyReport:
 def _homology_boundary(A: FiniteAlgebra, M: Bimodule, k: int) -> Matrix:
     """The cyclic bar boundary on M (x) A^(x)k (wrap-around last term)."""
     d, m = A.rank, M.rank
-    ring = A.ring
-    z = ring.zero
+    z = A.ring.zero
     src = _tensor_tuples(d, k, False)
     dst = _tensor_tuples(d, k - 1, False)
     dst_index = {t: i for i, t in enumerate(dst)}
-    rows, cols = m * len(dst), m * len(src)
-    flat = [z] * (rows * cols)
+    T_dst = len(dst)
+    wrap = 1 if k % 2 == 0 else -1  # (-1)^k
 
-    def add(r, c, v):
-        flat[r * cols + c] = ring.canon(flat[r * cols + c] + v)
+    def triplets():
+        for ti, t in enumerate(src):
+            for p in range(m):
+                col = p * len(src) + ti
+                # m (x) a1 ... -> (m a1) (x) a2 ...
+                s = dst_index[t[1:]]
+                for q, v in M.right[t[0]].columns[p]:
+                    yield q * T_dst + s, col, v
+                # interior merges with signs (-1)^i, i = 1..k-1
+                for i in range(1, k):
+                    sign = -1 if i % 2 == 1 else 1
+                    for kk in range(d):
+                        c = A.c(t[i - 1], t[i], kk)
+                        if c == z:
+                            continue
+                        merged = t[: i - 1] + (kk,) + t[i + 1 :]
+                        yield p * T_dst + dst_index[merged], col, c if sign > 0 else -c
+                # wrap-around: (-1)^k (ak m) (x) a1 ... a(k-1)
+                s = dst_index[t[:-1]]
+                for q, v in M.left[t[-1]].columns[p]:
+                    yield q * T_dst + s, col, v if wrap > 0 else -v
 
-    for ti, t in enumerate(src):
-        for p in range(m):
-            col = p * len(src) + ti
-            # m (x) a1 ... -> (m a1) (x) a2 ...
-            R = M.right[t[0]]
-            s = dst_index[t[1:]]
-            for q in range(m):
-                v = R[q, p]
-                if v != z:
-                    add(q * len(dst) + s, col, v)
-            # interior merges with signs (-1)^i, i = 1..k-1
-            for i in range(1, k):
-                sign = -1 if i % 2 == 1 else 1
-                for kk in range(d):
-                    c = A.c(t[i - 1], t[i], kk)
-                    if c == z:
-                        continue
-                    merged = t[: i - 1] + (kk,) + t[i + 1 :]
-                    add(p * len(dst) + dst_index[merged], col, c if sign > 0 else -c)
-            # wrap-around: (-1)^k (ak m) (x) a1 ... a(k-1)
-            sign = 1 if k % 2 == 0 else -1
-            L = M.left[t[-1]]
-            s = dst_index[t[:-1]]
-            for q in range(m):
-                v = L[q, p]
-                if v != z:
-                    add(q * len(dst) + s, col, v if sign > 0 else -v)
-    return Matrix(ring, rows, cols, tuple(flat))
+    return Matrix.from_triplets(A.ring, m * T_dst, m * len(src), triplets())
 
 
 def hochschild_homology(
@@ -404,51 +354,43 @@ def _relative_ext_coboundary(A: FiniteAlgebra, M: LeftModule, N: LeftModule, n: 
     """
     d = A.rank
     mM, mN = M.rank, N.rank
-    ring = A.ring
-    z = ring.zero
+    z = A.ring.zero
     src = _tensor_tuples(d, n, False)
     dst = _tensor_tuples(d, n + 1, False)
     src_w = len(src) * mM
     dst_w = len(dst) * mM
     dst_index = {t: i for i, t in enumerate(dst)}
-    rows, cols = mN * dst_w, mN * src_w
-    flat = [z] * (rows * cols)
+    last = 1 if (n + 1) % 2 == 0 else -1  # (-1)^(n+1)
+    # rows of the M-actions: LM[u, w] for fixed u
+    m_rows = [LM.transpose().columns for LM in M.action]
 
-    def add(r, c, v):
-        flat[r * cols + c] = ring.canon(flat[r * cols + c] + v)
-
-    for ti, t in enumerate(src):
-        for u in range(mM):
-            for p in range(mN):
-                col = p * src_w + ti * mM + u
-                # a1 . f(a2,...,u)
-                for a in range(d):
-                    LN = N.action[a]
-                    s = dst_index[(a,) + t]
-                    for q in range(mN):
-                        v = LN[q, p]
-                        if v != z:
-                            add(q * dst_w + s * mM + u, col, v)
-                # merges, signs (-1)^i for i = 1..n
-                for i in range(1, n + 1):
-                    sign = -1 if i % 2 == 1 else 1
+    def triplets():
+        for ti, t in enumerate(src):
+            for u in range(mM):
+                for p in range(mN):
+                    col = p * src_w + ti * mM + u
+                    # a1 . f(a2,...,u)
                     for a in range(d):
-                        for b in range(d):
-                            c = A.c(a, b, t[i - 1])
-                            if c == z:
-                                continue
-                            s = dst_index[t[: i - 1] + (a, b) + t[i:]]
-                            add(p * dst_w + s * mM + u, col, c if sign > 0 else -c)
-                # (-1)^(n+1) f(a1,...,an, a(n+1) . u)
-                sign = 1 if (n + 1) % 2 == 0 else -1
-                for a in range(d):
-                    LM = M.action[a]
-                    for w in range(mM):
-                        v = LM[u, w]
-                        if v != z:
-                            s = dst_index[t + (a,)]
-                            add(p * dst_w + s * mM + w, col, v if sign > 0 else -v)
-    return Matrix(ring, rows, cols, tuple(flat))
+                        s = dst_index[(a,) + t]
+                        for q, v in N.action[a].columns[p]:
+                            yield q * dst_w + s * mM + u, col, v
+                    # merges, signs (-1)^i for i = 1..n
+                    for i in range(1, n + 1):
+                        sign = -1 if i % 2 == 1 else 1
+                        for a in range(d):
+                            for b in range(d):
+                                c = A.c(a, b, t[i - 1])
+                                if c == z:
+                                    continue
+                                s = dst_index[t[: i - 1] + (a, b) + t[i:]]
+                                yield p * dst_w + s * mM + u, col, c if sign > 0 else -c
+                    # (-1)^(n+1) f(a1,...,an, a(n+1) . u)
+                    for a in range(d):
+                        s = dst_index[t + (a,)]
+                        for w, v in m_rows[a][u]:
+                            yield p * dst_w + s * mM + w, col, v if last > 0 else -v
+
+    return Matrix.from_triplets(A.ring, mN * dst_w, mN * src_w, triplets())
 
 
 def relative_ext_resolution(

@@ -43,8 +43,7 @@ class TwoCochain:
 
     def value(self, i: int, j: int) -> Matrix:
         """B(e_i, e_j) as an M-coefficient column."""
-        d = self.algebra.rank
-        return Matrix.column(self.algebra.ring, self.matrix.col_list(i * d + j))
+        return self.matrix.submatrix_cols((i * self.algebra.rank + j,))
 
     def value_on(self, a, b) -> Matrix:
         ring = self.algebra.ring
@@ -59,7 +58,7 @@ class TwoCochain:
         return acc
 
     def as_vector(self) -> Matrix:
-        return Matrix.column(self.algebra.ring, list(self.matrix.entries))
+        return self.matrix.reshape(self.matrix.rows * self.matrix.cols, 1)
 
 
 def zero_two_cochain(A: FiniteAlgebra, M: Bimodule) -> TwoCochain:
@@ -67,8 +66,7 @@ def zero_two_cochain(A: FiniteAlgebra, M: Bimodule) -> TwoCochain:
 
 
 def two_cochain_from_vector(A: FiniteAlgebra, M: Bimodule, vec) -> TwoCochain:
-    entries = tuple(A.ring.canon(v) for v in vec)
-    return TwoCochain(A, M, Matrix(A.ring, M.rank, A.rank**2, entries))
+    return TwoCochain(A, M, Matrix.column(A.ring, vec).reshape(M.rank, A.rank**2))
 
 
 def is_two_cocycle(B: TwoCochain) -> tuple[bool, tuple[int, int, int] | None]:
@@ -271,15 +269,7 @@ def extension_class_from_section(E: ExtensionPresentation, section: Matrix | Non
             if x is None:
                 raise AlgebraError("section defect escapes the ideal")
             cols.append(x.col_list(0))
-    return TwoCochain(A, M, _cols_to_cochain(ring, M.rank, d, cols))
-
-
-def _cols_to_cochain(ring, m, d, cols):
-    flat = [ring.zero] * (m * d * d)
-    for cidx, col in enumerate(cols):
-        for p in range(m):
-            flat[p * d * d + cidx] = col[p]
-    return Matrix(ring, m, d * d, tuple(flat))
+    return TwoCochain(A, M, Matrix.from_cols(ring, cols, nrows=M.rank))
 
 
 def cocycles_cohomologous(B1: TwoCochain, B2: TwoCochain) -> Matrix | None:
@@ -292,18 +282,18 @@ def cocycles_cohomologous(B1: TwoCochain, B2: TwoCochain) -> Matrix | None:
         raise AlgebraError("cocycles live over different data")
     A, M = B1.algebra, B1.bimodule
     b1 = coboundary_matrix(A, M, 1, normalized=False, guard=None)
-    rhs = Matrix.column(A.ring, [A.ring.canon(x - y) for x, y in zip(B1.matrix.entries, B2.matrix.entries)])
-    x = solve(b1, rhs)
+    diff = B1.matrix - B2.matrix
+    x = solve(b1, diff.reshape(diff.rows * diff.cols, 1))
     if x is None:
         return None
-    return Matrix(A.ring, M.rank, A.rank, tuple(x.col_list(0)))
+    return x.reshape(M.rank, A.rank)
 
 
 def coboundary_of(A: FiniteAlgebra, M: Bimodule, zeta: Matrix) -> TwoCochain:
     """b^1(zeta) as a TwoCochain, for a 1-cochain zeta (m x d matrix)."""
     b1 = coboundary_matrix(A, M, 1, normalized=False, guard=None)
-    vec = b1 * Matrix.column(A.ring, list(zeta.entries))
-    return two_cochain_from_vector(A, M, vec.col_list(0))
+    vec = b1 * zeta.reshape(zeta.rows * zeta.cols, 1)
+    return TwoCochain(A, M, vec.reshape(M.rank, A.rank**2))
 
 
 def lift_exists(E: ExtensionPresentation) -> Matrix | None:
@@ -349,10 +339,7 @@ def enumerate_extension_classes(
     b1 = coboundary_matrix(A, M, 1, normalized=False, guard=None)
     image = column_span_basis(b1)
     # echelon reduction data: leading row of each image column
-    leads = []
-    for j in range(image.cols):
-        lead = next(i for i in range(image.rows) if image[i, j] != 0)
-        leads.append(lead)
+    leads = [col[0][0] for col in image.columns]
     reps: dict[tuple, TwoCochain] = {}
     for assignment in product(range(p), repeat=dim):
         cand = two_cochain_from_vector(A, M, list(assignment))
@@ -363,12 +350,10 @@ def enumerate_extension_classes(
         for j, lead in enumerate(leads):
             v = vec[lead]
             if v:
-                inv = pow(image[lead, j], -1, p)
-                factor = v * inv % p
-                for i in range(image.rows):
-                    w = image[i, j]
-                    if w:
-                        vec[i] = (vec[i] - factor * w) % p
+                col = image.columns[j]
+                factor = v * pow(col[0][1], -1, p) % p
+                for i, w in col:
+                    vec[i] = (vec[i] - factor * w) % p
         key = tuple(vec)
         if key not in reps:
             reps[key] = two_cochain_from_vector(A, M, list(key))

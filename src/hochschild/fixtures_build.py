@@ -28,10 +28,8 @@ def corpus_documents() -> dict[str, dict]:
 
     # the nontrivial class: B(x, x) = 1, all other basis pairs zero
     ring = dual_f2.ring
-    mat = Matrix.zeros(ring, 2, 4)
-    entries = list(mat.entries)
-    entries[0 * 4 + 3] = ring.one  # value coordinate "1" on the pair (x, x)
-    nontrivial = TwoCochain(dual_f2, reg, Matrix(ring, 2, 4, tuple(entries)))
+    # value coordinate "1" on the pair (x, x)
+    nontrivial = TwoCochain(dual_f2, reg, Matrix.from_triplets(ring, 2, 4, [(0, 3, ring.one)]))
     docs["cocycle_dual_f2_xx.json"] = cochain_to_json(
         nontrivial, algebra_ref="dual_f2.json", bimodule_ref="dual_f2_regular.json"
     )

@@ -66,7 +66,7 @@ def _matrix_from_json(ring: ScalarRing, doc, rows: int, cols: int, where: str) -
 
 
 def _matrix_to_json(M: Matrix):
-    return [[M.ring.format(M[i, j]) for j in range(M.cols)] for i in range(M.rows)]
+    return [[M.ring.format(x) for x in row] for row in M.to_rows()]
 
 
 # -- algebras -----------------------------------------------------------------
@@ -150,15 +150,6 @@ def bimodule_from_json(doc, base_dir: Path | None = None) -> Bimodule:
 # -- presented modules (Koszul coefficients) -----------------------------------
 
 
-def presented_module_to_json(M: PresentedModule, algebra_ref: str | None = None) -> dict:
-    return {
-        "algebra": algebra_ref if algebra_ref is not None else algebra_to_json(M.algebra),
-        "generators": M.generators,
-        "relations": _matrix_to_json(M.relations),
-        "action": [_matrix_to_json(T) for T in M.action],
-    }
-
-
 def presented_module_from_json(doc, base_dir: Path | None = None) -> PresentedModule:
     if not isinstance(doc, dict):
         raise SchemaError("module", "expected an object")
@@ -205,23 +196,6 @@ def cochain_from_json(doc, base_dir: Path | None = None) -> TwoCochain:
     M = _resolve_bimodule(doc.get("bimodule"), base_dir)
     mat = _matrix_from_json(A.ring, doc["matrix"], M.rank, A.rank**2, "cochain.matrix")
     return TwoCochain(A, M, mat)
-
-
-def extension_to_json(E: ExtensionPresentation, cocycle: TwoCochain | None = None, **refs) -> dict:
-    if cocycle is not None:
-        return {
-            "algebra": refs.get("algebra_ref") or algebra_to_json(E.algebra),
-            "bimodule": refs.get("bimodule_ref") or bimodule_to_json(E.bimodule),
-            "cocycle": _matrix_to_json(cocycle.matrix),
-        }
-    return {
-        "algebra": refs.get("algebra_ref") or algebra_to_json(E.algebra),
-        "bimodule": refs.get("bimodule_ref") or bimodule_to_json(E.bimodule),
-        "total": algebra_to_json(E.total),
-        "projection": _matrix_to_json(E.projection),
-        "inclusion": _matrix_to_json(E.inclusion),
-        "section": _matrix_to_json(E.section),
-    }
 
 
 def extension_from_json(doc, base_dir: Path | None = None) -> ExtensionPresentation:
@@ -275,10 +249,6 @@ def load_algebra(path) -> FiniteAlgebra:
 
 def load_bimodule(path) -> Bimodule:
     return bimodule_from_json(_load_doc(path), base_dir=Path(path).parent)
-
-
-def load_presented_module(path) -> PresentedModule:
-    return presented_module_from_json(_load_doc(path), base_dir=Path(path).parent)
 
 
 def load_cochain(path) -> TwoCochain:

@@ -124,10 +124,9 @@ def _require_contained(cols: Matrix, relations: Matrix, what: str) -> None:
     if cols.cols == 0 or cols.is_zero:
         return
     try:
-        subquotient_invariants(relations.hstack(cols), relations)
+        inv = subquotient_invariants(relations.hstack(cols), relations)
     except Exception as exc:  # containment failures surface as errors
         raise AlgebraError(f"{what} is not well defined modulo the relations") from exc
-    inv = subquotient_invariants(relations.hstack(cols), relations)
     if not inv.is_zero:
         raise AlgebraError(f"{what} is not well defined modulo the relations")
 
@@ -153,8 +152,9 @@ def _induced_kernel_generators(X: Matrix, relations: Matrix) -> Matrix:
     """Generators of {v : X v lies in the relation span} (the induced kernel)."""
     stacked = X.hstack(relations) if relations.cols else X
     K = kernel_basis(stacked)
-    top = [K.row_list(i) for i in range(X.cols)]
-    return Matrix.from_rows(X.ring, top) if K.cols else Matrix.zeros(X.ring, X.cols, 0)
+    top = X.cols  # the first X.cols coordinates of each kernel vector
+    triplets = ((i, j, v) for j, col in enumerate(K.columns) for i, v in col if i < top)
+    return Matrix.from_triplets(X.ring, top, K.cols, triplets)
 
 
 def regular_element_check(M: PresentedModule, x) -> RegularElementReport:
@@ -212,19 +212,17 @@ def koszul_differential(
     rows = comb(d, n - 1) * g
     cols = comb(d, n) * g
     check_guard(rows, cols, guard)
-    ring = A.ring
-    z = ring.zero
-    flat = [z] * (rows * cols)
     acts = [M.endomorphism(x) for x in xs]
-    for (ti, ci, sign, var) in koszul_sign_pattern(d, n):
-        X = acts[var]
-        for r in range(g):
-            base = (ti * g + r) * cols + ci * g
-            for c in range(g):
-                v = X[r, c]
-                if v != z:
-                    flat[base + c] = ring.canon(flat[base + c] + (v if sign > 0 else -v))
-    return Matrix(ring, rows, cols, tuple(flat))
+    return Matrix.from_triplets(A.ring, rows, cols, _block_triplets(koszul_sign_pattern(d, n), acts))
+
+
+def _block_triplets(pattern, blocks):
+    """Triplets of the block matrix with block (ti, ci) = sign * blocks[var]."""
+    for ti, ci, sign, var in pattern:
+        X = blocks[var]
+        for c, col in enumerate(X.columns):
+            for r, v in col:
+                yield ti * X.rows + r, ci * X.cols + c, v if sign > 0 else -v
 
 
 def homology_of_presented(
@@ -323,13 +321,12 @@ class GradedPolyModule:
         src = self.basis(degree)
         dst = self.basis(degree + 1)
         dst_index = {m: i for i, m in enumerate(dst)}
-        z, one = self.ring.zero, self.ring.one
-        flat = [z] * (len(dst) * len(src))
-        for j, mono in enumerate(src):
+        cols = []
+        for mono in src:
             bumped = list(mono)
             bumped[var] += 1
-            flat[dst_index[tuple(bumped)] * len(src) + j] = one
-        return Matrix(self.ring, len(dst), len(src), tuple(flat))
+            cols.append(((dst_index[tuple(bumped)], self.ring.one),))
+        return Matrix(self.ring, len(dst), len(src), cols)
 
 
 @dataclass(frozen=True)
@@ -405,19 +402,10 @@ def graded_koszul_tor(
         rows = comb(v, i - 1) * dst_m
         cols = comb(v, i) * src_m
         check_guard(rows, cols, guard)
-        z = ring.zero
-        flat = [z] * (rows * cols)
-        if src_m and dst_m:
-            mult = {j: P.multiplication_map(j, e - i) for j in range(v)}
-            for (ti, ci, sign, var) in pattern[i]:
-                Xm = mult[var]
-                for r in range(dst_m):
-                    base = (ti * dst_m + r) * cols + ci * src_m
-                    for c in range(src_m):
-                        val = Xm[r, c]
-                        if val != z:
-                            flat[base + c] = ring.canon(flat[base + c] + (val if sign > 0 else -val))
-        return Matrix(ring, rows, cols, tuple(flat))
+        if not (src_m and dst_m):
+            return Matrix.zeros(ring, rows, cols)
+        mult = [P.multiplication_map(j, e - i) for j in range(v)]
+        return Matrix.from_triplets(ring, rows, cols, _block_triplets(pattern[i], mult))
 
     def relations(i: int, e: int) -> Matrix:
         # the ideal (x_1..x_v) acting on the graded piece below

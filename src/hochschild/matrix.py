@@ -1,10 +1,13 @@
-"""Exact dense linear algebra over Z, Q and F_p.
+"""Exact sparse linear algebra over Z, Q and F_p.
 
 Kernels, solving, Smith/Hermite normal forms and subquotient invariants.
-Matrices are immutable, stored dense in row-major order; the elimination
-routines work on transient dict-of-column rows so that the highly sparse
-complexes showing up downstream reduce quickly.  All arithmetic is exact;
-over Z every kernel is the full (hence saturated) integer kernel.
+A matrix is immutable and stored by sparse columns: each column keeps its
+nonzero (row, value) pairs in increasing row order and never stores a zero,
+so the bar and Hochschild complexes, which are almost entirely zero, cost
+memory and time in proportion to their nonzeros.  The elimination routines
+work on transient dict rows built straight from those columns.  All
+arithmetic is exact; over Z every kernel is the full (hence saturated)
+integer kernel.
 
 Everything here is pure: no operation mutates its inputs, so concurrent
 use from multiple threads is safe.
@@ -12,8 +15,10 @@ use from multiple threads is safe.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 
 from .rings import RingError, ScalarRing, ZZ
@@ -78,23 +83,73 @@ class KModuleInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
+def _canonizer(ring: ScalarRing):
+    """Canonical form of a raw int or Fraction produced by ring arithmetic."""
+    if ring.kind == "Fp":
+        p = ring.p
+        return lambda v: v % p
+    if ring.kind == "Q":
+        return lambda v: v if type(v) is Fraction else Fraction(v)
+    return lambda v: v
+
+
+def _is_canonical(ring: ScalarRing, v) -> bool:
+    if ring.kind == "Q":
+        return type(v) is Fraction
+    return type(v) is int and (ring.kind == "Z" or 0 <= v < ring.p)
+
+
 class Matrix:
-    """Dense exact matrix; entries are a flat row-major tuple."""
+    """Immutable exact matrix stored as sparse columns.
 
-    ring: ScalarRing
-    rows: int
-    cols: int
-    entries: tuple
+    ``columns[j]`` is a tuple of the (row, value) pairs of column j with a
+    nonzero value, rows increasing, values canonical for the ring.  The form
+    is unique, so equality and hashing are those of the matrix itself.
+    """
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    __slots__ = ("ring", "rows", "cols", "columns", "_hash")  # _hash is filled on first use
+
+    def __init__(self, ring: ScalarRing, rows: int, cols: int, columns):
+        columns = tuple(tuple((i, v) for i, v in c) for c in columns)
+        if rows < 0 or cols < 0:
             raise ShapeError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ShapeError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
+        if len(columns) != cols:
+            raise ShapeError(f"{rows}x{cols} matrix needs {cols} columns, got {len(columns)}")
+        for c in columns:
+            prev = -1
+            for i, v in c:
+                if not prev < i < rows:
+                    raise ShapeError("column rows must increase strictly and lie inside the matrix")
+                if not v or not _is_canonical(ring, v):
+                    raise ValueError(f"{v!r} is not a stored value of a matrix over {ring}")
+                prev = i
+        _set_fields(self, ring, rows, cols, columns)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Matrix is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self is other or (
+            self.rows == other.rows
+            and self.cols == other.cols
+            and self.ring == other.ring
+            and self.columns == other.columns
+        )
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.ring, self.rows, self.cols, self.columns))
+            _set_hash(self, h)
+            return h
+
+    def __repr__(self) -> str:
+        return f"<Matrix {self.rows}x{self.cols} over {self.ring}, nnz={self.nnz}>"
 
     # -- constructors --------------------------------------------------------
 
@@ -103,12 +158,16 @@ class Matrix:
         rows = [list(r) for r in rows]
         nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
-        flat = []
-        for r in rows:
+        cols = [[] for _ in range(ncols)]
+        canon = ring.canon
+        for i, r in enumerate(rows):
             if len(r) != ncols:
                 raise ShapeError("ragged rows")
-            flat.extend(ring.canon(x) for x in r)
-        return Matrix(ring, nrows, ncols, tuple(flat))
+            for j, x in enumerate(r):
+                v = canon(x)
+                if v:
+                    cols[j].append((i, v))
+        return _make(ring, nrows, ncols, tuple(map(tuple, cols)))
 
     @staticmethod
     def from_cols(ring: ScalarRing, cols, nrows: int | None = None) -> "Matrix":
@@ -117,67 +176,109 @@ class Matrix:
             if not cols:
                 raise ShapeError("cannot infer row count of an empty column list")
             nrows = len(cols[0])
-        flat = [ring.zero] * (nrows * len(cols))
-        for j, c in enumerate(cols):
+        canon = ring.canon
+        out = []
+        for c in cols:
             if len(c) != nrows:
                 raise ShapeError("ragged columns")
-            for i, x in enumerate(c):
-                flat[i * len(cols) + j] = ring.canon(x)
-        return Matrix(ring, nrows, len(cols), tuple(flat))
+            out.append(tuple((i, v) for i, v in enumerate(map(canon, c)) if v))
+        return _make(ring, nrows, len(cols), tuple(out))
+
+    @staticmethod
+    def from_triplets(ring: ScalarRing, rows: int, cols: int, triplets) -> "Matrix":
+        """Assemble from (row, col, value) triplets; repeated positions are summed.
+
+        Values are ring elements or plain integers; zero sums are dropped.
+        """
+        acc = [{} for _ in range(cols)]
+        for i, j, v in triplets:
+            c = acc[j]
+            if i in c:
+                c[i] += v
+            else:
+                c[i] = v
+        canon = _canonizer(ring)
+        out = []
+        for c in acc:
+            col = tuple((i, v) for i, v in ((i, canon(c[i])) for i in sorted(c)) if v)
+            if col and not (col[0][0] >= 0 and col[-1][0] < rows):
+                raise ShapeError(f"triplet row outside a matrix with {rows} rows")
+            out.append(col)
+        return _make(ring, rows, cols, tuple(out))
 
     @staticmethod
     def zeros(ring: ScalarRing, rows: int, cols: int) -> "Matrix":
-        return Matrix(ring, rows, cols, (ring.zero,) * (rows * cols))
+        return _make(ring, rows, cols, ((),) * cols)
 
     @staticmethod
     def identity(ring: ScalarRing, n: int) -> "Matrix":
-        z, o = ring.zero, ring.one
-        flat = [z] * (n * n)
-        for i in range(n):
-            flat[i * n + i] = o
-        return Matrix(ring, n, n, tuple(flat))
+        o = ring.one
+        return _make(ring, n, n, tuple(((i, o),) for i in range(n)))
 
     @staticmethod
     def column(ring: ScalarRing, values) -> "Matrix":
         vals = [ring.canon(v) for v in values]
-        return Matrix(ring, len(vals), 1, tuple(vals))
+        return _make(ring, len(vals), 1, (tuple((i, v) for i, v in enumerate(vals) if v),))
 
     # -- access ----------------------------------------------------------------
 
     def __getitem__(self, ij) -> object:
         i, j = ij
-        return self.entries[i * self.cols + j]
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} outside a matrix with {self.rows} rows")
+        col = self.columns[j]
+        k = bisect_left(col, (i,))
+        return col[k][1] if k < len(col) and col[k][0] == i else self.ring.zero
 
     def row_list(self, i: int) -> list:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
+        return [self[i, j] for j in range(self.cols)]
 
     def col_list(self, j: int) -> list:
-        return list(self.entries[j :: self.cols]) if self.cols else []
+        out = [self.ring.zero] * self.rows
+        for i, v in self.columns[j]:
+            out[i] = v
+        return out
 
     def to_rows(self) -> list[list]:
-        return [self.row_list(i) for i in range(self.rows)]
+        z = self.ring.zero
+        out = [[z] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, v in col:
+                out[i][j] = v
+        return out
+
+    @property
+    def nnz(self) -> int:
+        """Number of stored (nonzero) entries."""
+        return sum(map(len, self.columns))
 
     @property
     def is_zero(self) -> bool:
-        z = self.ring.zero
-        return all(x == z for x in self.entries)
+        return not any(self.columns)
 
     # -- arithmetic --------------------------------------------------------------
 
     def _same(self, other: "Matrix") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingError("ring mismatch")
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("shape mismatch in addition")
-        if self.ring.kind == "Fp":
-            p = self.ring.p
-            flat = tuple((a + b) % p for a, b in zip(self.entries, other.entries))
-        else:
-            flat = tuple(a + b for a, b in zip(self.entries, other.entries))
-        return Matrix(self.ring, self.rows, self.cols, flat)
+        modp = self.ring.p if self.ring.kind == "Fp" else 0
+        out = []
+        for a, b in zip(self.columns, other.columns):
+            if not b or not a:
+                out.append(a or b)
+                continue
+            acc = dict(a)
+            for i, v in b:
+                if i in acc:
+                    v = (acc[i] + v) % modp if modp else acc[i] + v
+                acc[i] = v
+            out.append(tuple(sorted([p for p in acc.items() if p[1]])))
+        return _make(self.ring, self.rows, self.cols, tuple(out))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
@@ -185,110 +286,130 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         if self.ring.kind == "Fp":
             p = self.ring.p
-            return Matrix(self.ring, self.rows, self.cols, tuple(-a % p for a in self.entries))
-        return Matrix(self.ring, self.rows, self.cols, tuple(-a for a in self.entries))
+            cols = tuple(tuple((i, p - v) for i, v in c) for c in self.columns)
+        else:
+            cols = tuple(tuple((i, -v) for i, v in c) for c in self.columns)
+        return _make(self.ring, self.rows, self.cols, cols)
 
     def scale(self, c) -> "Matrix":
         c = self.ring.canon(c)
+        if not c:
+            return Matrix.zeros(self.ring, self.rows, self.cols)
         if self.ring.kind == "Fp":
             p = self.ring.p
-            return Matrix(self.ring, self.rows, self.cols, tuple(a * c % p for a in self.entries))
-        return Matrix(self.ring, self.rows, self.cols, tuple(a * c for a in self.entries))
+            cols = tuple(tuple((i, v * c % p) for i, v in col) for col in self.columns)
+        else:
+            cols = tuple(tuple((i, v * c) for i, v in col) for col in self.columns)
+        return _make(self.ring, self.rows, self.cols, cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        """Matrix product, organized column-by-column to exploit sparsity."""
+        """Matrix product, one output column at a time from the sparse columns."""
         self._same(other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        z = self.ring.zero
         modp = self.ring.p if self.ring.kind == "Fp" else 0
-        # sparse columns of self, indexed by self's column number
-        acols: list[list[tuple[int, object]]] = [[] for _ in range(self.cols)]
-        e = self.entries
-        nc = self.cols
-        for i in range(self.rows):
-            base = i * nc
-            for k in range(nc):
-                v = e[base + k]
-                if v != z:
-                    acols[k].append((i, v))
-        out = [z] * (self.rows * other.cols)
-        oe = other.entries
-        onc = other.cols
-        for j in range(onc):
+        acols = self.columns
+        out = []
+        for col in other.columns:
+            if len(col) == 1:
+                # a scaled column of self; products of nonzeros are nonzero
+                k, w = col[0]
+                if modp:
+                    out.append(tuple((i, v * w % modp) for i, v in acols[k]))
+                else:
+                    out.append(tuple((i, v * w) for i, v in acols[k]))
+                continue
             acc: dict[int, object] = {}
-            for k in range(other.rows):
-                w = oe[k * onc + j]
-                if w == z:
-                    continue
+            for k, w in col:
                 for i, v in acols[k]:
-                    acc[i] = acc.get(i, z) + v * w
+                    if i in acc:
+                        acc[i] += v * w
+                    else:
+                        acc[i] = v * w
             if modp:
-                for i, v in acc.items():
-                    v %= modp
-                    if v:
-                        out[i * onc + j] = v
+                out.append(tuple((i, v) for i, v in ((i, acc[i] % modp) for i in sorted(acc)) if v))
             else:
-                for i, v in acc.items():
-                    if v != z:
-                        out[i * onc + j] = v
-        return Matrix(self.ring, self.rows, onc, tuple(out))
+                out.append(tuple((i, acc[i]) for i in sorted(acc) if acc[i]))
+        return _make(self.ring, self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "Matrix":
-        flat = [self.ring.zero] * (self.rows * self.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(self.cols):
-                flat[j * self.rows + i] = self.entries[base + j]
-        return Matrix(self.ring, self.cols, self.rows, tuple(flat))
+        out = [[] for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, v in col:
+                out[i].append((j, v))
+        return _make(self.ring, self.cols, self.rows, tuple(map(tuple, out)))
 
     def hstack(self, other: "Matrix") -> "Matrix":
         self._same(other)
         if self.rows != other.rows:
             raise ShapeError("row mismatch in hstack")
-        flat = []
-        for i in range(self.rows):
-            flat.extend(self.entries[i * self.cols : (i + 1) * self.cols])
-            flat.extend(other.entries[i * other.cols : (i + 1) * other.cols])
-        return Matrix(self.ring, self.rows, self.cols + other.cols, tuple(flat))
+        return _make(self.ring, self.rows, self.cols + other.cols, self.columns + other.columns)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         self._same(other)
         if self.cols != other.cols:
             raise ShapeError("column mismatch in vstack")
-        return Matrix(self.ring, self.rows + other.rows, self.cols, self.entries + other.entries)
+        r = self.rows
+        cols = tuple(a + tuple((i + r, v) for i, v in b) for a, b in zip(self.columns, other.columns))
+        return _make(self.ring, r + other.rows, self.cols, cols)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product in row-major (last index fastest) convention."""
         self._same(other)
-        R, C = self.rows * other.rows, self.cols * other.cols
-        z = self.ring.zero
-        flat = [z] * (R * C)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.entries[i * self.cols + j]
-                if a == z:
-                    continue
-                for k in range(other.rows):
-                    row = (i * other.rows + k) * C + j * other.cols
-                    obase = k * other.cols
-                    for l in range(other.cols):
-                        b = other.entries[obase + l]
-                        if b != z:
-                            flat[row + l] = self.ring.canon(a * b)
-        return Matrix(self.ring, R, C, tuple(flat))
+        orows = other.rows
+        modp = self.ring.p if self.ring.kind == "Fp" else 0
+        cols = []
+        for a in self.columns:
+            for b in other.columns:
+                if modp:
+                    cols.append(tuple((i * orows + k, x * y % modp) for i, x in a for k, y in b))
+                else:
+                    cols.append(tuple((i * orows + k, x * y) for i, x in a for k, y in b))
+        return _make(self.ring, self.rows * orows, self.cols * other.cols, tuple(cols))
 
     def submatrix_cols(self, col_indices) -> "Matrix":
-        idx = list(col_indices)
-        flat = []
-        for i in range(self.rows):
-            base = i * self.cols
-            flat.extend(self.entries[base + j] for j in idx)
-        return Matrix(self.ring, self.rows, len(idx), tuple(flat))
+        cols = tuple(self.columns[j] for j in col_indices)
+        return _make(self.ring, self.rows, len(cols), cols)
+
+    def reshape(self, rows: int, cols: int) -> "Matrix":
+        """The same entries read in row-major order into a rows x cols matrix."""
+        if rows * cols != self.rows * self.cols:
+            raise ShapeError(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
+        out = [[] for _ in range(cols)]
+        n = self.cols
+        for j, col in enumerate(self.columns):
+            for i, v in col:
+                r, c = divmod(i * n + j, cols)
+                out[c].append((r, v))
+        return _make(self.ring, rows, cols, tuple(tuple(sorted(c)) for c in out))
 
     def __str__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in self.row_list(i)) for i in range(self.rows))
+        body = "; ".join(" ".join(str(x) for x in row) for row in self.to_rows())
         return f"[{body}]"
+
+
+# the slot setters, which bypass the immutability guard of __setattr__
+_set_ring, _set_rows, _set_cols, _set_columns, _set_hash = (
+    getattr(Matrix, name).__set__ for name in Matrix.__slots__
+)
+_new = object.__new__
+
+
+def _set_fields(m: Matrix, ring: ScalarRing, rows: int, cols: int, columns: tuple) -> None:
+    _set_ring(m, ring)
+    _set_rows(m, rows)
+    _set_cols(m, cols)
+    _set_columns(m, columns)
+
+
+def _make(ring: ScalarRing, rows: int, cols: int, columns: tuple) -> Matrix:
+    """A matrix from columns already in canonical form (no checks)."""
+    m = _new(Matrix)
+    _set_ring(m, ring)
+    _set_rows(m, rows)
+    _set_cols(m, cols)
+    _set_columns(m, columns)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -392,20 +513,6 @@ def _reduce_rows_field(rows: list[dict], pivot_width: int, ring: ScalarRing) -> 
     return pivots
 
 
-def _matrix_rows_as_dicts(M: Matrix) -> list[dict]:
-    z = M.ring.zero
-    out = []
-    for i in range(M.rows):
-        base = i * M.cols
-        row = {}
-        for j in range(M.cols):
-            v = M.entries[base + j]
-            if v != z:
-                row[j] = v
-        out.append(row)
-    return out
-
-
 def _scale_row_to_int(row: dict) -> dict:
     """Clear Fraction denominators of a dict row (multiplies by a positive unit)."""
     if not row:
@@ -414,24 +521,21 @@ def _scale_row_to_int(row: dict) -> dict:
     return {c: int(v * denom) for c, v in row.items()}
 
 
-def _reduce(ring: ScalarRing, rows: list[dict], pivot_width: int):
-    if ring.kind == "Z":
-        return _reduce_rows_int(rows, pivot_width)
-    return _reduce_rows_field(rows, pivot_width, ring)
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
 
 def rank(M: Matrix) -> int:
-    rows = _matrix_rows_as_dicts(M)
+    # the column rank: the columns of M are the rows of its transpose
+    rows = [dict(c) for c in M.columns]
     if M.ring.kind == "Q":
         rows = [_scale_row_to_int(r) for r in rows]
-        pivots = _reduce_rows_int(rows, M.cols)
+        pivots = _reduce_rows_int(rows, M.rows)
+    elif M.ring.kind == "Z":
+        pivots = _reduce_rows_int(rows, M.rows)
     else:
-        pivots = _reduce(M.ring, rows, M.cols)
+        pivots = _reduce_rows_field(rows, M.rows, M.ring)
     return len(pivots)
 
 
@@ -443,16 +547,12 @@ def kernel_basis(M: Matrix) -> Matrix:
     identity block: rows whose leading part dies give the kernel combinations.
     """
     n, m = M.cols, M.rows
-    z = M.ring.zero
     rational = M.ring.kind == "Q"
+    one = M.ring.one
     rows = []
-    for j in range(n):
-        row = {}
-        for i in range(m):
-            v = M.entries[i * M.cols + j]
-            if v != z:
-                row[i] = v
-        row[m + j] = M.ring.one
+    for j, col in enumerate(M.columns):
+        row = dict(col)
+        row[m + j] = one
         if rational:
             row = _scale_row_to_int(row)
         rows.append(row)
@@ -473,61 +573,70 @@ def _normal_form_columns(ring: ScalarRing, vec_rows: list[dict], width: int) -> 
         if ring.kind == "Q":
             vecs = [{c: Fraction(v) for c, v in r.items()} for r in vecs]
         pivots = _reduce_rows_field(vecs, width, ring)
-    cols = []
-    for c, r in pivots:
-        col = [ring.zero] * width
-        for k, v in r.items():
-            col[k] = ring.canon(v)
-        cols.append(col)
-    if not cols:
-        return Matrix.zeros(ring, width, 0)
-    return Matrix.from_cols(ring, cols, nrows=width)
+    canon = _canonizer(ring)
+    cols = tuple(tuple((k, canon(r[k])) for k in sorted(r)) for _, r in pivots)
+    return _make(ring, width, len(cols), cols)
 
 
 def column_span_basis(M: Matrix) -> Matrix:
     """Canonical basis of the column space (fields) or column lattice (Z)."""
-    z = M.ring.zero
-    vec_rows = []
-    for j in range(M.cols):
-        row = {}
-        for i in range(M.rows):
-            v = M.entries[i * M.cols + j]
-            if v != z:
-                row[i] = v
-        if row:
-            vec_rows.append(row)
-    return _normal_form_columns(M.ring, vec_rows, M.rows)
+    return _normal_form_columns(M.ring, [dict(c) for c in M.columns if c], M.rows)
 
 
-def _coords_in_echelon(basis: Matrix, target: list) -> list | None:
-    """Solve basis * x = target where basis has echelon columns; None if impossible."""
+def _echelon_coords(basis: Matrix, M: Matrix) -> list[dict]:
+    """Coordinates of every column of M in the echelon columns of basis.
+
+    Column j of the basis has its leading (first) row lead_j, and the leads
+    increase with j.  Each target is reduced row by row in increasing order:
+    when its lowest remaining row is some lead_j, column j is subtracted
+    (over Z only if the entry divides exactly); any other row left nonzero
+    means the target escapes the span.  Work is proportional to the nonzeros
+    touched.  Returns one {basis column: coefficient} dict per column of M
+    and raises ContainmentError naming the first column that escapes (over
+    Z: the lattice).
+    """
     ring = basis.ring
-    z = ring.zero
-    residual = [ring.canon(v) for v in target]
-    leads = []
-    for j in range(basis.cols):
-        lead = next(i for i in range(basis.rows) if basis.entries[i * basis.cols + j] != z)
-        leads.append(lead)
-    coords = [z] * basis.cols
-    for j, lead in enumerate(leads):
-        val = residual[lead]
-        if val == z:
-            continue
-        pv = basis.entries[lead * basis.cols + j]
-        if ring.kind == "Z":
-            if val % pv != 0:
-                return None
-            q = val // pv
-        else:
-            q = ring.canon(val * ring.invert(pv))
-        coords[j] = q
-        for i in range(basis.rows):
-            b = basis.entries[i * basis.cols + j]
-            if b != z:
-                residual[i] = ring.canon(residual[i] - q * b)
-    if any(v != z for v in residual):
-        return None
-    return coords
+    kind, p = ring.kind, ring.p
+    bcols = basis.columns
+    lead_of = {col[0][0]: j for j, col in enumerate(bcols)}
+    out = []
+    for jt, target in enumerate(M.columns):
+        residual = dict(target)
+        heap = list(residual)  # increasing rows: already a heap
+        coords = {}
+        while heap:
+            r = heappop(heap)
+            val = residual.get(r)
+            if not val:
+                continue
+            j = lead_of.get(r)
+            if j is None:
+                raise ContainmentError(jt)
+            col = bcols[j]
+            pv = col[0][1]
+            if kind == "Z":
+                if val % pv:
+                    raise ContainmentError(jt)
+                q = val // pv
+            elif kind == "Q":
+                q = val / pv
+            else:
+                q = val * pow(pv, -1, p) % p
+            coords[j] = q
+            for i, b in col:
+                if i in residual:
+                    nv = residual[i] - q * b
+                    if p:
+                        nv %= p
+                    if nv:
+                        residual[i] = nv
+                    else:
+                        del residual[i]
+                else:
+                    residual[i] = -q * b % p if p else -q * b
+                    heappush(heap, i)
+        out.append(coords)
+    return out
 
 
 def coords_in_span(basis: Matrix, M: Matrix) -> Matrix:
@@ -540,21 +649,9 @@ def coords_in_span(basis: Matrix, M: Matrix) -> Matrix:
     basis._same(M)
     if basis.rows != M.rows:
         raise ShapeError("ambient dimensions differ")
-    cols = []
-    for j in range(M.cols):
-        target = M.col_list(j)
-        if basis.cols == 0:
-            if any(v != M.ring.zero for v in target):
-                raise ContainmentError(j)
-            cols.append([])
-            continue
-        c = _coords_in_echelon(basis, target)
-        if c is None:
-            raise ContainmentError(j)
-        cols.append(c)
-    if not cols:
-        return Matrix.zeros(M.ring, basis.cols, 0)
-    return Matrix.from_cols(M.ring, cols, nrows=basis.cols)
+    coords = _echelon_coords(basis, M)
+    cols = tuple(tuple(sorted(c.items())) for c in coords)
+    return _make(M.ring, basis.cols, len(cols), cols)
 
 
 def solve(M: Matrix, b: Matrix) -> Matrix | None:
@@ -571,12 +668,12 @@ def solve(M: Matrix, b: Matrix) -> Matrix | None:
         # Hermite form of the transpose with transform tracking:
         # rows are columns of M augmented by unit combination vectors.
         rows = []
-        for j in range(M.cols):
-            row = {i: M.entries[i * M.cols + j] for i in range(M.rows) if M.entries[i * M.cols + j] != 0}
+        for j, col in enumerate(M.columns):
+            row = dict(col)
             row[M.rows + j] = 1
             rows.append(row)
         pivots = _reduce_rows_int(rows, M.rows)
-        residual = [b.entries[i] for i in range(M.rows)]
+        residual = b.col_list(0)
         x = [0] * M.cols
         for c, r in pivots:
             val = residual[c]
@@ -594,11 +691,9 @@ def solve(M: Matrix, b: Matrix) -> Matrix | None:
             return None
         return Matrix.column(ring, x)
     # field case: RREF of [M | b]
-    rows = _matrix_rows_as_dicts(M)
-    for i in range(M.rows):
-        v = b.entries[i]
-        if v != z:
-            rows[i][M.cols] = v
+    rows = [dict(c) for c in M.transpose().columns]
+    for i, v in b.columns[0]:
+        rows[i][M.cols] = v
     pivots = _reduce_rows_field(rows, M.cols, ring)
     for r in rows:
         if r and M.cols in r:
@@ -619,7 +714,7 @@ def smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     if M.ring.kind != "Z":
         raise RingError("Smith normal form requires the ring Z")
     m, n = M.rows, M.cols
-    A = [M.row_list(i) for i in range(m)]
+    A = M.to_rows()
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -720,7 +815,7 @@ def cokernel_invariants(M: Matrix) -> KModuleInvariants:
     """Invariants of ring^rows / (column span of M)."""
     if M.ring.kind == "Z":
         _, D, _ = smith_normal_form(M)
-        diag = [D.entries[i * D.cols + i] for i in range(min(M.rows, M.cols))]
+        diag = [D[i, i] for i in range(min(M.rows, M.cols))]
         return invariants_from_diagonal(diag, M.rows)
     return KModuleInvariants(M.rows - rank(M))
 
@@ -734,22 +829,7 @@ def subquotient_invariants(Z: Matrix, B: Matrix) -> KModuleInvariants:
     Z._same(B)
     if Z.rows != B.rows:
         raise ShapeError("ambient dimensions differ")
-    basis = column_span_basis(Z)
-    coords_cols = []
-    for j in range(B.cols):
-        target = B.col_list(j)
-        coords = _coords_in_echelon(basis, target) if basis.cols else (
-            None if any(v != B.ring.zero for v in target) else []
-        )
-        if coords is None:
-            raise ContainmentError(j)
-        coords_cols.append(coords)
-    r = basis.cols
-    if not coords_cols:
-        C = Matrix.zeros(Z.ring, r, 0)
-    else:
-        C = Matrix.from_cols(Z.ring, coords_cols, nrows=r)
-    return cokernel_invariants(C)
+    return cokernel_invariants(coords_in_span(column_span_basis(Z), B))
 
 
 def quotient_generators(Z: Matrix, B: Matrix) -> tuple[KModuleInvariants, list[Matrix]]:
@@ -762,19 +842,10 @@ def quotient_generators(Z: Matrix, B: Matrix) -> tuple[KModuleInvariants, list[M
     Z._same(B)
     basis = column_span_basis(Z)
     r = basis.cols
-    coords_cols = []
-    for j in range(B.cols):
-        coords = _coords_in_echelon(basis, B.col_list(j)) if basis.cols else (
-            None if any(v != B.ring.zero for v in B.col_list(j)) else []
-        )
-        if coords is None:
-            raise ContainmentError(j)
-        coords_cols.append(coords)
     ring = Z.ring
     if ring.kind == "Z":
-        C = Matrix.from_cols(ring, coords_cols, nrows=r) if coords_cols else Matrix.zeros(ring, r, 0)
-        U, D, _ = smith_normal_form(C)
-        diag = [D.entries[i * D.cols + i] for i in range(min(D.rows, D.cols))]
+        U, D, _ = smith_normal_form(coords_in_span(basis, B))
+        diag = [D[i, i] for i in range(min(D.rows, D.cols))]
         # generators of Z^r / C are the columns of U^{-1}; solve U x = e_i
         invs = invariants_from_diagonal(diag, r)
         free_idx = [i for i in range(r) if i >= len(diag) or diag[i] == 0]
@@ -786,17 +857,8 @@ def quotient_generators(Z: Matrix, B: Matrix) -> tuple[KModuleInvariants, list[M
             gens.append(basis * x)
         return invs, gens
     # field: complement of span(coords) inside k^r
-    rows = []
-    for c in coords_cols:
-        row = {i: v for i, v in enumerate(c) if v != ring.zero}
-        if row:
-            rows.append(row)
-    pivots = _reduce_rows_field(rows, r, ring)
-    pivot_cols = {c for c, _ in pivots}
+    rows = [dict(c) for c in coords_in_span(basis, B).columns if c]
+    pivot_cols = {c for c, _ in _reduce_rows_field(rows, r, ring)}
     invs = KModuleInvariants(r - len(pivot_cols))
-    gens = []
-    for i in range(r):
-        if i not in pivot_cols:
-            e = Matrix.column(ring, [ring.one if k == i else ring.zero for k in range(r)])
-            gens.append(basis * e)
+    gens = [basis.submatrix_cols((i,)) for i in range(r) if i not in pivot_cols]
     return invs, gens

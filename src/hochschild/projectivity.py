@@ -137,38 +137,25 @@ def _section_system(A: FiniteAlgebra, om: SyzygyModule, guard: int | None) -> tu
     rhs = []
 
     # b * S = K
-    for beta in range(b.rows):
+    for beta, b_row in enumerate(b.transpose().columns):
         for c in range(r):
-            row = {}
-            for alpha in range(N):
-                v = b[beta, alpha]
-                if v != z:
-                    row[alpha * r + c] = v
-            rows.append(row)
+            rows.append({alpha * r + c: v for alpha, v in b_row})
             rhs.append(om.basis[beta, c])
     # S Lambda_i = L_i S  and  S Rho_i = R_i S
     for i in range(A.rank):
         for big, small in ((Ln[i], om.left[i]), (Rn[i], om.right[i])):
+            big_rows = big.transpose().columns
             for alpha in range(N):
                 for c in range(r):
-                    row = {}
-                    for cp in range(r):
-                        v = small[cp, c]
-                        if v != z:
-                            row[alpha * r + cp] = ring.canon(row.get(alpha * r + cp, z) + v)
-                    for ap in range(N):
-                        w = big[alpha, ap]
-                        if w != z:
-                            key = ap * r + c
-                            row[key] = ring.canon(row.get(key, z) - w)
+                    row = {alpha * r + cp: v for cp, v in small.columns[c]}
+                    for ap, w in big_rows[alpha]:
+                        key = ap * r + c
+                        row[key] = ring.canon(row.get(key, z) - w)
                     if row:
                         rows.append(row)
                         rhs.append(z)
-    flat = [z] * (len(rows) * unknowns)
-    for ri, row in enumerate(rows):
-        for cj, v in row.items():
-            flat[ri * unknowns + cj] = v
-    return Matrix(ring, len(rows), unknowns, tuple(flat)), Matrix.column(ring, rhs)
+    triplets = ((ri, cj, v) for ri, row in enumerate(rows) for cj, v in row.items())
+    return Matrix.from_triplets(ring, len(rows), unknowns, triplets), Matrix.column(ring, rhs)
 
 
 def omega_is_projective(
@@ -198,7 +185,7 @@ def omega_is_projective(
     system, rhs = _section_system(A, om, guard)
     S = solve(system, rhs)
     if S is not None:
-        mat = Matrix(A.ring, bar_rank(A, n, normalized), om.rank, tuple(S.col_list(0)))
+        mat = S.reshape(bar_rank(A, n, normalized), om.rank)
         if not _section_is_valid(A, om, mat):
             raise AssertionError("solved section failed verification")
         return ProjectivityCertificate("projective", n, normalized, section=mat)
@@ -221,7 +208,7 @@ def _idempotent_as_section(A: FiniteAlgebra, e: Matrix, om: SyzygyModule) -> Mat
 
 
 def _to_rational(M: Matrix) -> Matrix:
-    return Matrix(QQ, M.rows, M.cols, tuple(Fraction(x) for x in M.entries))
+    return Matrix(QQ, M.rows, M.cols, (tuple((i, Fraction(v)) for i, v in c) for c in M.columns))
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +263,7 @@ def is_quasi_free(A: FiniteAlgebra, guard: int | None = DEFAULT_GUARD) -> QuasiF
 
 def _seed_cochain(A: FiniteAlgebra, M: Bimodule, shift: int) -> Matrix:
     ring = A.ring
-    flat = []
-    for p in range(M.rank):
-        for i in range(A.rank):
-            flat.append(ring.of_int((p + i + shift) % 3 - 1))
-    return Matrix(ring, M.rank, A.rank, tuple(flat))
+    return Matrix.from_rows(ring, [[ring.of_int((p + i + shift) % 3 - 1) for i in range(A.rank)] for p in range(M.rank)])
 
 
 def _probe_modules(A: FiniteAlgebra, guard: int | None):

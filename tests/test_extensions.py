@@ -62,7 +62,7 @@ def test_xx_cochain_is_cocycle_but_not_coboundary():
     assert ok
     found = False
     for bits in range(16):
-        zeta = Matrix(F2, 2, 2, tuple((bits >> k) & 1 for k in range(4)))
+        zeta = Matrix.from_rows(F2, [[(bits >> (2 * i + j)) & 1 for j in range(2)] for i in range(2)])
         if coboundary_of(A, M, zeta).matrix == B.matrix:
             found = True
     assert not found

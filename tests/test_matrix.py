@@ -2,7 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from hochschild.algebra import regular_bimodule
+from hochschild.catalog import dual_numbers, upper_triangular2
+from hochschild.cohomology import coboundary_matrix
 from hochschild.matrix import (
     ContainmentError,
     KModuleInvariants,
@@ -11,6 +16,7 @@ from hochschild.matrix import (
     check_guard,
     cokernel_invariants,
     column_span_basis,
+    coords_in_span,
     kernel_basis,
     quotient_generators,
     rank,
@@ -294,3 +300,184 @@ def test_invariants_validation():
     with pytest.raises(ValueError):
         KModuleInvariants(0, (1,))
     assert str(KModuleInvariants(1, (2,))) == "k^1 + k/2"
+
+
+# -- properties (hypothesis) ------------------------------------------------------
+
+PROPERTY_RINGS = (ZZ, QQ, F2, GF(5))
+PROPS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def _values(ring):
+    if ring.kind == "Q":
+        return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    return st.integers(-3, 3).map(ring.of_int)
+
+
+@st.composite
+def matrices(draw, rings=PROPERTY_RINGS, max_dim=5, min_dim=0):
+    ring = draw(st.sampled_from(rings))
+    m = draw(st.integers(min_dim, max_dim))
+    n = draw(st.integers(min_dim, max_dim))
+    # mostly zeros, like the complexes the engine builds
+    entry = st.one_of(st.just(ring.zero), st.just(ring.zero), _values(ring))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    return Matrix.from_rows(ring, rows) if m else Matrix.zeros(ring, 0, n)
+
+
+def _assert_canonical(M):
+    """The stored form: increasing rows inside the matrix, nonzero canonical values."""
+    assert len(M.columns) == M.cols
+    for col in M.columns:
+        rows = [i for i, _ in col]
+        assert rows == sorted(set(rows)) and all(0 <= i < M.rows for i in rows)
+        for _, v in col:
+            assert v
+            if M.ring.kind == "Q":
+                assert type(v) is Fraction
+            else:
+                assert type(v) is int and (M.ring.kind == "Z" or 0 < v < M.ring.p)
+    assert M.nnz == sum(1 for row in M.to_rows() for v in row if v)
+
+
+@PROPS
+@given(matrices())
+def test_kernel_is_annihilated_and_saturated(M):
+    K = kernel_basis(M)
+    _assert_canonical(K)
+    assert (K.rows, K.cols) == (M.cols, M.cols - rank(M))
+    assert (M * K).is_zero
+    if M.ring.kind == "Z":
+        # saturated: Z^n / span(K) has no torsion
+        assert cokernel_invariants(K).torsion == ()
+
+
+@PROPS
+@given(matrices(rings=(ZZ,), min_dim=1))
+def test_smith_form_against_sympy(M):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    U, D, V = smith_normal_form(M)
+    for T in (U, D, V):
+        _assert_canonical(T)
+    assert U * M * V == D
+    assert abs(sympy.Matrix(U.to_rows()).det()) == 1
+    assert abs(sympy.Matrix(V.to_rows()).det()) == 1
+    k = min(M.rows, M.cols)
+    diag = [D[i, i] for i in range(k)]
+    assert D.nnz == sum(1 for d in diag if d)  # diagonal
+    for a, b in zip(diag, diag[1:]):
+        assert a >= 0 and (b == 0 if a == 0 else b % a == 0)
+    oracle = sympy_snf(sympy.Matrix(M.to_rows()), domain=sympy.ZZ)
+    assert diag == [abs(int(oracle[i, i])) for i in range(k)]
+
+
+@PROPS
+@given(matrices(), st.data())
+def test_solve_round_trips(M, data):
+    ring = M.ring
+    y = Matrix.column(ring, data.draw(st.lists(_values(ring), min_size=M.cols, max_size=M.cols)))
+    b = M * y
+    x = solve(M, b)
+    assert x is not None and M * x == b
+    b2 = Matrix.column(ring, data.draw(st.lists(_values(ring), min_size=M.rows, max_size=M.rows)))
+    x2 = solve(M, b2)
+    if x2 is not None:
+        assert M * x2 == b2
+    elif ring.kind != "Z":
+        assert rank(M.hstack(b2)) > rank(M)
+
+
+@PROPS
+@given(matrices())
+def test_coords_in_span_round_trips(M):
+    basis = column_span_basis(M)
+    _assert_canonical(basis)
+    C = coords_in_span(basis, M)
+    _assert_canonical(C)
+    assert basis * C == M
+    K = kernel_basis(M)
+    assert coords_in_span(K, K) == Matrix.identity(M.ring, K.cols)
+
+
+@PROPS
+@given(matrices(), st.data())
+def test_one_matrix_one_representation(M, data):
+    ring = M.ring
+    rows = M.to_rows()
+    built = [
+        Matrix.from_cols(ring, [M.col_list(j) for j in range(M.cols)], nrows=M.rows),
+        Matrix.identity(ring, 1).kron(M),
+        M.kron(Matrix.identity(ring, 1)),
+        M.transpose().transpose(),
+        Matrix.zeros(ring, M.rows, 0).hstack(M).hstack(Matrix.zeros(ring, M.rows, 0)),
+        M.reshape(M.rows * M.cols, 1).reshape(M.rows, M.cols),
+        M + Matrix.zeros(ring, M.rows, M.cols),
+        M - M + M,
+        # triplets: every entry, zeros included, split into two summands
+        Matrix.from_triplets(
+            ring, M.rows, M.cols,
+            [t for i, r in enumerate(rows) for j, v in enumerate(r) for t in ((i, j, v + 1), (i, j, -1))],
+        ),
+    ]
+    if M.cols:
+        pieces = [M.submatrix_cols([j]) for j in range(M.cols)]
+        stacked = pieces[0]
+        for p in pieces[1:]:
+            stacked = stacked.hstack(p)
+        built.append(stacked)
+    for B in built:
+        _assert_canonical(B)
+        assert B == M and hash(B) == hash(M)
+    for derived in (M * M.transpose(), M.scale(ring.of_int(2)), -M, M.kron(M), M.vstack(M)):
+        _assert_canonical(derived)
+
+
+@pytest.mark.parametrize("build", [dual_numbers, upper_triangular2])
+@pytest.mark.parametrize("ring", [ZZ, QQ, F2])
+def test_assembled_coboundary_matches_dense_build(build, ring):
+    # b^0(m)(a) = a m - m a: row (q, a), column p holds L_a[q, p] - R_a[q, p]
+    A = build(ring)
+    Mod = regular_bimodule(A)
+    d, m = A.rank, Mod.rank
+    dense = [
+        [ring.canon(Mod.left[a][q, p] - Mod.right[a][q, p]) for p in range(m)]
+        for q in range(m)
+        for a in range(d)
+    ]
+    b0 = coboundary_matrix(A, Mod, 0)
+    _assert_canonical(b0)
+    assert b0 == Matrix.from_rows(ring, dense)
+    assert hash(b0) == hash(Matrix.from_rows(ring, dense))
+
+
+def test_public_constructor_rejects_non_canonical_columns():
+    Matrix(ZZ, 2, 1, [[(0, 3), (1, -1)]])
+    for bad in ([[(1, 3), (0, 1)]], [[(0, 0)]], [[(2, 1)]], [[(0, 1), (0, 2)]]):
+        with pytest.raises(ValueError):
+            Matrix(ZZ, 2, 1, bad)
+    with pytest.raises(ValueError):
+        Matrix(GF(5), 1, 1, [[(0, 7)]])
+    with pytest.raises(ValueError):
+        Matrix(QQ, 1, 1, [[(0, 1)]])  # Q values are Fractions
+    with pytest.raises(AttributeError):
+        Matrix.identity(ZZ, 1).rows = 2
+
+
+@PROPS
+@given(matrices(), st.data())
+def test_arithmetic_matches_dense_arithmetic(M, data):
+    ring = M.ring
+    entry = st.one_of(st.just(ring.zero), _values(ring))
+    N = Matrix.from_rows(ring, data.draw(st.lists(
+        st.lists(entry, min_size=M.cols, max_size=M.cols), min_size=M.rows, max_size=M.rows)))
+    if not M.rows:
+        N = Matrix.zeros(ring, 0, M.cols)
+    a, b = M.to_rows(), N.to_rows()
+    S = M + N
+    _assert_canonical(S)
+    assert S.to_rows() == [[ring.canon(x + y) for x, y in zip(r, s)] for r, s in zip(a, b)]
+    P = M * N.transpose()
+    _assert_canonical(P)
+    assert P.to_rows() == [[ring.canon(sum((x * y for x, y in zip(r, s)), ring.zero)) for s in b] for r in a]
