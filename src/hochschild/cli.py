@@ -24,6 +24,7 @@ from .extensions import (
 )
 from .io_json import (
     SchemaError,
+    _matrix_to_json,
     dumps,
     load_algebra,
     load_bimodule,
@@ -46,10 +47,6 @@ from .rings import RingError
 
 def _invariants_doc(invs) -> dict:
     return {"free_rank": invs.free_rank, "torsion": [str(t) for t in invs.torsion]}
-
-
-def _matrix_doc(M) -> list:
-    return [[M.ring.format(x) for x in row] for row in M.to_rows()]
 
 
 def _emit(doc, out_path) -> None:
@@ -101,7 +98,7 @@ def cmd_hh(args) -> int:
         doc["basis_canonicalized"] = True
         doc["canonical_basis"] = list(A.basis_names)
     if args.representatives and report.representatives is not None:
-        doc["representatives"] = [_matrix_doc(c.matrix) for c in report.representatives]
+        doc["representatives"] = [_matrix_to_json(c.matrix) for c in report.representatives]
     _emit(doc, args.output)
     return 0
 
@@ -127,7 +124,7 @@ def cmd_analyze(args) -> int:
     if qf.quasi_free:
         doc["quasi_free"]["lifts_checked"] = qf.lifts_checked
     elif qf.witness is not None and hasattr(qf.witness, "matrix"):
-        doc["quasi_free"]["witness_cocycle"] = _matrix_doc(qf.witness.matrix)
+        doc["quasi_free"]["witness_cocycle"] = _matrix_to_json(qf.witness.matrix)
     scan = hcdim_scan(A, args.cap, guard=guard)
     doc["hcdim"] = {
         "proved_upper": scan.upper_text,
@@ -152,7 +149,7 @@ def cmd_extensions(args) -> int:
         reps = enumerate_extension_classes(A, M)
         doc = {
             "classes": len(reps),
-            "representatives": [_matrix_doc(r.matrix) for r in reps],
+            "representatives": [_matrix_to_json(r.matrix) for r in reps],
         }
     elif args.cocycle_class:
         B = load_cochain(args.cocycle_class)
@@ -164,14 +161,14 @@ def cmd_extensions(args) -> int:
             zeta = cocycles_cohomologous(B, zero_two_cochain(B.algebra, B.bimodule))
             doc["cohomologous_to_zero"] = zeta is not None
             if zeta is not None:
-                doc["zeta"] = _matrix_doc(zeta)
+                doc["zeta"] = _matrix_to_json(zeta)
     else:
         E = load_extension(args.lift)
         Bs = extension_class_from_section(E)
         section = lift_exists(E)
-        doc = {"class": _matrix_doc(Bs.matrix), "lift": section is not None}
+        doc = {"class": _matrix_to_json(Bs.matrix), "lift": section is not None}
         if section is not None:
-            doc["section"] = _matrix_doc(section)
+            doc["section"] = _matrix_to_json(section)
     _emit(doc, args.output)
     return 0
 

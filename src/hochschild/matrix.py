@@ -311,14 +311,6 @@ class Matrix:
         acols = self.columns
         out = []
         for col in other.columns:
-            if len(col) == 1:
-                # a scaled column of self; products of nonzeros are nonzero
-                k, w = col[0]
-                if modp:
-                    out.append(tuple((i, v * w % modp) for i, v in acols[k]))
-                else:
-                    out.append(tuple((i, v * w) for i, v in acols[k]))
-                continue
             acc: dict[int, object] = {}
             for k, w in col:
                 for i, v in acols[k]:
@@ -529,14 +521,11 @@ def _scale_row_to_int(row: dict) -> dict:
 def rank(M: Matrix) -> int:
     # the column rank: the columns of M are the rows of its transpose
     rows = [dict(c) for c in M.columns]
+    if M.ring.kind == "Fp":
+        return len(_reduce_rows_field(rows, M.rows, M.ring))
     if M.ring.kind == "Q":
         rows = [_scale_row_to_int(r) for r in rows]
-        pivots = _reduce_rows_int(rows, M.rows)
-    elif M.ring.kind == "Z":
-        pivots = _reduce_rows_int(rows, M.rows)
-    else:
-        pivots = _reduce_rows_field(rows, M.rows, M.ring)
-    return len(pivots)
+    return len(_reduce_rows_int(rows, M.rows))
 
 
 def kernel_basis(M: Matrix) -> Matrix:
@@ -583,18 +572,20 @@ def column_span_basis(M: Matrix) -> Matrix:
     return _normal_form_columns(M.ring, [dict(c) for c in M.columns if c], M.rows)
 
 
-def _echelon_coords(basis: Matrix, M: Matrix) -> list[dict]:
-    """Coordinates of every column of M in the echelon columns of basis.
+def coords_in_span(basis: Matrix, M: Matrix) -> Matrix:
+    """Express each column of M in an echelon-column basis (exact, per ring).
 
-    Column j of the basis has its leading (first) row lead_j, and the leads
-    increase with j.  Each target is reduced row by row in increasing order:
-    when its lowest remaining row is some lead_j, column j is subtracted
-    (over Z only if the entry divides exactly); any other row left nonzero
-    means the target escapes the span.  Work is proportional to the nonzeros
-    touched.  Returns one {basis column: coefficient} dict per column of M
-    and raises ContainmentError naming the first column that escapes (over
-    Z: the lattice).
+    The basis must come from kernel_basis / column_span_basis: the leading
+    (first) row lead_j of its column j increases with j.  Each target is
+    reduced row by row in increasing order: when its lowest remaining row
+    is some lead_j, column j is subtracted (over Z only if the entry divides
+    exactly); any other row left nonzero means the target escapes the span.
+    Work is proportional to the nonzeros touched.  Raises ContainmentError
+    naming the first column that escapes the span (over Z: the lattice).
     """
+    basis._same(M)
+    if basis.rows != M.rows:
+        raise ShapeError("ambient dimensions differ")
     ring = basis.ring
     kind, p = ring.kind, ring.p
     bcols = basis.columns
@@ -635,23 +626,8 @@ def _echelon_coords(basis: Matrix, M: Matrix) -> list[dict]:
                 else:
                     residual[i] = -q * b % p if p else -q * b
                     heappush(heap, i)
-        out.append(coords)
-    return out
-
-
-def coords_in_span(basis: Matrix, M: Matrix) -> Matrix:
-    """Express each column of M in an echelon-column basis (exact, per ring).
-
-    The basis must come from kernel_basis / column_span_basis (echelon form).
-    Raises ContainmentError naming the first column that escapes the span
-    (over Z: the lattice).
-    """
-    basis._same(M)
-    if basis.rows != M.rows:
-        raise ShapeError("ambient dimensions differ")
-    coords = _echelon_coords(basis, M)
-    cols = tuple(tuple(sorted(c.items())) for c in coords)
-    return _make(M.ring, basis.cols, len(cols), cols)
+        out.append(tuple(sorted(coords.items())))
+    return _make(ring, basis.cols, len(out), tuple(out))
 
 
 def solve(M: Matrix, b: Matrix) -> Matrix | None:
