@@ -102,6 +102,18 @@ def multiplication_matrix(A: FiniteAlgebra) -> Matrix:
     return Matrix.from_cols(A.ring, cols, nrows=d)
 
 
+def act(actions, coeffs) -> Matrix:
+    """The action matrix sum_i coeffs[i] * actions[i] of an element given by its coordinates."""
+    if len(coeffs) != len(actions):
+        raise AlgebraError(f"element has {len(coeffs)} coordinates, expected {len(actions)}")
+    T = actions[0]
+    out = Matrix.zeros(T.ring, T.rows, T.cols)
+    for X, c in zip(actions, coeffs):
+        if c:
+            out = out + X.scale(c)
+    return out
+
+
 def validate_algebra(
     ring: ScalarRing,
     rank: int,
@@ -220,15 +232,6 @@ class LeftModule:
     rank: int
     action: tuple[Matrix, ...]
 
-    def act(self, vec) -> Matrix:
-        """Action matrix of an arbitrary element given by coefficients."""
-        A = self.algebra
-        out = Matrix.zeros(A.ring, self.rank, self.rank)
-        for i, v in enumerate(vec):
-            if v != A.ring.zero:
-                out = out + self.action[i].scale(v)
-        return out
-
 
 def validate_left_module(A: FiniteAlgebra, rank: int, action) -> LeftModule:
     action = tuple(action)
@@ -238,12 +241,11 @@ def validate_left_module(A: FiniteAlgebra, rank: int, action) -> LeftModule:
         if (T.rows, T.cols) != (rank, rank) or T.ring != A.ring:
             raise AlgebraError("action matrices must be square of the module rank")
     M = LeftModule(A, rank, action)
-    unit = M.act(A.unit)
-    if unit != Matrix.identity(A.ring, rank):
+    if act(action, A.unit) != Matrix.identity(A.ring, rank):
         raise AlgebraError("unit does not act as the identity")
     for i in range(A.rank):
         for j in range(A.rank):
-            if action[i] * action[j] != M.act(A.product_column(i, j)):
+            if action[i] * action[j] != act(action, A.product_column(i, j)):
                 raise AlgebraError(f"left action is not multiplicative at pair ({i}, {j})")
     return M
 
@@ -256,22 +258,6 @@ class Bimodule:
     rank: int
     left: tuple[Matrix, ...]
     right: tuple[Matrix, ...]
-
-    def act_left(self, vec) -> Matrix:
-        A = self.algebra
-        out = Matrix.zeros(A.ring, self.rank, self.rank)
-        for i, v in enumerate(vec):
-            if v != A.ring.zero:
-                out = out + self.left[i].scale(v)
-        return out
-
-    def act_right(self, vec) -> Matrix:
-        A = self.algebra
-        out = Matrix.zeros(A.ring, self.rank, self.rank)
-        for i, v in enumerate(vec):
-            if v != A.ring.zero:
-                out = out + self.right[i].scale(v)
-        return out
 
     def left_module(self) -> LeftModule:
         return LeftModule(self.algebra, self.rank, self.left)
@@ -287,16 +273,17 @@ def validate_bimodule(A: FiniteAlgebra, rank: int, left, right) -> Bimodule:
             raise AlgebraError("action matrices must be square of the module rank")
     M = Bimodule(A, rank, left, right)
     I = Matrix.identity(A.ring, rank)
-    if M.act_left(A.unit) != I:
+    if act(left, A.unit) != I:
         raise AlgebraError("unit does not act as the identity on the left")
-    if M.act_right(A.unit) != I:
+    if act(right, A.unit) != I:
         raise AlgebraError("unit does not act as the identity on the right")
     for i in range(A.rank):
         for j in range(A.rank):
-            if left[i] * left[j] != M.act_left(A.product_column(i, j)):
+            prod = A.product_column(i, j)
+            if left[i] * left[j] != act(left, prod):
                 raise AlgebraError(f"left action not multiplicative at ({i}, {j})")
             # right actions compose contravariantly: m*(ab) = (m*a)*b
-            if right[j] * right[i] != M.act_right(A.product_column(i, j)):
+            if right[j] * right[i] != act(right, prod):
                 raise AlgebraError(f"right action not multiplicative at ({i}, {j})")
             if left[i] * right[j] != right[j] * left[i]:
                 raise AlgebraError(f"left/right actions do not commute at ({i}, {j})")
@@ -319,16 +306,25 @@ def zero_bimodule(A: FiniteAlgebra) -> Bimodule:
     return Bimodule(A, 0, (empty,) * A.rank, (empty,) * A.rank)
 
 
+def outer_actions(A: FiniteAlgebra, inner: int) -> tuple[tuple[Matrix, ...], tuple[Matrix, ...]]:
+    """Left actions L_i (x) I and right actions I (x) R_i, with I the identity of size inner.
+
+    On A (x) W (x) A with rank(W (x) A) = inner, these are a acting on the
+    leftmost factor and b on the rightmost.
+    """
+    I = Matrix.identity(A.ring, inner)
+    left = tuple(left_mult_matrix(A, i).kron(I) for i in range(A.rank))
+    right = tuple(I.kron(right_mult_matrix(A, i)) for i in range(A.rank))
+    return left, right
+
+
 def outer_bimodule(A: FiniteAlgebra, n: int, guard: int | None = None) -> Bimodule:
     """A^(x)(n+2) with a acting on the leftmost factor, b on the rightmost."""
     d = A.rank
     size = d ** (n + 2)
     if guard is not None:
         check_guard(size, size, guard)
-    inner = Matrix.identity(A.ring, d ** (n + 1))
-    left = tuple(left_mult_matrix(A, i).kron(inner) for i in range(d))
-    right = tuple(inner.kron(right_mult_matrix(A, i)) for i in range(d))
-    return Bimodule(A, size, left, right)
+    return Bimodule(A, size, *outer_actions(A, d ** (n + 1)))
 
 
 def hom_bimodule(N: LeftModule, M: LeftModule) -> Bimodule:
@@ -396,22 +392,9 @@ def bimodule_from_ae(A: FiniteAlgebra, env_module: LeftModule) -> Bimodule:
     if env.rank != A.rank**2:
         raise AlgebraError("module is not over the enveloping algebra of A")
     d = A.rank
-    z = A.ring.zero
-    left, right = [], []
-    for i in range(d):
-        L = Matrix.zeros(A.ring, env_module.rank, env_module.rank)
-        for j in range(d):
-            u = A.unit[j]
-            if u != z:
-                L = L + env_module.action[i * d + j].scale(u)
-        left.append(L)
-    for j in range(d):
-        R = Matrix.zeros(A.ring, env_module.rank, env_module.rank)
-        for i in range(d):
-            u = A.unit[i]
-            if u != z:
-                R = R + env_module.action[i * d + j].scale(u)
-        right.append(R)
+    # e_i (x) 1 = sum_j u_j e_i (x) e_j and 1 (x) e_j = sum_i u_i e_i (x) e_j, pair (i, j) at i*d + j
+    left = [act(env_module.action[i * d : (i + 1) * d], A.unit) for i in range(d)]
+    right = [act(env_module.action[j::d], A.unit) for j in range(d)]
     return validate_bimodule(A, env_module.rank, left, right)
 
 
@@ -470,20 +453,8 @@ def with_unital_basis(A: FiniteAlgebra) -> tuple[FiniteAlgebra, Matrix]:
 
 def transport_bimodule(M: Bimodule, B: FiniteAlgebra, P: Matrix) -> Bimodule:
     """Re-index a bimodule along a basis change P of its algebra."""
-    ring = M.algebra.ring
-    z = ring.zero
-    left, right = [], []
-    for i in range(B.rank):
-        col = P.col_list(i)
-        L = Matrix.zeros(ring, M.rank, M.rank)
-        R = Matrix.zeros(ring, M.rank, M.rank)
-        for j, v in enumerate(col):
-            if v != z:
-                L = L + M.left[j].scale(v)
-                R = R + M.right[j].scale(v)
-        left.append(L)
-        right.append(R)
-    return Bimodule(B, M.rank, tuple(left), tuple(right))
+    cols = [P.col_list(i) for i in range(B.rank)]
+    return Bimodule(B, M.rank, tuple(act(M.left, c) for c in cols), tuple(act(M.right, c) for c in cols))
 
 
 # ---------------------------------------------------------------------------

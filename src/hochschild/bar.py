@@ -13,14 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .algebra import (
-    AlgebraError,
-    Bimodule,
-    FiniteAlgebra,
-    left_mult_matrix,
-    regular_bimodule,
-    right_mult_matrix,
-)
+from .algebra import AlgebraError, Bimodule, FiniteAlgebra, outer_actions, regular_bimodule
 from .matrix import DEFAULT_GUARD, Matrix, check_guard, coords_in_span, kernel_basis
 
 
@@ -153,14 +146,7 @@ def chain_actions(A: FiniteAlgebra, n: int, normalized: bool) -> tuple[tuple[Mat
     if n == -1:
         M = regular_bimodule(A)
         return M.left, M.right
-    d = A.rank
-    inner = ((d - 1) ** n if normalized else d**n) * d
-    I_inner = Matrix.identity(A.ring, inner)
-    left = tuple(left_mult_matrix(A, i).kron(I_inner) for i in range(d))
-    outer = (d - 1) ** n if normalized else d**n
-    I_outer = Matrix.identity(A.ring, d * outer)
-    right = tuple(I_outer.kron(right_mult_matrix(A, i)) for i in range(d))
-    return left, right
+    return outer_actions(A, bar_rank(A, n, normalized) // A.rank)
 
 
 def chain_bimodule(A: FiniteAlgebra, n: int, normalized: bool = False, guard: int | None = DEFAULT_GUARD) -> Bimodule:
@@ -247,18 +233,7 @@ def _verify_first_syzygy_generators(A: FiniteAlgebra, om: SyzygyModule, ambient_
     """
     from .matrix import column_span_basis
 
-    d = A.rank
-    ring = A.ring
-    z = ring.zero
-    gen_cols = []
-    for i in range(d):
-        vec = [z] * d**2
-        for j, u in enumerate(A.unit):
-            if u != z:
-                vec[j * d + i] = ring.canon(vec[j * d + i] + u)
-                vec[i * d + j] = ring.canon(vec[i * d + j] - u)
-        gen_cols.append(vec)
-    gens = Matrix.from_cols(ring, gen_cols, nrows=d**2)
+    gens = _derivation_images(A)
     orbit = gens
     for L in ambient_left:
         orbit = orbit.hstack(L * gens)
@@ -289,18 +264,21 @@ def syzygy(A: FiniteAlgebra, n: int, normalized: bool = False, guard: int | None
 def universal_derivation(A: FiniteAlgebra, normalized: bool = False) -> Matrix:
     """Coordinates of d(e_i) = 1 (x) e_i - e_i (x) 1 in the syzygy basis."""
     om = syzygy(A, 1, normalized)
+    return coords_in_span(om.basis, _derivation_images(A))
+
+
+def _derivation_images(A: FiniteAlgebra) -> Matrix:
+    """The d^2 x d matrix whose column i is 1 (x) e_i - e_i (x) 1 in A (x) A."""
     d = A.rank
-    z = A.ring.zero
-    cols = []
-    for i in range(d):
-        vec = [z] * d**2
-        for j, u in enumerate(A.unit):
-            if u != z:
-                vec[j * d + i] = A.ring.canon(vec[j * d + i] + u)
-                vec[i * d + j] = A.ring.canon(vec[i * d + j] - u)
-        cols.append(vec)
-    target = Matrix.from_cols(A.ring, cols, nrows=d**2)
-    return coords_in_span(om.basis, target)
+
+    def triplets():
+        for i in range(d):
+            for j, u in enumerate(A.unit):
+                if u:
+                    yield j * d + i, i, u
+                    yield i * d + j, i, -u
+
+    return Matrix.from_triplets(A.ring, d * d, d, triplets())
 
 
 def is_derivation(M: Bimodule, D: Matrix) -> tuple[bool, tuple[int, int] | None]:

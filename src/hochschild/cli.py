@@ -40,7 +40,7 @@ from .koszul import (
     hcdim_lower_bound,
     regular_sequence_check,
 )
-from .matrix import DEFAULT_GUARD, SizeGuardError
+from .matrix import DEFAULT_GUARD, SizeGuardError, rank
 from .projectivity import hcdim_scan, is_quasi_free, separability_idempotent
 from .rings import RingError
 
@@ -112,7 +112,7 @@ def cmd_analyze(args) -> int:
     doc: dict = {"rank": A.rank, "scalars": ring_to_json(A.ring)}
     doc["center_dim"] = center(A, M).cols
     doc["der_dim"] = derivations(A, M).cols
-    doc["inn_dim"] = _rank_of(inner_derivations(A, M))
+    doc["inn_dim"] = rank(inner_derivations(A, M))
     h1 = hh1_report(A, M)
     doc["hh1"] = _invariants_doc(h1.invariants)
     e = separability_idempotent(A)
@@ -134,12 +134,6 @@ def cmd_analyze(args) -> int:
     }
     _emit(doc, args.output)
     return 0
-
-
-def _rank_of(M) -> int:
-    from .matrix import rank
-
-    return rank(M)
 
 
 def cmd_extensions(args) -> int:

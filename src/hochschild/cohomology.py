@@ -11,6 +11,12 @@ so that b^0(m)(a) = a m - m a and 2-cocycles are exactly the associativity
 data of square-zero extensions.  The normalized variant restricts the
 arguments to non-unit basis classes and drops unit components of products;
 its cohomology agrees with the full complex (checked in the test suite).
+
+Homology uses the cyclic bar complex C_k(A, M) = M (x) A^(x)k, and one
+builder assembles both: C^n(A, M) is dual to C_n(A, M^*) for the dual
+bimodule M^* = Hom_k(M, k), whose left and right actions are the transposed
+right and left actions of M, so b^n is the transposed boundary
+C_(n+1)(A, M^*) -> C_n(A, M^*) (Loday, Cyclic Homology, 1992).
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .matrix import (
     KModuleInvariants,
     Matrix,
     check_guard,
+    homology,
     kernel_basis,
     quotient_generators,
 )
@@ -64,44 +71,49 @@ def _tensor_tuples(d: int, n: int, normalized: bool):
     return list(product(rng, repeat=n))
 
 
+def _boundary_triplets(A: FiniteAlgebra, M: Bimodule, k: int, normalized: bool):
+    """(row, col, value) triplets of the cyclic boundary C_k(A, M) -> C_(k-1)(A, M).
+
+    Chains M (x) A^(x)k are indexed p * width^k + t for module coordinate p
+    and tensor index t; the normalized complex runs over non-unit basis
+    classes and drops the unit component of interior products.
+    """
+    d, m = A.rank, M.rank
+    z = A.ring.zero
+    src = _tensor_tuples(d, k, normalized)
+    dst_index = {t: i for i, t in enumerate(_tensor_tuples(d, k - 1, normalized))}
+    T_src, T_dst = len(src), len(dst_index)
+    kept = range(1, d) if normalized else range(d)
+    # merges[a][b]: the kept nonzero coordinates (kk, c) of e_a e_b
+    merges = [
+        [[(kk, A.c(a, b, kk)) for kk in kept if A.c(a, b, kk) != z] for b in range(d)] for a in range(d)
+    ]
+    wrap = 1 if k % 2 == 0 else -1  # (-1)^k
+
+    for ti, t in enumerate(src):
+        head, tail = dst_index[t[1:]], dst_index[t[:-1]]
+        for p in range(m):
+            col = p * T_src + ti
+            # m (x) a1 ... -> (m a1) (x) a2 ...
+            for q, v in M.right[t[0]].columns[p]:
+                yield q * T_dst + head, col, v
+            # interior merges with signs (-1)^i, i = 1..k-1
+            for i in range(1, k):
+                odd = i % 2 == 1
+                for kk, c in merges[t[i - 1]][t[i]]:
+                    yield p * T_dst + dst_index[t[: i - 1] + (kk,) + t[i + 1 :]], col, -c if odd else c
+            # wrap-around: (-1)^k (ak m) (x) a1 ... a(k-1)
+            for q, v in M.left[t[-1]].columns[p]:
+                yield q * T_dst + tail, col, v if wrap > 0 else -v
+
+
 @lru_cache(maxsize=None)
 def _coboundary(A: FiniteAlgebra, M: Bimodule, n: int, normalized: bool) -> Matrix:
-    d = A.rank
-    m = M.rank
-    z = A.ring.zero
-    src_tuples = _tensor_tuples(d, n, normalized)
-    dst_tuples = _tensor_tuples(d, n + 1, normalized)
-    dst_index = {t: i for i, t in enumerate(dst_tuples)}
-    T_src, T_dst = len(src_tuples), len(dst_tuples)
-    arg_range = range(1, d) if normalized else range(d)
-    trailing = 1 if (n + 1) % 2 == 0 else -1  # (-1)^(n+1)
-
-    def triplets():
-        for ti, t in enumerate(src_tuples):
-            for p in range(m):
-                col = p * T_src + ti
-                # leading term: a0 . f(a1..an) for every choice of a0
-                for a0 in arg_range:
-                    srow = dst_index[(a0,) + t]
-                    for q, v in M.left[a0].columns[p]:
-                        yield q * T_dst + srow, col, v
-                # merge terms: f evaluated where positions i, i+1 multiply to t_i
-                for i in range(n):
-                    sign = -1 if i % 2 == 0 else 1  # (-1)^(i+1)
-                    for a in arg_range:
-                        for b in arg_range:
-                            c = A.c(a, b, t[i])
-                            if c == z:
-                                continue
-                            srow = dst_index[t[:i] + (a, b) + t[i + 1 :]]
-                            yield p * T_dst + srow, col, c if sign > 0 else -c
-                # trailing term: (-1)^(n+1) f(a0..a(n-1)) . an
-                for an in arg_range:
-                    srow = dst_index[t + (an,)]
-                    for q, v in M.right[an].columns[p]:
-                        yield q * T_dst + srow, col, v if trailing > 0 else -v
-
-    return Matrix.from_triplets(A.ring, m * T_dst, m * T_src, triplets())
+    """b^n as the transpose of the boundary of C_(n+1)(A, M^*), swapped triplet by triplet."""
+    dual = Bimodule(A, M.rank, tuple(R.transpose() for R in M.right), tuple(L.transpose() for L in M.left))
+    width = A.rank - 1 if normalized else A.rank
+    triplets = ((j, i, v) for i, j, v in _boundary_triplets(A, dual, n + 1, normalized))
+    return Matrix.from_triplets(A.ring, M.rank * width ** (n + 1), M.rank * width**n, triplets)
 
 
 def coboundary_matrix(
@@ -153,12 +165,8 @@ def hh(
     if normalized is None:
         normalized = A.has_unital_basis
     bn = coboundary_matrix(A, M, n, normalized, guard)
-    Z = kernel_basis(bn)
-    if n == 0:
-        B = Matrix.zeros(A.ring, Z.rows, 0)
-    else:
-        B = coboundary_matrix(A, M, n - 1, normalized, guard)
-    invs, gens = quotient_generators(Z, B)
+    B = coboundary_matrix(A, M, n - 1, normalized, guard) if n else Matrix.zeros(A.ring, bn.cols, 0)
+    invs, gens = homology(bn, B)
     reps = None
     if representatives:
         reps = tuple(
@@ -264,57 +272,30 @@ def hh1_report(A: FiniteAlgebra, M: Bimodule) -> CohomologyReport:
 
 
 @lru_cache(maxsize=None)
-def _homology_boundary(A: FiniteAlgebra, M: Bimodule, k: int) -> Matrix:
-    """The cyclic bar boundary on M (x) A^(x)k (wrap-around last term)."""
-    d, m = A.rank, M.rank
-    z = A.ring.zero
-    src = _tensor_tuples(d, k, False)
-    dst = _tensor_tuples(d, k - 1, False)
-    dst_index = {t: i for i, t in enumerate(dst)}
-    T_dst = len(dst)
-    wrap = 1 if k % 2 == 0 else -1  # (-1)^k
-
-    def triplets():
-        for ti, t in enumerate(src):
-            for p in range(m):
-                col = p * len(src) + ti
-                # m (x) a1 ... -> (m a1) (x) a2 ...
-                s = dst_index[t[1:]]
-                for q, v in M.right[t[0]].columns[p]:
-                    yield q * T_dst + s, col, v
-                # interior merges with signs (-1)^i, i = 1..k-1
-                for i in range(1, k):
-                    sign = -1 if i % 2 == 1 else 1
-                    for kk in range(d):
-                        c = A.c(t[i - 1], t[i], kk)
-                        if c == z:
-                            continue
-                        merged = t[: i - 1] + (kk,) + t[i + 1 :]
-                        yield p * T_dst + dst_index[merged], col, c if sign > 0 else -c
-                # wrap-around: (-1)^k (ak m) (x) a1 ... a(k-1)
-                s = dst_index[t[:-1]]
-                for q, v in M.left[t[-1]].columns[p]:
-                    yield q * T_dst + s, col, v if wrap > 0 else -v
-
-    return Matrix.from_triplets(A.ring, m * T_dst, m * len(src), triplets())
+def _homology_boundary(A: FiniteAlgebra, M: Bimodule, k: int, normalized: bool) -> Matrix:
+    """The cyclic bar boundary on M (x) A^(x)k, or on M (x) Abar^(x)k when normalized."""
+    width = A.rank - 1 if normalized else A.rank
+    triplets = _boundary_triplets(A, M, k, normalized)
+    return Matrix.from_triplets(A.ring, M.rank * width ** (k - 1), M.rank * width**k, triplets)
 
 
 def hochschild_homology(
     A: FiniteAlgebra, M: Bimodule, n: int, guard: int | None = DEFAULT_GUARD
 ) -> KModuleInvariants:
-    """HH_n(A, M): homology of the cyclic bar complex M (x) A^(x)*."""
+    """HH_n(A, M): homology of the cyclic bar complex M (x) A^(x)*.
+
+    The normalized complex M (x) Abar^(x)* is used whenever the basis is
+    unital, as in hh; the guard is sized by the raw complex either way.
+    """
     if n < 0:
         raise ValueError("homology degree must be >= 0")
     if M.algebra != A:
         raise AlgebraError("bimodule lives over a different algebra")
     d, m = A.rank, M.rank
     check_guard(m * d ** max(n, 1), m * d ** (n + 1), guard)
-    if n == 0:
-        Z = Matrix.identity(A.ring, m)
-    else:
-        Z = kernel_basis(_homology_boundary(A, M, n))
-    Bnd = _homology_boundary(A, M, n + 1)
-    invs, _ = quotient_generators(Z, Bnd)
+    normalized = A.has_unital_basis
+    outgoing = _homology_boundary(A, M, n, normalized) if n else Matrix.zeros(A.ring, 0, m)
+    invs, _ = homology(outgoing, _homology_boundary(A, M, n + 1, normalized))
     return invs
 
 
@@ -404,10 +385,6 @@ def relative_ext_resolution(
     d = A.rank
     check_guard(Nl.rank * d ** (n + 1) * Ml.rank, Nl.rank * d**n * Ml.rank, guard)
     dn = _relative_ext_coboundary(A, Ml, Nl, n)
-    Z = kernel_basis(dn)
-    if n == 0:
-        B = Matrix.zeros(A.ring, Z.rows, 0)
-    else:
-        B = _relative_ext_coboundary(A, Ml, Nl, n - 1)
-    invs, _ = quotient_generators(Z, B)
+    B = _relative_ext_coboundary(A, Ml, Nl, n - 1) if n else Matrix.zeros(A.ring, dn.cols, 0)
+    invs, _ = homology(dn, B)
     return invs

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .algebra import AlgebraError, FiniteAlgebra, left_mult_matrix
+from .algebra import AlgebraError, FiniteAlgebra, act, left_mult_matrix
 from .matrix import (
     DEFAULT_GUARD,
     KModuleInvariants,
@@ -81,15 +81,6 @@ class PresentedModule:
     relations: Matrix  # generators x (number of relations)
     action: tuple[Matrix, ...]
 
-    def endomorphism(self, x) -> Matrix:
-        """Action matrix of the algebra element with coefficient vector x."""
-        A = self.algebra
-        out = Matrix.zeros(A.ring, self.generators, self.generators)
-        for i, v in enumerate(x):
-            if v != A.ring.zero:
-                out = out + self.action[i].scale(v)
-        return out
-
     def invariants(self) -> KModuleInvariants:
         return cokernel_invariants(self.relations)
 
@@ -111,11 +102,11 @@ def presented_module(A: FiniteAlgebra, generators: int, relations: Matrix, actio
     M = PresentedModule(A, generators, relations, tuple(action))
     rel_plus = relations
     I = Matrix.identity(A.ring, generators)
-    _require_contained((M.endomorphism(A.unit) - I), rel_plus, "unit action")
+    _require_contained(act(M.action, A.unit) - I, rel_plus, "unit action")
     for i in range(A.rank):
         _require_contained(M.action[i] * relations, rel_plus, f"action {i} on relations")
         for j in range(A.rank):
-            prod = M.endomorphism(A.product_column(i, j))
+            prod = act(M.action, A.product_column(i, j))
             _require_contained(M.action[i] * M.action[j] - prod, rel_plus, f"action pair ({i},{j})")
     return M
 
@@ -133,7 +124,7 @@ def _require_contained(cols: Matrix, relations: Matrix, what: str) -> None:
 
 def quotient_by_element(M: PresentedModule, x) -> PresentedModule:
     """M / xM: same generators, relations enlarged by the image of x."""
-    X = M.endomorphism(x)
+    X = act(M.action, x)
     return PresentedModule(M.algebra, M.generators, M.relations.hstack(X), M.action)
 
 
@@ -159,7 +150,7 @@ def _induced_kernel_generators(X: Matrix, relations: Matrix) -> Matrix:
 
 def regular_element_check(M: PresentedModule, x) -> RegularElementReport:
     """x is regular on M when multiplication by x is injective and not surjective."""
-    X = M.endomorphism(x)
+    X = act(M.action, x)
     ker_gens = _induced_kernel_generators(X, M.relations)
     amb = M.relations.hstack(ker_gens)
     injective = subquotient_invariants(amb, M.relations).is_zero
@@ -212,7 +203,7 @@ def koszul_differential(
     rows = comb(d, n - 1) * g
     cols = comb(d, n) * g
     check_guard(rows, cols, guard)
-    acts = [M.endomorphism(x) for x in xs]
+    acts = [act(M.action, x) for x in xs]
     return Matrix.from_triplets(A.ring, rows, cols, _block_triplets(koszul_sign_pattern(d, n), acts))
 
 
@@ -412,9 +403,7 @@ def graded_koszul_tor(
         cols_m = mono_count(e - i - 1)
         rows_m = mono_count(e - i)
         blocks = comb(v, i)
-        if blocks == 0 or rows_m == 0:
-            return Matrix.zeros(ring, blocks * rows_m, 0)
-        if cols_m == 0:
+        if blocks == 0 or rows_m == 0 or cols_m == 0:
             return Matrix.zeros(ring, blocks * rows_m, 0)
         I = Matrix.identity(ring, blocks)
         stacked = None

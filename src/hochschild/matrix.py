@@ -838,3 +838,11 @@ def quotient_generators(Z: Matrix, B: Matrix) -> tuple[KModuleInvariants, list[M
     invs = KModuleInvariants(r - len(pivot_cols))
     gens = [basis.submatrix_cols((i,)) for i in range(r) if i not in pivot_cols]
     return invs, gens
+
+
+def homology(outgoing: Matrix, incoming: Matrix) -> tuple[KModuleInvariants, list[Matrix]]:
+    """ker(outgoing) / im(incoming) at the middle of  . --incoming--> . --outgoing--> .
+
+    Returns the invariants and generator columns, as quotient_generators does.
+    """
+    return quotient_generators(kernel_basis(outgoing), incoming)

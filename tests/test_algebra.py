@@ -4,6 +4,7 @@ from hochschild.algebra import (
     AlgebraError,
     Bimodule,
     LeftModule,
+    act,
     ae_from_bimodule,
     ae_right_action,
     bimodule_from_ae,
@@ -162,7 +163,7 @@ def test_ae_action_is_associative_on_basis_triples():
     for x in range(env.rank):
         for y in range(env.rank):
             prod = env.product_column(x, y)
-            lhs = env_mod.act(prod)
+            lhs = act(env_mod.action, prod)
             rhs = env_mod.action[x] * env_mod.action[y]
             assert lhs == rhs
 

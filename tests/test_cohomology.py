@@ -11,12 +11,14 @@ from hochschild.algebra import (
 from hochschild.catalog import (
     base_ring_algebra,
     dual_numbers,
+    free2_truncated,
     matrix_algebra2,
     split_pair,
     truncated_poly,
     upper_triangular2,
 )
 from hochschild.cohomology import (
+    _homology_boundary,
     center,
     coboundary_matrix,
     derivations,
@@ -28,7 +30,7 @@ from hochschild.cohomology import (
     relative_ext,
     relative_ext_resolution,
 )
-from hochschild.matrix import KModuleInvariants, Matrix, rank
+from hochschild.matrix import DEFAULT_GUARD, KModuleInvariants, Matrix, SizeGuardError, homology, rank
 from hochschild.rings import GF, QQ, ZZ
 
 F2 = GF(2)
@@ -217,6 +219,28 @@ def test_homology_of_dual_numbers_f2():
     M = regular_bimodule(A)
     assert hochschild_homology(A, M, 0) == KModuleInvariants(2)
     assert not hochschild_homology(A, M, 1).is_zero
+
+
+def _raw_cyclic_homology(A, M, n):
+    outgoing = _homology_boundary(A, M, n, False) if n else Matrix.zeros(A.ring, 0, M.rank)
+    return homology(outgoing, _homology_boundary(A, M, n + 1, False))[0]
+
+
+def test_normalized_homology_equals_unnormalized(corpus):
+    # hochschild_homology takes the normalized complex on a unital basis;
+    # F_3 joins the corpus rings so that sign errors cannot cancel as over F_2
+    algebras = [A for A in corpus.values() if A.has_unital_basis] + [truncated_poly(GF(3), 3)]
+    for A in algebras:
+        M = regular_bimodule(A)
+        for n in range(4):
+            got = hochschild_homology(A, M, n, guard=None)
+            assert got == _raw_cyclic_homology(A, M, n), (A.basis_names, A.ring, n)
+
+
+def test_homology_guard_refuses_free2_degree_3():
+    A = free2_truncated(QQ)
+    with pytest.raises(SizeGuardError):
+        hochschild_homology(A, regular_bimodule(A), 3, guard=DEFAULT_GUARD)
 
 
 # -- relative Ext -----------------------------------------------------------------------

@@ -200,6 +200,19 @@ def test_cli_koszul_irregular_sequence(capsys):
     assert doc["regular"] is False and doc["failing_index"] == 2
 
 
+@pytest.mark.parametrize(
+    "algebra, element",
+    [("x3_z.json", ["2"]), ("scalar_z.json", ["2", "0", "0", "0", "0"]), ("scalar_z.json", ["2", "1"])],
+)
+def test_cli_koszul_sequence_of_wrong_length_exit_2(capsys, tmp_path, algebra, element):
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps({"algebra": fx(algebra), "sequence": [element]}))
+    code, doc = run_cli(capsys, "koszul", "--finite", str(instance))
+    assert code == 2
+    assert doc["error"]["stage"] == "validation"
+    assert "coordinates" in doc["error"]["witness"]
+
+
 def test_cli_bound(capsys):
     code, doc = run_cli(capsys, "bound", "--fd", "2", "--Dk", "1", "--fdk", "0")
     assert code == 0
