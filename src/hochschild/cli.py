@@ -40,7 +40,7 @@ from .koszul import (
     hcdim_lower_bound,
     regular_sequence_check,
 )
-from .matrix import DEFAULT_GUARD, SizeGuardError, rank
+from .matrix import DEFAULT_GUARD, ContainmentError, ShapeError, SizeGuardError, rank
 from .projectivity import hcdim_scan, is_quasi_free, separability_idempotent
 from .rings import RingError
 
@@ -310,6 +310,9 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         _emit({"error": {"stage": "size-guard", "witness": str(exc)}}, getattr(args, "output", None))
         return 3
+    except (ShapeError, ContainmentError) as exc:  # raised by the engine, not by user input
+        _emit({"error": {"stage": "internal", "witness": f"{type(exc).__name__}: {exc}"}}, getattr(args, "output", None))
+        return 4
     except (AlgebraError, RingError, ValueError) as exc:
         _emit({"error": {"stage": "validation", "witness": str(exc)}}, getattr(args, "output", None))
         return 2

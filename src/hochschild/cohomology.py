@@ -41,6 +41,7 @@ from .matrix import (
     homology,
     kernel_basis,
     quotient_generators,
+    subquotient_invariants,
 )
 
 
@@ -166,18 +167,18 @@ def hh(
         normalized = A.has_unital_basis
     bn = coboundary_matrix(A, M, n, normalized, guard)
     B = coboundary_matrix(A, M, n - 1, normalized, guard) if n else Matrix.zeros(A.ring, bn.cols, 0)
+    if not representatives:
+        return CohomologyReport(n, subquotient_invariants(kernel_basis(bn), B))
     invs, gens = homology(bn, B)
-    reps = None
-    if representatives:
-        reps = tuple(
-            Cochain(
-                A,
-                M,
-                n,
-                _embed_normalized_cochain(A, M, n, g) if normalized else g.reshape(M.rank, A.rank**n),
-            )
-            for g in gens
+    reps = tuple(
+        Cochain(
+            A,
+            M,
+            n,
+            _embed_normalized_cochain(A, M, n, g) if normalized else g.reshape(M.rank, A.rank**n),
         )
+        for g in gens
+    )
     return CohomologyReport(n, invs, reps)
 
 
@@ -295,8 +296,7 @@ def hochschild_homology(
     check_guard(m * d ** max(n, 1), m * d ** (n + 1), guard)
     normalized = A.has_unital_basis
     outgoing = _homology_boundary(A, M, n, normalized) if n else Matrix.zeros(A.ring, 0, m)
-    invs, _ = homology(outgoing, _homology_boundary(A, M, n + 1, normalized))
-    return invs
+    return subquotient_invariants(kernel_basis(outgoing), _homology_boundary(A, M, n + 1, normalized))
 
 
 # ---------------------------------------------------------------------------
@@ -386,5 +386,4 @@ def relative_ext_resolution(
     check_guard(Nl.rank * d ** (n + 1) * Ml.rank, Nl.rank * d**n * Ml.rank, guard)
     dn = _relative_ext_coboundary(A, Ml, Nl, n)
     B = _relative_ext_coboundary(A, Ml, Nl, n - 1) if n else Matrix.zeros(A.ring, dn.cols, 0)
-    invs, _ = homology(dn, B)
-    return invs
+    return subquotient_invariants(kernel_basis(dn), B)

@@ -309,10 +309,11 @@ def enumerate_extension_classes(
 ) -> list[TwoCochain]:
     """All square-zero extension classes of A by M over a finite prime field.
 
-    Enumerates every bilinear cochain, keeps the cocycles, and buckets them
-    by cohomology class; the representative of a class is its normal form
-    modulo the echelonized coboundary space (the lexicographically least
-    member).  The count is |F_p|^(dim HH^2).
+    Enumerates the 2-cocycles as the F_p-combinations of a basis of ker b^2
+    and buckets them by cohomology class; the representative of a class is
+    its normal form modulo the echelonized coboundary space (the
+    lexicographically least member).  The count is |F_p|^(dim HH^2).  The
+    guard still bounds the number of all bilinear cochains.
     """
     ring = A.ring
     if ring.kind != "Fp":
@@ -321,17 +322,18 @@ def enumerate_extension_classes(
     dim = M.rank * A.rank**2
     if p**dim > guard_exponent:
         raise SizeGuardError(f"enumeration space of size {p}^{dim} exceeds the guard {guard_exponent}")
+    cocycles = kernel_basis(coboundary_matrix(A, M, 2, False, guard=None)).columns
     b1 = coboundary_matrix(A, M, 1, normalized=False, guard=None)
     image = column_span_basis(b1)
     # echelon reduction data: leading row of each image column
     leads = [col[0][0] for col in image.columns]
     reps: dict[tuple, TwoCochain] = {}
-    for assignment in product(range(p), repeat=dim):
-        cand = two_cochain_from_vector(A, M, list(assignment))
-        ok, _ = is_two_cocycle(cand)
-        if not ok:
-            continue
-        vec = list(assignment)
+    for coeffs in product(range(p), repeat=len(cocycles)):
+        vec = [0] * dim
+        for c, z in zip(coeffs, cocycles):
+            if c:
+                for i, w in z:
+                    vec[i] = (vec[i] + c * w) % p
         for j, lead in enumerate(leads):
             v = vec[lead]
             if v:

@@ -15,10 +15,13 @@ from math import comb
 from .algebra import AlgebraError, FiniteAlgebra, act, left_mult_matrix
 from .matrix import (
     DEFAULT_GUARD,
+    ContainmentError,
     KModuleInvariants,
     Matrix,
     check_guard,
     cokernel_invariants,
+    column_span_basis,
+    coords_in_span,
     kernel_basis,
     subquotient_invariants,
 )
@@ -100,26 +103,23 @@ def presented_module(A: FiniteAlgebra, generators: int, relations: Matrix, actio
     if not A.is_commutative:
         raise AlgebraError("Koszul machinery requires a commutative algebra")
     M = PresentedModule(A, generators, relations, tuple(action))
-    rel_plus = relations
+    rel_basis = column_span_basis(relations)
     I = Matrix.identity(A.ring, generators)
-    _require_contained(act(M.action, A.unit) - I, rel_plus, "unit action")
+    _require_contained(act(M.action, A.unit) - I, rel_basis, "unit action")
     for i in range(A.rank):
-        _require_contained(M.action[i] * relations, rel_plus, f"action {i} on relations")
+        _require_contained(M.action[i] * relations, rel_basis, f"action {i} on relations")
         for j in range(A.rank):
             prod = act(M.action, A.product_column(i, j))
-            _require_contained(M.action[i] * M.action[j] - prod, rel_plus, f"action pair ({i},{j})")
+            _require_contained(M.action[i] * M.action[j] - prod, rel_basis, f"action pair ({i},{j})")
     return M
 
 
-def _require_contained(cols: Matrix, relations: Matrix, what: str) -> None:
-    if cols.cols == 0 or cols.is_zero:
-        return
+def _require_contained(cols: Matrix, rel_basis: Matrix, what: str) -> None:
+    """Raise AlgebraError unless every column of cols lies in the span of the relations."""
     try:
-        inv = subquotient_invariants(relations.hstack(cols), relations)
-    except Exception as exc:  # containment failures surface as errors
+        coords_in_span(rel_basis, cols)
+    except ContainmentError as exc:
         raise AlgebraError(f"{what} is not well defined modulo the relations") from exc
-    if not inv.is_zero:
-        raise AlgebraError(f"{what} is not well defined modulo the relations")
 
 
 def quotient_by_element(M: PresentedModule, x) -> PresentedModule:

@@ -9,6 +9,11 @@ work on transient dict rows built straight from those columns.  All
 arithmetic is exact; over Z every kernel is the full (hence saturated)
 integer kernel.
 
+Over Z, invariant factors come from the Hermite form of the column lattice:
+each pivot equal to 1 splits off a trivial summand, and the (dense) Smith
+normal form runs only on the small residue of rows whose pivot exceeds 1.
+Generators of a quotient still need the full Smith transform U.
+
 Everything here is pure: no operation mutates its inputs, so concurrent
 use from multiple threads is safe.
 """
@@ -788,12 +793,26 @@ def invariants_from_diagonal(diag: list[int], total_rank: int) -> KModuleInvaria
 
 
 def cokernel_invariants(M: Matrix) -> KModuleInvariants:
-    """Invariants of ring^rows / (column span of M)."""
-    if M.ring.kind == "Z":
-        _, D, _ = smith_normal_form(M)
-        diag = [D[i, i] for i in range(min(M.rows, M.cols))]
-        return invariants_from_diagonal(diag, M.rows)
-    return KModuleInvariants(M.rows - rank(M))
+    """Invariants of ring^rows / (column span of M).
+
+    Over Z the column lattice is first brought to Hermite form.  A pivot
+    equal to 1 is alone in its column there, so its row and column split off
+    a trivial summand; only the rows with a pivot > 1, restricted to the
+    columns they touch, go through the Smith normal form.
+    """
+    if M.ring.kind != "Z":
+        return KModuleInvariants(M.rows - rank(M))
+    pivots = _reduce_rows_int([dict(c) for c in M.columns if c], M.rows)
+    residue = [r for c, r in pivots if r[c] > 1]
+    diag = [1] * (len(pivots) - len(residue))
+    if residue:
+        touched = {c: k for k, c in enumerate(sorted(set().union(*residue)))}
+        R = Matrix.from_triplets(
+            ZZ, len(residue), len(touched), ((i, touched[c], v) for i, r in enumerate(residue) for c, v in r.items())
+        )
+        _, D, _ = smith_normal_form(R)
+        diag += [D[i, i] for i in range(len(residue))]
+    return invariants_from_diagonal(diag, M.rows)
 
 
 def subquotient_invariants(Z: Matrix, B: Matrix) -> KModuleInvariants:

@@ -194,6 +194,16 @@ def test_hh1_two_routes_agree(small_corpus):
             assert via_quotient == via_complex, A.basis_names
 
 
+def test_invariants_without_representatives_match_over_z(corpus):
+    # without representatives the invariants skip the Smith transform and the generators
+    for A in corpus.values():
+        if A.ring != ZZ:
+            continue
+        M = regular_bimodule(A)
+        for n in range(3):
+            assert hh(A, M, n, representatives=False).invariants == hh(A, M, n).invariants, (A.basis_names, n)
+
+
 # -- homology ---------------------------------------------------------------------------
 
 def test_hh0_homology_commutative_is_whole_algebra():

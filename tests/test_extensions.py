@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -229,6 +230,38 @@ def test_enumerate_dual_f2_four_classes():
     for r in reps:
         ok, _ = is_two_cocycle(r)
         assert ok
+
+
+def _brute_force_classes(A, M):
+    """Every cochain, kept when it is a cocycle that no earlier class contains.
+
+    Cochains come in lexicographic order, so each class is represented by
+    its lexicographically least member.
+    """
+    reps = []
+    for vec in product(range(A.ring.p), repeat=M.rank * A.rank**2):
+        B = two_cochain_from_vector(A, M, list(vec))
+        if is_two_cocycle(B)[0] and all(cocycles_cohomologous(B, R) is None for R in reps):
+            reps.append(B)
+    return reps
+
+
+@pytest.mark.parametrize(
+    "A",
+    [base_ring_algebra(GF(3)), dual_numbers(F2), dual_numbers(GF(3)), split_pair(F2)],
+    ids=["base_f3", "dual_f2", "dual_f3", "split_pair_f2"],
+)
+def test_enumeration_matches_brute_force(A):
+    M = regular_bimodule(A)
+    got = [B.matrix for B in enumerate_extension_classes(A, M)]
+    assert got == [B.matrix for B in _brute_force_classes(A, M)]
+
+
+def test_enumerate_dual_f5_five_classes():
+    A = dual_numbers(GF(5))
+    reps = enumerate_extension_classes(A, regular_bimodule(A))
+    assert len(reps) == 5
+    assert all(is_two_cocycle(B)[0] for B in reps)
 
 
 def test_enumerate_zero_module_single_class():

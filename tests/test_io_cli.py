@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from hochschild import cli
 from hochschild.algebra import regular_bimodule
 from hochschild.catalog import dual_numbers
 from hochschild.cli import main
@@ -19,6 +20,7 @@ from hochschild.io_json import (
     ring_from_json,
     ring_to_json,
 )
+from hochschild.matrix import ContainmentError, ShapeError
 from hochschild.rings import GF, QQ, ZZ
 
 FIXDIR = Path(str(resources.files("hochschild") / "fixtures"))
@@ -253,6 +255,18 @@ def test_cli_size_guard_exit_3(capsys):
     code, doc = run_cli(capsys, "hh", fx("m2_q.json"), "--degree", "3", "--unnormalized", "--guard", "100")
     assert code == 3
     assert doc["error"]["stage"] == "size-guard"
+
+
+@pytest.mark.parametrize("exc", [ShapeError("shape mismatch in addition"), ContainmentError(0)])
+def test_cli_engine_shape_and_containment_errors_exit_4(capsys, monkeypatch, exc):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_hh", broken)
+    code, doc = run_cli(capsys, "hh", fx("dual_f2.json"), "--degree", "0")
+    assert code == 4
+    assert doc["error"]["stage"] == "internal"
+    assert doc["error"]["witness"].startswith(type(exc).__name__)
 
 
 def test_cli_guard_zero_means_unlimited(capsys):

@@ -192,7 +192,7 @@ def test_multiplication_maps_commute():
     assert x1_up * x0 == x0_up * x1
 
 
-@pytest.mark.parametrize("v", [1, 2, 3])
+@pytest.mark.parametrize("v", [1, 2, 3, 4])
 def test_graded_tor_binomial_pattern_over_z(v):
     from math import comb
 

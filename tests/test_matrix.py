@@ -17,6 +17,7 @@ from hochschild.matrix import (
     cokernel_invariants,
     column_span_basis,
     coords_in_span,
+    invariants_from_diagonal,
     kernel_basis,
     quotient_generators,
     rank,
@@ -371,6 +372,31 @@ def test_smith_form_against_sympy(M):
         assert a >= 0 and (b == 0 if a == 0 else b % a == 0)
     oracle = sympy_snf(sympy.Matrix(M.to_rows()), domain=sympy.ZZ)
     assert diag == [abs(int(oracle[i, i])) for i in range(k)]
+
+
+@st.composite
+def torsion_matrices(draw):
+    """Integer matrices up to 6x6 whose entries share factors, so that Hermite
+    pivots > 1 leave a residue for the Smith form."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -3, 4, -4, 6, -6])
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    return Matrix.from_rows(ZZ, rows) if m else Matrix.zeros(ZZ, 0, n)
+
+
+@PROPS
+@given(torsion_matrices())
+def test_cokernel_invariants_match_full_smith_form(M):
+    k = min(M.rows, M.cols)
+    _, D, _ = smith_normal_form(M)
+    expected = invariants_from_diagonal([D[i, i] for i in range(k)], M.rows)
+    assert cokernel_invariants(M) == expected
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    if k:
+        oracle = sympy_snf(sympy.Matrix(M.to_rows()), domain=sympy.ZZ)
+        assert invariants_from_diagonal([int(oracle[i, i]) for i in range(k)], M.rows) == expected
 
 
 @PROPS
