@@ -313,17 +313,19 @@ def enumerate_extension_classes(
     and buckets them by cohomology class; the representative of a class is
     its normal form modulo the echelonized coboundary space (the
     lexicographically least member).  The count is |F_p|^(dim HH^2).  The
-    guard still bounds the number of all bilinear cochains.
+    guard bounds the number p^(dim Z^2) of cocycles visited.
     """
     ring = A.ring
     if ring.kind != "Fp":
         raise AlgebraError("exhaustive enumeration needs a finite prime field")
     p = ring.p
     dim = M.rank * A.rank**2
-    if p**dim > guard_exponent:
-        raise SizeGuardError(f"enumeration space of size {p}^{dim} exceeds the guard {guard_exponent}")
-    cocycles = kernel_basis(coboundary_matrix(A, M, 2, False, guard=None)).columns
-    b1 = coboundary_matrix(A, M, 1, normalized=False, guard=None)
+    cocycles = kernel_basis(coboundary_matrix(A, M, 2, False)).columns
+    if p ** len(cocycles) > guard_exponent:
+        raise SizeGuardError(
+            f"enumeration space of size {p}^{len(cocycles)} exceeds the guard {guard_exponent}"
+        )
+    b1 = coboundary_matrix(A, M, 1, False)
     image = column_span_basis(b1)
     # echelon reduction data: leading row of each image column
     leads = [col[0][0] for col in image.columns]

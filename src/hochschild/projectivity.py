@@ -1,7 +1,10 @@
 """Relative projectivity of bar syzygies, separability, quasi-freeness, HCdim.
 
 Upper bounds on the cohomological dimension are *proved* by exhibiting a
-bimodule-linear section of the chain map onto a syzygy; lower bounds are
+bimodule-linear section of the chain map onto a syzygy; the section is
+built from a primitive of one Hochschild cocycle, the class of the syzygy
+sequence in HH^(n+1)(A, Omega^(n+1)) (Hochschild 1956; Cuntz and Quillen,
+Algebra extensions and nonsingularity, 1995).  Lower bounds are
 *witnessed* by coefficient modules with nonzero cohomology.  "For all
 bimodules" is not decidable by enumeration, so the scan report keeps the
 two directions explicit and never conflates them.
@@ -27,14 +30,14 @@ from .bar import (
     chain_actions,
     syzygy,
 )
-from .cohomology import hh
+from .cohomology import coboundary_matrix, hh
 from .extensions import (
     coboundary_of,
     crossed_product_presentation,
     lift_exists,
     trivial_extension,
 )
-from .matrix import DEFAULT_GUARD, Matrix, SizeGuardError, check_guard, solve
+from .matrix import DEFAULT_GUARD, Matrix, SizeGuardError, check_guard, coords_in_span, solve
 from .rings import QQ
 
 
@@ -73,41 +76,6 @@ def separability_idempotent(A: FiniteAlgebra) -> Matrix | None:
     return solve(system, rhs)
 
 
-def _averaged_section(A: FiniteAlgebra, e: Matrix, om: SyzygyModule) -> Matrix:
-    """Section of the chain map onto a syzygy, built from a separability element.
-
-    sigma(w) = sum x_i s(y_i w x_j) y_j over the tensor components of e, with
-    s the contracting homotopy: standard double averaging, verified by the
-    caller.  Only valid input: e a separability element.
-    """
-    n, normalized = om.level, om.normalized
-    d = A.rank
-    ring = A.ring
-    z = ring.zero
-    Ln, Rn = chain_actions(A, n, normalized)
-    Lm, Rm = chain_actions(A, n - 1, normalized)
-    S = _homotopy(A, n - 1, normalized)
-    K = om.basis
-    inner = Matrix.zeros(ring, S.rows, K.cols)
-    # T = sum c_rs R^n_s S R^(n-1)_r, applied progressively against K
-    for r in range(d):
-        RK = Rm[r] * K
-        for s in range(d):
-            c = e[r * d + s, 0]
-            if c != z:
-                inner = inner + (Rn[s] * (S * RK)).scale(c)
-    out = Matrix.zeros(ring, S.rows, K.cols)
-    for q in range(d):
-        # reuse: sigma K = sum c_pq L^n_p inner L^(n-1)_q; right-multiply first
-        LK = om.left[q]  # action of e_q in syzygy coordinates
-        base = inner * LK
-        for p in range(d):
-            c = e[p * d + q, 0]
-            if c != z:
-                out = out + (Ln[p] * base).scale(c)
-    return out
-
-
 def _section_is_valid(A: FiniteAlgebra, om: SyzygyModule, S: Matrix) -> bool:
     n, normalized = om.level, om.normalized
     b = _differential(A, n, normalized)
@@ -122,40 +90,41 @@ def _section_is_valid(A: FiniteAlgebra, om: SyzygyModule, S: Matrix) -> bool:
     return True
 
 
-def _section_system(A: FiniteAlgebra, om: SyzygyModule, guard: int | None) -> tuple[Matrix, Matrix]:
-    """Linear system for sigma: Omega^n -> CB_n with b sigma = id, sigma bilinear."""
-    n, normalized = om.level, om.normalized
-    ring = A.ring
-    z = ring.zero
-    b = _differential(A, n, normalized)
-    Ln, Rn = chain_actions(A, n, normalized)
-    N = b.cols  # chain rank at level n
-    r = om.rank
-    unknowns = N * r  # S[alpha][c] at index alpha * r + c
-    check_guard(b.rows * r + 2 * A.rank * N * r, unknowns, guard)
-    rows = []
-    rhs = []
+def _extension_class(A: FiniteAlgebra, om_next: SyzygyModule) -> Matrix:
+    """The cocycle f(a_1..a_(n+1)) = b'(1 (x) a_1 (x) ... (x) a_(n+1) (x) 1) in Omega^(n+1).
 
-    # b * S = K
-    for beta, b_row in enumerate(b.transpose().columns):
-        for c in range(r):
-            rows.append({alpha * r + c: v for alpha, v in b_row})
-            rhs.append(om.basis[beta, c])
-    # S Lambda_i = L_i S  and  S Rho_i = R_i S
-    for i in range(A.rank):
-        for big, small in ((Ln[i], om.left[i]), (Rn[i], om.right[i])):
-            big_rows = big.transpose().columns
-            for alpha in range(N):
-                for c in range(r):
-                    row = {alpha * r + cp: v for cp, v in small.columns[c]}
-                    for ap, w in big_rows[alpha]:
-                        key = ap * r + c
-                        row[key] = ring.canon(row.get(key, z) - w)
-                    if row:
-                        rows.append(row)
-                        rhs.append(z)
-    triplets = ((ri, cj, v) for ri, row in enumerate(rows) for cj, v in row.items())
-    return Matrix.from_triplets(ring, len(rows), unknowns, triplets), Matrix.column(ring, rhs)
+    Returned vectorized row-major (module coordinate, then tensor index),
+    the cochain layout of coboundary_matrix; the unit is sum_j u_j e_j.
+    """
+    d, n, normalized = A.rank, om_next.level - 1, om_next.normalized
+    z = A.ring.zero
+    T = (d - 1 if normalized else d) ** (n + 1)
+    unit = [(j, u) for j, u in enumerate(A.unit) if u != z]
+    units = Matrix.from_triplets(
+        A.ring,
+        bar_rank(A, n + 1, normalized),
+        T,
+        (((j * T + t) * d + jj, t, u * uu) for t in range(T) for j, u in unit for jj, uu in unit),
+    )
+    f = coords_in_span(om_next.basis, _differential(A, n + 1, normalized) * units)
+    return f.reshape(f.rows * f.cols, 1)
+
+
+def _retraction(A: FiniteAlgebra, om_next: SyzygyModule, x: Matrix) -> Matrix:
+    """The bimodule map r(a (x) t (x) a') = a x(t) a' from chain level n onto Omega^(n+1)."""
+    d, m = A.rank, om_next.rank
+    T = (d - 1 if om_next.normalized else d) ** (om_next.level - 1)
+    X = x.reshape(m, T)
+    right = [R * X for R in om_next.right]
+
+    def triplets():
+        for a in range(d):
+            for j in range(d):
+                for t, col in enumerate((om_next.left[a] * right[j]).columns):
+                    for p, v in col:
+                        yield p, (a * T + t) * d + j, v
+
+    return Matrix.from_triplets(A.ring, m, d * T * d, triplets())
 
 
 def omega_is_projective(
@@ -164,47 +133,38 @@ def omega_is_projective(
     normalized: bool | None = None,
     guard: int | None = DEFAULT_GUARD,
 ) -> ProjectivityCertificate:
-    """Decide relative projectivity of the n-th syzygy by section solving.
+    """Decide relative projectivity of the n-th syzygy by one Hochschild class.
 
-    The level-n chain module surjects onto the syzygy along the boundary;
-    the syzygy is relatively projective iff that surjection splits
-    bimodule-linearly.  A separability element, when one exists, yields the
-    splitting directly by double averaging; otherwise the section is found
-    (or refuted) as an exact linear system.  Over Z the section must be
-    integral: a rational-only solution reports a torsion obstruction.
+    The sequence 0 -> Omega^(n+1) -> CB_n -> Omega^n -> 0 is k-split (by the
+    contracting homotopy), so Omega^n is relatively projective iff it splits
+    as bimodules, iff its class in HH^(n+1)(A, Omega^(n+1)) vanishes
+    (dimension shifting, Hochschild 1956; at n = 1 this is the Cuntz-Quillen
+    test for quasi-freeness, 1995).  The class is the cocycle
+    f(a_1..a_(n+1)) = b'(1 (x) a_1 (x) ... (x) a_(n+1) (x) 1), and a solution
+    x of b^n x = f gives the bimodule retraction r(a (x) t (x) a') = a x(t) a'
+    of CB_n onto Omega^(n+1).  The section (I - i r) s on Omega^n, with s the
+    contracting homotopy and i the inclusion of Omega^(n+1), is verified
+    before it is returned.  Over Z the solution must be integral: a
+    rational-only one reports a torsion obstruction.
     """
     if normalized is None:
         normalized = A.has_unital_basis
     check_guard(bar_rank(A, n, normalized), bar_rank(A, n - 1, normalized), guard)
     om = syzygy(A, n, normalized, guard=guard)
-    e = separability_idempotent(A)
-    if e is not None:
-        S = _averaged_section(A, e, om) if n >= 1 else _idempotent_as_section(A, e, om)
-        if _section_is_valid(A, om, S):
-            return ProjectivityCertificate("projective", n, normalized, section=S)
-    system, rhs = _section_system(A, om, guard)
-    S = solve(system, rhs)
-    if S is not None:
-        mat = S.reshape(bar_rank(A, n, normalized), om.rank)
-        if not _section_is_valid(A, om, mat):
-            raise AssertionError("solved section failed verification")
-        return ProjectivityCertificate("projective", n, normalized, section=mat)
+    om_next = syzygy(A, n + 1, normalized, guard=guard)
+    bn = coboundary_matrix(A, om_next.as_bimodule(), n, normalized, guard)
+    f = _extension_class(A, om_next)
+    x = solve(bn, f)
+    if x is not None:
+        lift = _homotopy(A, n - 1, normalized) * om.basis
+        S = lift - om_next.basis * (_retraction(A, om_next, x) * lift)
+        if not _section_is_valid(A, om, S):
+            raise AssertionError("section from the vanishing class failed verification")
+        return ProjectivityCertificate("projective", n, normalized, section=S)
     obstruction = "no bimodule-linear section exists"
-    if A.ring.kind == "Z":
-        q_system = _to_rational(system)
-        q_rhs = _to_rational(rhs)
-        if solve(q_system, q_rhs) is not None:
-            obstruction = "torsion obstruction: a section exists over Q but not integrally"
+    if A.ring.kind == "Z" and solve(_to_rational(bn), _to_rational(f)) is not None:
+        obstruction = "torsion obstruction: a section exists over Q but not integrally"
     return ProjectivityCertificate("not_projective", n, normalized, obstruction=obstruction)
-
-
-def _idempotent_as_section(A: FiniteAlgebra, e: Matrix, om: SyzygyModule) -> Matrix:
-    """At level 0 the section sends a basis vector to its left action on e."""
-    Ln, _ = chain_actions(A, 0, om.normalized)
-    cols = []
-    for i in range(A.rank):
-        cols.append((Ln[i] * e).col_list(0))
-    return Matrix.from_cols(A.ring, cols, nrows=A.rank**2)
 
 
 def _to_rational(M: Matrix) -> Matrix:

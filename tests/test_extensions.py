@@ -4,8 +4,8 @@ from itertools import product
 import pytest
 
 from hochschild.algebra import AlgebraError, regular_bimodule, validate_algebra, zero_bimodule
-from hochschild.catalog import base_ring_algebra, dual_numbers, split_pair
-from hochschild.cohomology import hh
+from hochschild.catalog import base_ring_algebra, dual_numbers, split_pair, truncated_poly, upper_triangular2
+from hochschild.cohomology import coboundary_matrix, hh
 from hochschild.extensions import (
     ExtensionPresentation,
     TwoCochain,
@@ -22,7 +22,7 @@ from hochschild.extensions import (
     two_cochain_from_vector,
     zero_two_cochain,
 )
-from hochschild.matrix import Matrix, SizeGuardError
+from hochschild.matrix import Matrix, SizeGuardError, kernel_basis
 from hochschild.rings import GF, QQ, ZZ
 
 F2 = GF(2)
@@ -271,10 +271,21 @@ def test_enumerate_zero_module_single_class():
 
 
 def test_enumeration_guard():
+    # dim Z^2 = 4, so 5^4 = 625 cocycles would be visited
     A = dual_numbers(GF(5))
     M = regular_bimodule(A)
     with pytest.raises(SizeGuardError):
-        enumerate_extension_classes(A, M, guard_exponent=2**10)
+        enumerate_extension_classes(A, M, guard_exponent=5**3)
+
+
+def test_enumeration_guard_counts_cocycles_not_cochains():
+    # 2^27 cochains each, but only 2^7 and 2^9 cocycles: both fit the default guard
+    for A, dim_z2, classes in ((upper_triangular2(F2), 7, 1), (truncated_poly(F2, 3), 9, 4)):
+        M = regular_bimodule(A)
+        assert kernel_basis(coboundary_matrix(A, M, 2)).cols == dim_z2
+        reps = enumerate_extension_classes(A, M)
+        assert len(reps) == classes
+        assert len(reps) == 2 ** hh(A, M, 2, representatives=False).invariants.free_rank
 
 
 def test_enumeration_requires_finite_field():

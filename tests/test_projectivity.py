@@ -1,7 +1,13 @@
 import pytest
 
-from hochschild.algebra import enveloping, multiplication_matrix, regular_bimodule, with_unital_basis
-from hochschild.bar import bar_differential, chain_actions, syzygy
+from hochschild.algebra import (
+    enveloping,
+    multiplication_matrix,
+    regular_bimodule,
+    validate_algebra,
+    with_unital_basis,
+)
+from hochschild.bar import _differential, bar_differential, chain_actions, syzygy
 from hochschild.catalog import (
     base_ring_algebra,
     dual_numbers,
@@ -11,8 +17,9 @@ from hochschild.catalog import (
     upper_triangular2,
 )
 from hochschild.cohomology import hh
-from hochschild.matrix import Matrix, SizeGuardError
+from hochschild.matrix import Matrix, SizeGuardError, solve
 from hochschild.projectivity import (
+    _to_rational,
     hcdim_scan,
     is_quasi_free,
     omega_is_projective,
@@ -109,8 +116,6 @@ def test_sections_reverify(small_corpus):
             cert = omega_is_projective(A, n)
             assert cert.is_projective
             om = syzygy(A, n, cert.normalized)
-            from hochschild.bar import _differential
-
             b = _differential(A, n, cert.normalized)
             assert b * cert.section == om.basis
             Ln, Rn = chain_actions(A, n, cert.normalized)
@@ -126,10 +131,96 @@ def test_normalized_and_unnormalized_verdicts_agree():
         assert v1 == v2
 
 
+def _section_system(A, om):
+    """The direct system for sigma: Omega^n -> CB_n with b sigma = id, sigma bilinear.
+
+    Unknowns are the entries S[alpha][c] at index alpha * r + c.  This is
+    the reference the class solve of omega_is_projective is checked against.
+    """
+    n, normalized = om.level, om.normalized
+    ring = A.ring
+    z = ring.zero
+    b = _differential(A, n, normalized)
+    Ln, Rn = chain_actions(A, n, normalized)
+    N, r = b.cols, om.rank
+    rows, rhs = [], []
+    # b * S = K
+    for beta, b_row in enumerate(b.transpose().columns):
+        for c in range(r):
+            rows.append({alpha * r + c: v for alpha, v in b_row})
+            rhs.append(om.basis[beta, c])
+    # S Lambda_i = L_i S  and  S Rho_i = R_i S
+    for i in range(A.rank):
+        for big, small in ((Ln[i], om.left[i]), (Rn[i], om.right[i])):
+            big_rows = big.transpose().columns
+            for alpha in range(N):
+                for c in range(r):
+                    row = {alpha * r + cp: v for cp, v in small.columns[c]}
+                    for ap, w in big_rows[alpha]:
+                        key = ap * r + c
+                        row[key] = ring.canon(row.get(key, z) - w)
+                    if row:
+                        rows.append(row)
+                        rhs.append(z)
+    triplets = ((ri, cj, v) for ri, row in enumerate(rows) for cj, v in row.items())
+    return Matrix.from_triplets(ring, len(rows), N * r, triplets), Matrix.column(ring, rhs)
+
+
+def _oracle_verdict(A, n, normalized):
+    system, rhs = _section_system(A, syzygy(A, n, normalized, guard=None))
+    if solve(system, rhs) is not None:
+        return "projective", None
+    if A.ring.kind == "Z" and solve(_to_rational(system), _to_rational(rhs)) is not None:
+        return "not_projective", TORSION
+    return "not_projective", NO_SECTION
+
+
+def _group_ring_c2(ring):
+    """Z[C_2] = k[g]/(g^2 - 1), basis (1, g)."""
+    z, one = ring.zero, ring.one
+    mul = [one, z, z, one, z, one, one, z]  # c[i][j][k] at (i * 2 + j) * 2 + k
+    return validate_algebra(ring, 2, ("1", "g"), (one, z), mul)
+
+
+TORSION = "torsion obstruction: a section exists over Q but not integrally"
+NO_SECTION = "no bimodule-linear section exists"
+ORACLE_ALGEBRAS = [
+    split_pair(ZZ),
+    upper_triangular2(QQ),
+    dual_numbers(ZZ),
+    dual_numbers(QQ),
+    dual_numbers(F2),
+    truncated_poly(F2, 3),
+    _group_ring_c2(ZZ),
+]
+
+
+@pytest.mark.parametrize("A", ORACLE_ALGEBRAS, ids=lambda A: f"{A.ring.kind}{A.ring.p or ''}:{','.join(A.basis_names)}")
+def test_class_solve_agrees_with_section_system(A):
+    unital = A if A.has_unital_basis else with_unital_basis(A)[0]
+    for B, normalized in ((A, False), (unital, True)):
+        for n in (0, 1, 2):
+            cert = omega_is_projective(B, n, normalized, guard=None)
+            assert (cert.verdict, cert.obstruction) == _oracle_verdict(B, n, normalized), (n, normalized)
+
+
 def test_torsion_obstruction_note_only_over_z():
+    # over Z the separability idempotent (1 (x) 1 + g (x) g) / 2 needs 1/2
+    A = _group_ring_c2(ZZ)
+    for n in (0, 1, 2):
+        cert = omega_is_projective(A, n)
+        assert cert.verdict == "not_projective"
+        assert cert.obstruction == TORSION
+    for ring in (QQ, GF(3)):
+        for n in (0, 1, 2):
+            assert omega_is_projective(_group_ring_c2(ring), n).is_projective
+    for n in (0, 1, 2):
+        cert = omega_is_projective(_group_ring_c2(F2), n)
+        assert cert.verdict == "not_projective"
+        assert cert.obstruction == NO_SECTION
     cert = omega_is_projective(dual_numbers(ZZ), 1)
     assert not cert.is_projective
-    assert cert.obstruction is not None
+    assert cert.obstruction == NO_SECTION
 
 
 def test_non_projective_corroborated_by_hh2():
