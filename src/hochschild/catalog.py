@@ -32,11 +32,16 @@ def truncated_poly(ring: ScalarRing, m: int) -> FiniteAlgebra:
 
 def split_pair(ring: ScalarRing) -> FiniteAlgebra:
     """k x k with the idempotent basis (e1, e2)."""
+    return split_product(ring, 2)
+
+
+def split_product(ring: ScalarRing, n: int) -> FiniteAlgebra:
+    """k^n with the idempotent basis (e1, ..., en)."""
     z, one = ring.zero, ring.one
-    mul = [z] * 8
-    mul[(0 * 2 + 0) * 2 + 0] = one
-    mul[(1 * 2 + 1) * 2 + 1] = one
-    return validate_algebra(ring, 2, ["e1", "e2"], [one, one], mul)
+    mul = [z] * n**3
+    for i in range(n):
+        mul[(i * n + i) * n + i] = one
+    return validate_algebra(ring, n, [f"e{i + 1}" for i in range(n)], [one] * n, mul)
 
 
 def matrix_algebra2(ring: ScalarRing) -> FiniteAlgebra:

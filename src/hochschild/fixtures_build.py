@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .algebra import regular_bimodule
-from .catalog import standard_corpus
+from .catalog import split_product, standard_corpus
 from .extensions import TwoCochain
 from .io_json import algebra_to_json, bimodule_to_json, cochain_to_json, dumps
 from .matrix import Matrix
@@ -21,6 +21,10 @@ def corpus_documents() -> dict[str, dict]:
     """Every bundled fixture file as (name -> JSON document)."""
     algebras = standard_corpus({"Z": ZZ, "Q": QQ, "F2": GF(2)})
     docs = {f"{name}.json": algebra_to_json(A) for name, A in algebras.items()}
+
+    # separable of rank 6 on a non-unital basis: level-1 syzygy decisions
+    # there go through the separability idempotent
+    docs["split6_q.json"] = algebra_to_json(split_product(QQ, 6))
 
     dual_f2 = algebras["dual_f2"]
     reg = regular_bimodule(dual_f2)

@@ -110,6 +110,27 @@ def _extension_class(A: FiniteAlgebra, om_next: SyzygyModule) -> Matrix:
     return f.reshape(f.rows * f.cols, 1)
 
 
+def _separable_primitive(A: FiniteAlgebra, om_next: SyzygyModule, e: Matrix, f: Matrix) -> Matrix:
+    """The primitive x(a_1..a_n) = sum_i p_i f(q_i, a_1, ..., a_n) of f for e = sum_i p_i (x) q_i.
+
+    With mu(e) = 1 and a e = e a, b^n x = f for every cocycle f (the
+    standard proof that HH^(>=1) vanishes for separable A).  The unit
+    component of q_i is dropped in the normalized complex, where f vanishes
+    on the unit.
+    """
+    d, m, ring = A.rank, om_next.rank, A.ring
+    T = (d - 1 if om_next.normalized else d) ** (om_next.level - 1)
+    first = range(1, d) if om_next.normalized else range(d)
+    c = e.col_list(0)
+    C = Matrix.from_triplets(ring, len(first), d, ((s, j, c[j * d + k]) for s, k in enumerate(first) for j in range(d)))
+    # column (j, t) of G is sum_k c_jk f(e_k, t)
+    G = f.reshape(m, len(first) * T) * C.kron(Matrix.identity(ring, T))
+    x = Matrix.zeros(ring, m, T)
+    for j in range(d):
+        x = x + om_next.left[j] * G.submatrix_cols(range(j * T, (j + 1) * T))
+    return x.reshape(m * T, 1)
+
+
 def _retraction(A: FiniteAlgebra, om_next: SyzygyModule, x: Matrix) -> Matrix:
     """The bimodule map r(a (x) t (x) a') = a x(t) a' from chain level n onto Omega^(n+1)."""
     d, m = A.rank, om_next.rank
@@ -142,19 +163,24 @@ def omega_is_projective(
     test for quasi-freeness, 1995).  The class is the cocycle
     f(a_1..a_(n+1)) = b'(1 (x) a_1 (x) ... (x) a_(n+1) (x) 1), and a solution
     x of b^n x = f gives the bimodule retraction r(a (x) t (x) a') = a x(t) a'
-    of CB_n onto Omega^(n+1).  The section (I - i r) s on Omega^n, with s the
-    contracting homotopy and i the inclusion of Omega^(n+1), is verified
-    before it is returned.  Over Z the solution must be integral: a
-    rational-only one reports a torsion obstruction.
+    of CB_n onto Omega^(n+1); for separable A the primitive is read off a
+    separability idempotent instead of solved for.  The section (I - i r) s
+    on Omega^n, with s the contracting homotopy and i the inclusion of
+    Omega^(n+1), is verified before it is returned.  Over Z the solution
+    must be integral: a rational-only one reports a torsion obstruction.
     """
     if normalized is None:
         normalized = A.has_unital_basis
     check_guard(bar_rank(A, n, normalized), bar_rank(A, n - 1, normalized), guard)
     om = syzygy(A, n, normalized, guard=guard)
     om_next = syzygy(A, n + 1, normalized, guard=guard)
-    bn = coboundary_matrix(A, om_next.as_bimodule(), n, normalized, guard)
     f = _extension_class(A, om_next)
-    x = solve(bn, f)
+    e = separability_idempotent(A)
+    if e is not None:
+        x = _separable_primitive(A, om_next, e, f)
+    else:
+        bn = coboundary_matrix(A, om_next.as_bimodule(), n, normalized, guard)
+        x = solve(bn, f)
     if x is not None:
         lift = _homotopy(A, n - 1, normalized) * om.basis
         S = lift - om_next.basis * (_retraction(A, om_next, x) * lift)

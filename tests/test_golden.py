@@ -44,6 +44,9 @@ def _cases() -> dict[str, list[str]]:
     # unguarded, so the syzygy decisions up to level 1 run; the file was
     # recorded from the direct section system, an independent route
     cases["analyze_free2_trunc_q_cap1_unguarded"] = ["analyze", "@free2_trunc_q.json", "--cap", "1", "--guard", "0"]
+    # separable of rank 6 on a non-unital basis (recorded from the averaging
+    # section, an independent route)
+    cases["analyze_split6_q"] = ["analyze", "@split6_q.json"]
     cases["hh_dual_f2_regular_2"] = ["hh", "@dual_f2.json", "--bimodule", "@dual_f2_regular.json", "--degree", "2", "--representatives"]
     cases["extensions_dual_f2_regular_enumerate"] = ["extensions", "@dual_f2.json", "@dual_f2_regular.json", "--enumerate"]
     cases["extensions_cocycle_dual_f2_xx"] = ["extensions", "@dual_f2.json", "--class", "@cocycle_dual_f2_xx.json"]

@@ -13,12 +13,15 @@ from hochschild.catalog import (
     dual_numbers,
     matrix_algebra2,
     split_pair,
+    split_product,
     truncated_poly,
     upper_triangular2,
 )
-from hochschild.cohomology import hh
+from hochschild.cohomology import coboundary_matrix, hh
 from hochschild.matrix import Matrix, SizeGuardError, solve
 from hochschild.projectivity import (
+    _extension_class,
+    _separable_primitive,
     _to_rational,
     hcdim_scan,
     is_quasi_free,
@@ -192,6 +195,8 @@ ORACLE_ALGEBRAS = [
     dual_numbers(F2),
     truncated_poly(F2, 3),
     _group_ring_c2(ZZ),
+    _group_ring_c2(QQ),
+    _group_ring_c2(GF(3)),
 ]
 
 
@@ -202,6 +207,32 @@ def test_class_solve_agrees_with_section_system(A):
         for n in (0, 1, 2):
             cert = omega_is_projective(B, n, normalized, guard=None)
             assert (cert.verdict, cert.obstruction) == _oracle_verdict(B, n, normalized), (n, normalized)
+
+
+def test_separable_primitive_solves_the_class():
+    # b^n x = f for x(a_1..a_n) = sum_i p_i f(q_i, a_1, ..., a_n), raw and normalized
+    cases = [(base_ring_algebra(ZZ), 2), (split_pair(ZZ), 2), (_group_ring_c2(GF(3)), 2), (matrix_algebra2(QQ), 1)]
+    for A, top in cases:
+        unital = A if A.has_unital_basis else with_unital_basis(A)[0]
+        for B, normalized in ((A, False), (unital, True)):
+            e = separability_idempotent(B)
+            assert e is not None
+            for n in range(top + 1):
+                om_next = syzygy(B, n + 1, normalized, guard=None)
+                f = _extension_class(B, om_next)
+                bn = coboundary_matrix(B, om_next.as_bimodule(), n, normalized, guard=None)
+                assert bn * _separable_primitive(B, om_next, e, f) == f, (A.basis_names, n, normalized)
+
+
+def test_separable_rank6_decided_under_default_guard():
+    # b^1 on C^1(A, Omega^2) for k^6 is 6696 x 1116, above the default guard;
+    # the separability idempotent decides level 1 without it
+    for ring in (QQ, ZZ):
+        A = split_product(ring, 6)
+        with pytest.raises(SizeGuardError):
+            coboundary_matrix(A, syzygy(A, 2).as_bimodule(), 1, False)
+        assert omega_is_projective(A, 1).is_projective
+        assert is_quasi_free(A).quasi_free
 
 
 def test_torsion_obstruction_note_only_over_z():
