@@ -131,29 +131,21 @@ def validate_algebra(
     mul_t = tuple(ring.canon(x) for x in mul)
     A = FiniteAlgebra(ring, d, names, unit_t, mul_t)
     z = ring.zero
+    # the nonzero (k, c) pairs of every e_i e_j, listed once
+    nz = [[[(k, v) for k, v in enumerate(A.product_column(i, j)) if v] for j in range(d)] for i in range(d)]
+
+    def total(terms) -> dict:  # sum of (t, value) terms, as a dict without zeros
+        acc = {}
+        for t, v in terms:
+            acc[t] = acc.get(t, 0) + v
+        return {t: v for t, v in ((t, ring.canon(v)) for t, v in acc.items()) if v}
+
     for i in range(d):
         for j in range(d):
             for l in range(d):
                 # (e_i e_j) e_l vs e_i (e_j e_l)
-                left = [z] * d
-                for k in range(d):
-                    cij = A.c(i, j, k)
-                    if cij != z:
-                        base = (k * d + l) * d
-                        for t in range(d):
-                            m = mul_t[base + t]
-                            if m != z:
-                                left[t] = ring.canon(left[t] + cij * m)
-                right = [z] * d
-                for k in range(d):
-                    cjl = A.c(j, l, k)
-                    if cjl != z:
-                        base = (i * d + k) * d
-                        for t in range(d):
-                            m = mul_t[base + t]
-                            if m != z:
-                                right[t] = ring.canon(right[t] + cjl * m)
-                if left != right:
+                left = total((t, a * m) for k, a in nz[i][j] for t, m in nz[k][l])
+                if left != total((t, a * m) for k, a in nz[j][l] for t, m in nz[i][k]):
                     raise AlgebraError(f"associativity fails at basis triple ({i}, {j}, {l})")
     for i in range(d):
         ei = [ring.one if t == i else z for t in range(d)]

@@ -5,9 +5,12 @@ A matrix is immutable and stored by sparse columns: each column keeps its
 nonzero (row, value) pairs in increasing row order and never stores a zero,
 so the bar and Hochschild complexes, which are almost entirely zero, cost
 memory and time in proportion to their nonzeros.  The elimination routines
-work on transient dict rows built straight from those columns.  All
-arithmetic is exact; over Z every kernel is the full (hence saturated)
-integer kernel.
+work on transient dict rows built straight from those columns, filed by
+leading column, so a reduction takes time proportional to its fill plus
+its pivot width.  Pivot rows are reduced against each other only where
+they are read (normal forms, field solving, the Z cokernel); kernels and
+ranks skip that pass.  All arithmetic is exact; over Z every kernel is
+the full (hence saturated) integer kernel.
 
 Over Z, invariant factors come from the Hermite form of the column lattice:
 each pivot equal to 1 splits off a trivial summand, and the (dense) Smith
@@ -432,63 +435,73 @@ def _row_sub(r: dict, s: dict, q, modp: int) -> None:
                 r.pop(c, None)
 
 
+def _file_by_lead(buckets: dict, k: int, row: dict, pivot_width: int) -> None:
+    # file row k under its leading column; rows led past pivot_width are leftovers
+    if row:
+        lead = min(row)
+        if lead < pivot_width:
+            buckets.setdefault(lead, []).append(k)
+
+
 def _reduce_rows_int(rows: list[dict], pivot_width: int) -> list[tuple[int, dict]]:
-    """Integer row reduction to Hermite form over the first pivot_width columns.
+    """Integer row reduction to echelon form over the first pivot_width columns.
 
     Only unimodular operations are used (swaps, adding integer multiples of
     one row to another, sign flips), so the row lattice is preserved exactly.
-    Returns the pivot rows as (pivot_column, row) in column order; the input
-    list is left holding the remaining rows whose leading part is zero.
+    Returns the pivot rows as (pivot_column, row) in column order, not yet
+    reduced against each other (_back_substitute does that); the input list
+    is left holding the other nonzero rows, in input order.  Rows are filed
+    by leading column, so the work is proportional to the fill plus pivot_width.
     """
+    buckets: dict[int, list[int]] = {}
+    for k, r in enumerate(rows):
+        _file_by_lead(buckets, k, r, pivot_width)
     pivots: list[tuple[int, dict]] = []
-    live = rows
     for c in range(pivot_width):
-        holders = [r for r in live if c in r]
-        if not holders:
+        holders = buckets.pop(c, None)
+        if holders is None:
             continue
+        holders.sort()  # input order, which the stable sorts below keep among ties
         # repeatedly reduce by the entry of smallest magnitude until one remains
         while len(holders) > 1:
-            holders.sort(key=lambda r: abs(r[c]))
-            piv = holders[0]
+            holders.sort(key=lambda k: abs(rows[k][c]))
+            piv = rows[holders[0]]
             pv = piv[c]
             rest = []
-            for r in holders[1:]:
+            for k in holders[1:]:
+                r = rows[k]
                 q = r[c] // pv
                 if q:
                     _row_sub(r, piv, q, 0)
                 if c in r:
-                    rest.append(r)
-            holders = [piv] + rest
-        piv = holders[0]
+                    rest.append(k)
+                else:
+                    _file_by_lead(buckets, k, r, pivot_width)
+            holders = [holders[0]] + rest
+        piv = rows[holders[0]]
         if piv[c] < 0:
             for k in list(piv):
                 piv[k] = -piv[k]
-        live = [r for r in live if r is not piv and r]
-        # Hermite reduction of earlier pivot rows against the new pivot
-        pv = piv[c]
-        for _, pr in pivots:
-            if c in pr:
-                q = pr[c] // pv
-                if q:
-                    _row_sub(pr, piv, q, 0)
         pivots.append((c, piv))
-    rows[:] = live
+    rows[:] = [r for r in rows if r and min(r) >= pivot_width]
     return pivots
 
 
 def _reduce_rows_field(rows: list[dict], pivot_width: int, ring: ScalarRing) -> list[tuple[int, dict]]:
-    """Field row reduction (RREF) over the first pivot_width columns."""
+    """Field row reduction over the first pivot_width columns, as _reduce_rows_int:
+    pivot rows are scaled to a leading 1 and the work is proportional to the
+    fill plus pivot_width."""
     modp = ring.p if ring.kind == "Fp" else 0
+    buckets: dict[int, list[int]] = {}
+    for k, r in enumerate(rows):
+        _file_by_lead(buckets, k, r, pivot_width)
     pivots: list[tuple[int, dict]] = []
-    live = rows
     for c in range(pivot_width):
-        piv = None
-        for r in live:
-            if c in r:
-                piv = r
-                break
-        if piv is None:
+        holders = buckets.pop(c, None)
+        if holders is None:
             continue
+        holders.sort()
+        piv = rows[holders[0]]
         inv = ring.invert(piv[c])
         if inv != ring.one:
             if modp:
@@ -497,17 +510,44 @@ def _reduce_rows_field(rows: list[dict], pivot_width: int, ring: ScalarRing) -> 
             else:
                 for k in list(piv):
                     piv[k] = piv[k] * inv
-        live = [r for r in live if r is not piv]
-        for r in live:
-            if c in r:
-                _row_sub(r, piv, r[c], modp)
-        live = [r for r in live if r]
-        for _, pr in pivots:
-            if c in pr:
-                _row_sub(pr, piv, pr[c], modp)
+        for k in holders[1:]:
+            r = rows[k]
+            _row_sub(r, piv, r[c], modp)
+            _file_by_lead(buckets, k, r, pivot_width)
         pivots.append((c, piv))
-    rows[:] = live
+    rows[:] = [r for r in rows if r and min(r) >= pivot_width]
     return pivots
+
+
+def _back_substitute(pivots: list[tuple[int, dict]], ring: ScalarRing) -> None:
+    """Reduce echelon pivot rows against each other, in place: the Hermite form
+    over Z (entries above a pivot p in [0, p)), the RREF over a field.
+
+    Rows are finished from the last pivot to the first, each against final
+    rows only.  Over a field these have no entry at another pivot column, so
+    the order does not matter; over Z a row with a pivot > 1 can carry entries
+    at later pivot columns, so a heap clears them in increasing column order.
+    The result does not depend on when the reduction runs: the Hermite form
+    and the RREF are unique, and the leading parts have full row rank, so the
+    unitriangular transform from the echelon rows is unique too, and with it
+    every column past the leading part (kernel combinations, solve
+    transforms, a right-hand side).
+    """
+    integral = ring.kind == "Z"
+    modp = ring.p if ring.kind == "Fp" else 0
+    at = dict(pivots)
+    for c0, row in reversed(pivots):
+        heap = sorted(c for c in row if c != c0 and c in at)
+        while heap:
+            c = heappop(heap)
+            pr = at[c]
+            q = row.get(c, 0) // pr[c] if integral else row.get(c, 0)
+            if q:
+                _row_sub(row, pr, q, modp)
+                if integral:
+                    for k in pr:
+                        if k != c and k in at:
+                            heappush(heap, k)
 
 
 def _scale_row_to_int(row: dict) -> dict:
@@ -567,6 +607,7 @@ def _normal_form_columns(ring: ScalarRing, vec_rows: list[dict], width: int) -> 
         if ring.kind == "Q":
             vecs = [{c: Fraction(v) for c, v in r.items()} for r in vecs]
         pivots = _reduce_rows_field(vecs, width, ring)
+    _back_substitute(pivots, ring)
     canon = _canonizer(ring)
     cols = tuple(tuple((k, canon(r[k])) for k in sorted(r)) for _, r in pivots)
     return _make(ring, width, len(cols), cols)
@@ -646,8 +687,9 @@ def solve(M: Matrix, b: Matrix) -> Matrix | None:
     ring = M.ring
     z = ring.zero
     if ring.kind == "Z":
-        # Hermite form of the transpose with transform tracking:
-        # rows are columns of M augmented by unit combination vectors.
+        # Echelon form of the transpose, rows augmented by unit combination
+        # vectors.  The Hermite rows would be a unitriangular recombination of
+        # these, giving the same x, so no back-substitution is needed.
         rows = []
         for j, col in enumerate(M.columns):
             row = dict(col)
@@ -676,6 +718,7 @@ def solve(M: Matrix, b: Matrix) -> Matrix | None:
     for i, v in b.columns[0]:
         rows[i][M.cols] = v
     pivots = _reduce_rows_field(rows, M.cols, ring)
+    _back_substitute(pivots, ring)
     for r in rows:
         if r and M.cols in r:
             return None  # zero row with nonzero rhs
@@ -803,6 +846,7 @@ def cokernel_invariants(M: Matrix) -> KModuleInvariants:
     if M.ring.kind != "Z":
         return KModuleInvariants(M.rows - rank(M))
     pivots = _reduce_rows_int([dict(c) for c in M.columns if c], M.rows)
+    _back_substitute(pivots, ZZ)
     residue = [r for c, r in pivots if r[c] > 1]
     diag = [1] * (len(pivots) - len(residue))
     if residue:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,10 @@ from hochschild.algebra import regular_bimodule
 from hochschild.catalog import dual_numbers, upper_triangular2
 from hochschild.cohomology import coboundary_matrix
 from hochschild.matrix import (
+    _back_substitute,
+    _reduce_rows_field,
+    _reduce_rows_int,
+    _row_sub,
     ContainmentError,
     KModuleInvariants,
     Matrix,
@@ -507,3 +512,177 @@ def test_arithmetic_matches_dense_arithmetic(M, data):
     P = M * N.transpose()
     _assert_canonical(P)
     assert P.to_rows() == [[ring.canon(sum((x * y for x, y in zip(r, s)), ring.zero)) for s in b] for r in a]
+
+
+# -- elimination cores against the unbucketed reference ---------------------------
+
+
+def _oracle_reduce_rows_int(rows: list[dict], pivot_width: int) -> list[tuple[int, dict]]:
+    """Reference: the integer core that rescans every live row at every column
+    and Hermite-reduces all earlier pivot rows at every new pivot."""
+    pivots: list[tuple[int, dict]] = []
+    live = rows
+    for c in range(pivot_width):
+        holders = [r for r in live if c in r]
+        if not holders:
+            continue
+        # repeatedly reduce by the entry of smallest magnitude until one remains
+        while len(holders) > 1:
+            holders.sort(key=lambda r: abs(r[c]))
+            piv = holders[0]
+            pv = piv[c]
+            rest = []
+            for r in holders[1:]:
+                q = r[c] // pv
+                if q:
+                    _row_sub(r, piv, q, 0)
+                if c in r:
+                    rest.append(r)
+            holders = [piv] + rest
+        piv = holders[0]
+        if piv[c] < 0:
+            for k in list(piv):
+                piv[k] = -piv[k]
+        live = [r for r in live if r is not piv and r]
+        # Hermite reduction of earlier pivot rows against the new pivot
+        pv = piv[c]
+        for _, pr in pivots:
+            if c in pr:
+                q = pr[c] // pv
+                if q:
+                    _row_sub(pr, piv, q, 0)
+        pivots.append((c, piv))
+    rows[:] = live
+    return pivots
+
+
+def _oracle_reduce_rows_field(rows: list[dict], pivot_width: int, ring) -> list[tuple[int, dict]]:
+    """Reference: the field core (RREF) with full rescans, as above."""
+    modp = ring.p if ring.kind == "Fp" else 0
+    pivots: list[tuple[int, dict]] = []
+    live = rows
+    for c in range(pivot_width):
+        piv = None
+        for r in live:
+            if c in r:
+                piv = r
+                break
+        if piv is None:
+            continue
+        inv = ring.invert(piv[c])
+        if inv != ring.one:
+            if modp:
+                for k in list(piv):
+                    piv[k] = piv[k] * inv % modp
+            else:
+                for k in list(piv):
+                    piv[k] = piv[k] * inv
+        live = [r for r in live if r is not piv]
+        for r in live:
+            if c in r:
+                _row_sub(r, piv, r[c], modp)
+        live = [r for r in live if r]
+        for _, pr in pivots:
+            if c in pr:
+                _row_sub(pr, piv, pr[c], modp)
+        pivots.append((c, piv))
+    rows[:] = live
+    return pivots
+
+
+def _oracle_solve_z(M, b):
+    """Reference: solve over Z built on the reference integer core."""
+    rows = []
+    for j, col in enumerate(M.columns):
+        row = dict(col)
+        row[M.rows + j] = 1
+        rows.append(row)
+    pivots = _oracle_reduce_rows_int(rows, M.rows)
+    residual = b.col_list(0)
+    x = [0] * M.cols
+    for c, r in pivots:
+        val = residual[c]
+        if val == 0:
+            continue
+        if val % r[c] != 0:
+            return None
+        q = val // r[c]
+        for k, v in r.items():
+            if k < M.rows:
+                residual[k] -= q * v
+            else:
+                x[k - M.rows] += q * v
+    if any(v != 0 for v in residual):
+        return None
+    return Matrix.column(ZZ, x)
+
+
+def _reduce_both(ring, rows, width):
+    """(reference pivots, reference leftovers, new pivots, new leftovers) on copies of rows."""
+    old_rows, new_rows = [dict(r) for r in rows], [dict(r) for r in rows]
+    if ring.kind == "Z":
+        old, new = _oracle_reduce_rows_int(old_rows, width), _reduce_rows_int(new_rows, width)
+    else:
+        old, new = _oracle_reduce_rows_field(old_rows, width, ring), _reduce_rows_field(new_rows, width, ring)
+    _back_substitute(new, ring)
+    return old, old_rows, new, new_rows
+
+
+@st.composite
+def elimination_inputs(draw):
+    """Dict rows with columns past the pivot width, empty rows and repeated rows."""
+    ring = draw(st.sampled_from(PROPERTY_RINGS))
+    width = draw(st.integers(0, 5))
+    ncols = width + draw(st.integers(0, 3))  # the columns past width ride along, like a transform
+    values = st.integers(-6, 6) if ring.kind == "Z" else _values(ring)
+    entry = st.one_of(st.none(), st.none(), values)
+    base = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    rows = [{c: v for c, v in enumerate(r) if v} for r in base]
+    if rows:
+        rows += [dict(rows[k]) for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+    rows.append({})
+    return ring, draw(st.permutations(rows)), width
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(elimination_inputs())
+def test_cores_match_the_unbucketed_reference(case):
+    ring, rows, width = case
+    old, old_left, new, new_left = _reduce_both(ring, rows, width)
+    assert new == old  # same pivot columns, equal rows, augmented columns included
+    # the reference keeps empty input rows when no column has a pivot; no caller reads them
+    assert new_left == [r for r in old_left if r]
+
+
+@PROPS
+@given(matrices(rings=(ZZ,)), st.data())
+def test_integer_solve_matches_the_reference(M, data):
+    y = Matrix.column(ZZ, data.draw(st.lists(st.integers(-3, 3), min_size=M.cols, max_size=M.cols)))
+    b_any = Matrix.column(ZZ, data.draw(st.lists(st.integers(-3, 3), min_size=M.rows, max_size=M.rows)))
+    for b in (M * y, b_any):
+        assert solve(M, b) == _oracle_solve_z(M, b)
+
+
+def test_integer_back_substitution_follows_later_pivot_columns():
+    # pivots 1, 2, 2: clearing row 0 at column 1 subtracts row 1, which puts a
+    # -1 at column 2 of row 0; only then can column 2 be cleared.  Columns 3-5
+    # carry the transform.
+    rows = [{0: 1, 1: 3, 3: 1}, {1: 2, 2: 1, 4: 1}, {2: 2, 5: 1}]
+    old, _, new, _ = _reduce_both(ZZ, rows, 3)
+    assert new == old == [
+        (0, {0: 1, 1: 1, 2: 1, 3: 1, 4: -1, 5: 1}),
+        (1, {1: 2, 2: 1, 4: 1}),
+        (2, {2: 2, 5: 1}),
+    ]
+
+
+@pytest.mark.parametrize("ring", [F2, ZZ, QQ])
+def test_elimination_is_not_quadratic_in_the_pivot_width(ring):
+    # column j holds rows n-1-j and n-2-j: every row of the reduction is led
+    # by one column, and each pivot step touches two or three entries
+    n = 4000
+    M = Matrix.from_triplets(ring, n, n, [(i, j, 1) for j in range(n) for i in (n - 1 - j, n - 2 - j) if i >= 0])
+    start = time.perf_counter()
+    assert kernel_basis(M).cols == 0
+    assert rank(M) == n
+    assert time.perf_counter() - start < 5.0
