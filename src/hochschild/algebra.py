@@ -9,7 +9,8 @@ module downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
 
 from .matrix import Matrix, SizeGuardError, check_guard, kernel_basis, solve
 from .rings import ScalarRing
@@ -98,8 +99,8 @@ def right_mult_matrix(A: FiniteAlgebra, i: int) -> Matrix:
 def multiplication_matrix(A: FiniteAlgebra) -> Matrix:
     """The multiplication map A (x) A -> A as a d x d^2 matrix (row-major pairs)."""
     d = A.rank
-    cols = [A.product_column(i, j) for i in range(d) for j in range(d)]
-    return Matrix.from_cols(A.ring, cols, nrows=d)
+    # mul[(i d + j) d + k] is entry (k, i d + j)
+    return Matrix.from_triplets(A.ring, d, d * d, ((t % d, t // d, c) for t, c in enumerate(A.mul) if c))
 
 
 def act(actions, coeffs) -> Matrix:
@@ -174,41 +175,22 @@ def opposite(A: FiniteAlgebra) -> FiniteAlgebra:
 
 
 def enveloping(A: FiniteAlgebra) -> FiniteAlgebra:
-    """A (x) A^op, of rank d^2; basis pairs (i, j) in row-major order."""
+    """A (x) A^op, of rank d^2; basis pairs (i, j) in row-major order.
+
+    (e_i (x) e_j)(e_p (x) e_q) = e_i e_p (x) e_q e_j, which is column
+    ((i d + p) d + j) d + q of mu (x) mu^op.
+    """
     d = A.rank
     D = d * d
-    z = A.ring.zero
-    mul = [z] * D**3
-    ring = A.ring
-    for i in range(d):
-        for j in range(d):
-            row = i * d + j
-            for p in range(d):
-                for q in range(d):
-                    col = p * d + q
-                    # (e_i (x) e_j) * (e_p (x) e_q) = e_i e_p (x) e_q e_j
-                    left = A.product_column(i, p)
-                    right = A.product_column(q, j)
-                    base = (row * D + col) * D
-                    for r in range(d):
-                        lr = left[r]
-                        if lr == z:
-                            continue
-                        for s in range(d):
-                            rs = right[s]
-                            if rs != z:
-                                mul[base + r * d + s] = ring.canon(lr * rs)
-    unit = [z] * D
-    for r in range(d):
-        ur = A.unit[r]
-        if ur == z:
-            continue
-        for s in range(d):
-            us = A.unit[s]
-            if us != z:
-                unit[r * d + s] = ring.canon(ur * us)
+    mu = multiplication_matrix(A).kron(multiplication_matrix(opposite(A)))
+    mul = [A.ring.zero] * D**3
+    for i, j, p, q in product(range(d), repeat=4):
+        base = ((i * d + j) * D + p * d + q) * D
+        for r, v in mu.columns[((i * d + p) * d + j) * d + q]:
+            mul[base + r] = v
+    u = A.unit_column()
     names = tuple(f"{a}(x){b}" for a in A.basis_names for b in A.basis_names)
-    return _make_unchecked(ring, D, names, unit, mul)
+    return _make_unchecked(A.ring, D, names, u.kron(u).col_list(0), mul)
 
 
 # ---------------------------------------------------------------------------
@@ -420,24 +402,17 @@ def with_unital_basis(A: FiniteAlgebra) -> tuple[FiniteAlgebra, Matrix]:
         [ring.one if r == i else ring.zero for r in range(d)] for i in order[1:]
     ]
     P = Matrix.from_cols(ring, cols, nrows=d)
-    Pinv_cols = []
-    for i in range(d):
-        e = Matrix.column(ring, [ring.one if r == i else ring.zero for r in range(d)])
-        x = solve(P, e)
-        if x is None:
-            raise AlgebraError("basis change is not invertible over the ring")
-        Pinv_cols.append(x.col_list(0))
-    Pinv = Matrix.from_cols(ring, Pinv_cols, nrows=d)
+    I = Matrix.identity(ring, d)
+    Pinv_cols = [solve(P, I.submatrix_cols((i,))) for i in range(d)]
+    if any(x is None for x in Pinv_cols):
+        raise AlgebraError("basis change is not invertible over the ring")
+    Pinv = reduce(Matrix.hstack, Pinv_cols)
+    # column (i, j) of Pinv mu (P (x) P) holds the new coordinates of e'_i e'_j
+    table = Pinv * multiplication_matrix(A) * P.kron(P)
     mul = [ring.zero] * d**3
-    for i in range(d):
-        vi = P.col_list(i)
-        for j in range(d):
-            vj = P.col_list(j)
-            prod = A.multiply(vi, vj)
-            coords = Pinv * Matrix.column(ring, prod)
-            base = (i * d + j) * d
-            for k in range(d):
-                mul[base + k] = coords[k, 0]
+    for c, col in enumerate(table.columns):
+        for k, v in col:
+            mul[c * d + k] = v
     names = ("1",) + tuple(A.basis_names[i] for i in order[1:])
     unit = (ring.one,) + (ring.zero,) * (d - 1)
     return _make_unchecked(ring, d, names, unit, mul), P

@@ -10,7 +10,7 @@ is safe under concurrent use (idempotent last-writer-wins entries).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 
 from .algebra import AlgebraError, Bimodule, FiniteAlgebra, outer_actions, regular_bimodule
@@ -282,52 +282,41 @@ def _derivation_images(A: FiniteAlgebra) -> Matrix:
 
 
 def is_derivation(M: Bimodule, D: Matrix) -> tuple[bool, tuple[int, int] | None]:
-    """Leibniz check D(e_i e_j) = e_i D(e_j) + D(e_i) e_j; returns a witness pair."""
+    """Leibniz check D(e_i e_j) = e_i D(e_j) + D(e_i) e_j; returns a witness pair.
+
+    The defect is b^1 D, whose (i, j) entry block is e_i D(e_j) - D(e_i e_j)
+    + D(e_i) e_j; the witness is the first failing pair in row-major order.
+    """
+    from .cohomology import coboundary_matrix
+
     A = M.algebra
     if (D.rows, D.cols) != (M.rank, A.rank):
         raise AlgebraError("derivation candidate must be an (module rank) x (algebra rank) matrix")
-    for i in range(A.rank):
-        for j in range(A.rank):
-            lhs = Matrix.zeros(A.ring, M.rank, 1)
-            for k, c in enumerate(A.product_column(i, j)):
-                if c != A.ring.zero:
-                    lhs = lhs + Matrix.column(A.ring, D.col_list(k)).scale(c)
-            rhs = M.left[i] * Matrix.column(A.ring, D.col_list(j)) + M.right[j] * Matrix.column(
-                A.ring, D.col_list(i)
-            )
-            if lhs != rhs:
-                return False, (i, j)
-    return True, None
+    d = A.rank
+    image = coboundary_matrix(A, M, 1, False, guard=None) * D.reshape(M.rank * d, 1)
+    if image.is_zero:
+        return True, None
+    s = min(row % d**2 for row, _ in image.columns[0])  # row p * d^2 + i d + j
+    return False, divmod(s, d)
 
 
 def derivation_factorization(M: Bimodule, D: Matrix, normalized: bool = False) -> Matrix:
     """The bimodule map f : Omega^1 -> M with f(d(a)) = D(a).
 
-    On a kernel element sum a_p (x) b_q the map takes sum a_p . D(b_q); both
-    the factorization identity and A-bilinearity are verified exactly.
+    On a kernel element sum a_p (x) b_q the map takes sum a_p . D(b_q), so
+    f = [L_0 D | ... | L_(d-1) D] applied to the syzygy basis; both the
+    factorization identity and A-bilinearity are verified exactly.
     """
     A = M.algebra
     ok, witness = is_derivation(M, D)
     if not ok:
         raise AlgebraError(f"not a derivation: Leibniz fails at basis pair {witness}")
     om = syzygy(A, 1, normalized)
-    d = A.rank
-    z = A.ring.zero
-    cols = []
-    for c in range(om.rank):
-        vec = om.basis.col_list(c)
-        acc = Matrix.zeros(A.ring, M.rank, 1)
-        for p in range(d):
-            for q in range(d):
-                v = vec[p * d + q]
-                if v != z:
-                    acc = acc + (M.left[p] * Matrix.column(A.ring, D.col_list(q))).scale(v)
-        cols.append(acc.col_list(0))
-    F = Matrix.from_cols(A.ring, cols, nrows=M.rank) if cols else Matrix.zeros(A.ring, M.rank, 0)
+    F = reduce(Matrix.hstack, (L * D for L in M.left)) * om.basis
     dmat = universal_derivation(A, normalized)
     if F * dmat != D:
         raise AlgebraError("factorization identity f(d(a)) = D(a) failed")
-    for i in range(d):
+    for i in range(A.rank):
         if F * om.left[i] != M.left[i] * F or F * om.right[i] != M.right[i] * F:
             raise AlgebraError(f"factorization is not a bimodule map at basis index {i}")
     return F

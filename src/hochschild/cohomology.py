@@ -286,15 +286,17 @@ def hochschild_homology(
     """HH_n(A, M): homology of the cyclic bar complex M (x) A^(x)*.
 
     The normalized complex M (x) Abar^(x)* is used whenever the basis is
-    unital, as in hh; the guard is sized by the raw complex either way.
+    unital, as in hh; the guard is sized by the complex that is built, so by
+    its largest matrix, the boundary C_(n+1) -> C_n.
     """
     if n < 0:
         raise ValueError("homology degree must be >= 0")
     if M.algebra != A:
         raise AlgebraError("bimodule lives over a different algebra")
-    d, m = A.rank, M.rank
-    check_guard(m * d ** max(n, 1), m * d ** (n + 1), guard)
+    m = M.rank
     normalized = A.has_unital_basis
+    width = A.rank - 1 if normalized else A.rank
+    check_guard(m * width**n, m * width ** (n + 1), guard)
     outgoing = _homology_boundary(A, M, n, normalized) if n else Matrix.zeros(A.ring, 0, m)
     return subquotient_invariants(kernel_basis(outgoing), _homology_boundary(A, M, n + 1, normalized))
 

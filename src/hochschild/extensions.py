@@ -4,17 +4,28 @@ An extension of A by a bimodule M is presented by its total algebra B
 together with a projection, an inclusion of M as a square-zero ideal and a
 chosen k-linear section of the projection; extensions are always k-split
 by construction here, so every class is the class of some bilinear datum.
+
+Bilinear laws are checked as matrix identities.  Let mu_B be the n x n^2
+multiplication matrix of an algebra B of rank n (`multiplication_matrix`)
+and X, Y matrices whose columns are elements of B.  Then column (i, j) of
+mu_B (X (x) Y), at index i * cols(Y) + j, is the product (X e_i)(Y e_j) in
+B.  So a law on basis pairs holds iff two such products agree, and the
+first column where they differ names the first failing pair in row-major
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
 from .algebra import (
     AlgebraError,
     Bimodule,
     FiniteAlgebra,
+    multiplication_matrix,
+    opposite,
     validate_algebra,
 )
 from .cohomology import coboundary_matrix
@@ -24,6 +35,7 @@ from .matrix import (
     column_span_basis,
     coords_in_span,
     kernel_basis,
+    rank,
     solve,
 )
 
@@ -76,10 +88,6 @@ def is_two_cocycle(B: TwoCochain) -> tuple[bool, tuple[int, int, int] | None]:
     return False, (s // d**2, s // d % d, s % d)
 
 
-def _basis_vec(A: FiniteAlgebra, i: int) -> list:
-    return [A.ring.one if t == i else A.ring.zero for t in range(A.rank)]
-
-
 @dataclass(frozen=True)
 class ExtensionPresentation:
     """Total algebra with projection, square-zero inclusion, and k-section."""
@@ -92,48 +100,40 @@ class ExtensionPresentation:
     section: Matrix  # (d+m) x d
 
 
+def _first_mismatch(lhs: Matrix, rhs: Matrix) -> int | None:
+    """Index of the first column where two equal-shaped matrices differ, or None."""
+    return next((j for j, (x, y) in enumerate(zip(lhs.columns, rhs.columns)) if x != y), None)
+
+
 def validate_extension(E: ExtensionPresentation) -> ExtensionPresentation:
     """Verify exactness, the square-zero ideal property and the section laws."""
     A, M, B = E.algebra, E.bimodule, E.total
-    ring = A.ring
+    P, I, S = E.projection, E.inclusion, E.section
     d, m = A.rank, M.rank
     if B.rank != d + m:
         raise AlgebraError("total algebra rank must be rank(A) + rank(M)")
-    if (E.projection * E.inclusion).is_zero is False:
+    if (P * I).is_zero is False:
         raise AlgebraError("projection composed with inclusion must vanish")
-    if E.projection * E.section != Matrix.identity(ring, d):
+    if P * S != Matrix.identity(A.ring, d):
         raise AlgebraError("the section does not split the projection")
-    # projection is an algebra map
-    for i in range(B.rank):
-        for j in range(B.rank):
-            lhs = E.projection * Matrix.column(ring, B.product_column(i, j))
-            a = E.projection.col_list(i)
-            b = E.projection.col_list(j)
-            rhs = Matrix.column(ring, A.multiply(a, b))
-            if lhs != rhs:
-                raise AlgebraError(f"projection is not multiplicative at ({i}, {j})")
-    # inclusion embeds M as a square-zero ideal carrying the bimodule actions
-    for p in range(m):
-        for q in range(m):
-            prod = B.multiply(E.inclusion.col_list(p), E.inclusion.col_list(q))
-            if any(v != ring.zero for v in prod):
-                raise AlgebraError(f"ideal is not square-zero at generators ({p}, {q})")
-    for i in range(d):
-        s_i = E.section.col_list(i)
-        for p in range(m):
-            left = Matrix.column(ring, B.multiply(s_i, E.inclusion.col_list(p)))
-            if left != E.inclusion * Matrix.column(ring, M.left[i].col_list(p)):
-                raise AlgebraError(f"left action mismatch at ({i}, {p})")
-            right = Matrix.column(ring, B.multiply(E.inclusion.col_list(p), s_i))
-            if right != E.inclusion * Matrix.column(ring, M.right[i].col_list(p)):
-                raise AlgebraError(f"right action mismatch at ({i}, {p})")
+    mu_B = multiplication_matrix(B)
+    c = _first_mismatch(P * mu_B, multiplication_matrix(A) * P.kron(P))
+    if c is not None:
+        raise AlgebraError(f"projection is not multiplicative at {divmod(c, B.rank)}")
+    c = _first_mismatch(mu_B * I.kron(I), Matrix.zeros(A.ring, B.rank, m * m))
+    if c is not None:
+        raise AlgebraError(f"ideal is not square-zero at generators {divmod(c, m)}")
+    # column (i, p) is s(e_i) times the p-th ideal generator, from the left and from the right
+    left = _first_mismatch(mu_B * S.kron(I), I * reduce(Matrix.hstack, M.left))
+    right = _first_mismatch(multiplication_matrix(opposite(B)) * S.kron(I), I * reduce(Matrix.hstack, M.right))
+    if left is not None and (right is None or left <= right):
+        raise AlgebraError(f"left action mismatch at {divmod(left, m)}")
+    if right is not None:
+        raise AlgebraError(f"right action mismatch at {divmod(right, m)}")
     # exactness: ker(projection) = im(inclusion), with the inclusion injective
-    from .matrix import rank as _rank
-
-    if _rank(E.inclusion) != m:
+    if rank(I) != m:
         raise AlgebraError("inclusion of the ideal is not injective")
-    K = kernel_basis(E.projection)
-    coords_in_span(column_span_basis(E.inclusion), K)  # raises if not contained
+    coords_in_span(column_span_basis(I), kernel_basis(P))  # raises if not contained
     return E
 
 
@@ -141,73 +141,44 @@ def crossed_product(A: FiniteAlgebra, M: Bimodule, B: TwoCochain) -> FiniteAlgeb
     """The twisted algebra on A + M: (a,m)(a',m') = (aa', am' + ma' + B(a,a')).
 
     Requires B to be a 2-cocycle (that is exactly associativity); the result
-    is validated.  The unit is (1, m0) with m0 solved for linearly.
+    is validated.  The unit is (1, -B(1, 1)): the cocycle identity at
+    (1, 1, a) and (a, 1, 1) gives -B(1, 1) a = B(1, a) and a B(1, 1) = B(a, 1).
     """
     ok, witness = is_two_cocycle(B)
     if not ok:
         raise AlgebraError(f"not a 2-cocycle: associativity obstruction at basis triple {witness}")
-    ring = A.ring
-    d, m = A.rank, M.rank
-    mul, names = _crossed_product_table(A, M, B)
-    # unit (1, m0): m0 a = -B(1, a) and a m0 = -B(a, 1) for all a; solve linearly
-    # (the cocycle identities make the system consistent: m0 = -B(1, 1) works)
-    unit_rows = []
-    rhs_rows = []
-    for i in range(d):
-        b_right = B.value_on(list(A.unit), _basis_vec(A, i))
-        b_left = B.value_on(_basis_vec(A, i), list(A.unit))
-        for r in range(m):
-            unit_rows.append(M.right[i].row_list(r))
-            rhs_rows.append(ring.neg(b_right[r, 0]))
-            unit_rows.append(M.left[i].row_list(r))
-            rhs_rows.append(ring.neg(b_left[r, 0]))
-    if m:
-        m0 = solve(Matrix.from_rows(ring, unit_rows), Matrix.column(ring, rhs_rows))
-        if m0 is None:
-            raise AlgebraError("no unit exists for the crossed product (cocycle data inconsistent)")
-        m0 = m0.col_list(0)
-    else:
-        m0 = []
-    unit = list(A.unit) + m0
-    return validate_algebra(ring, d + m, names, unit, mul)
+    T = _crossed_product_unchecked(A, M, B)
+    return validate_algebra(T.ring, T.rank, T.basis_names, T.unit, T.mul)
 
 
 def _crossed_product_table(A: FiniteAlgebra, M: Bimodule, B: TwoCochain):
     """The raw multiplication table of A + M twisted by an arbitrary cochain."""
-    ring = A.ring
     d, m = A.rank, M.rank
     total = d + m
-    z = ring.zero
-    mul = [z] * total**3
+    mul = [A.ring.zero] * total**3
 
-    def put(i, j, k, v):
-        if v != z:
-            mul[(i * total + j) * total + k] = ring.canon(mul[(i * total + j) * total + k] + v)
+    def put(i, j, offset, column):  # the nonzero (k, v) of e_i e_j, at coordinates offset + k
+        base = (i * total + j) * total + offset
+        for k, v in column:
+            mul[base + k] = v
 
+    mu = multiplication_matrix(A)
     for i in range(d):
         for j in range(d):
-            for k, c in enumerate(A.product_column(i, j)):
-                put(i, j, k, c)
-            val = B.value(i, j)
-            for p in range(m):
-                put(i, j, d + p, val[p, 0])
-    for i in range(d):
+            put(i, j, 0, mu.columns[i * d + j])
+            put(i, j, d, B.matrix.columns[i * d + j])
         for p in range(m):
-            Lcol = M.left[i].col_list(p)
-            for q in range(m):
-                put(i, d + p, d + q, Lcol[q])
-            Rcol = M.right[i].col_list(p)
-            for q in range(m):
-                put(d + p, i, d + q, Rcol[q])
+            put(i, d + p, d, M.left[i].columns[p])
+            put(d + p, i, d, M.right[i].columns[p])
     names = tuple(A.basis_names) + tuple(f"m{i}" for i in range(m))
     return mul, names
 
 
 def _crossed_product_unchecked(A: FiniteAlgebra, M: Bimodule, B: TwoCochain) -> FiniteAlgebra:
-    """The twisted table without any validation (diagnostics and tests).
+    """The twisted table with the unit (1, -B(1,1)), without any validation.
 
-    The unit slot takes the closed form (1, -B(1,1)); for a non-cocycle the
-    table is simply not associative and validation will say where.
+    For a non-cocycle the table is simply not associative and validation
+    will say where.
     """
     mul, names = _crossed_product_table(A, M, B)
     m0 = B.value_on(list(A.unit), list(A.unit))
@@ -236,25 +207,15 @@ def extension_class_from_section(E: ExtensionPresentation, section: Matrix | Non
 
     Different sections of the same extension give cohomologous cocycles.
     """
-    A, M, B = E.algebra, E.bimodule, E.total
-    ring = A.ring
+    A, M = E.algebra, E.bimodule
     s = E.section if section is None else section
-    if E.projection * s != Matrix.identity(ring, A.rank):
+    if E.projection * s != Matrix.identity(A.ring, A.rank):
         raise AlgebraError("the supplied map is not a section of the projection")
-    d = A.rank
-    cols = []
-    for i in range(d):
-        si = s.col_list(i)
-        for j in range(d):
-            sj = s.col_list(j)
-            prod = B.multiply(si, sj)
-            s_of_prod = s * Matrix.column(ring, A.product_column(i, j))
-            defect = Matrix.column(ring, prod) - s_of_prod
-            x = solve(E.inclusion, defect)
-            if x is None:
-                raise AlgebraError("section defect escapes the ideal")
-            cols.append(x.col_list(0))
-    return TwoCochain(A, M, Matrix.from_cols(ring, cols, nrows=M.rank))
+    defect = multiplication_matrix(E.total) * s.kron(s) - s * multiplication_matrix(A)
+    cols = [solve(E.inclusion, defect.submatrix_cols((j,))) for j in range(defect.cols)]
+    if any(x is None for x in cols):
+        raise AlgebraError("section defect escapes the ideal")
+    return TwoCochain(A, M, reduce(Matrix.hstack, cols))
 
 
 def cocycles_cohomologous(B1: TwoCochain, B2: TwoCochain) -> Matrix | None:
@@ -288,20 +249,16 @@ def lift_exists(E: ExtensionPresentation) -> Matrix | None:
     section s'(a) = s(a) - incl(z(a)) is verified multiplicative on all
     basis pairs before being returned.
     """
-    A, M, B = E.algebra, E.bimodule, E.total
+    A, M = E.algebra, E.bimodule
     Bs = extension_class_from_section(E)
     zeta = cocycles_cohomologous(Bs, zero_two_cochain(A, M))
     if zeta is None:
         return None
-    corrected = E.section - E.inclusion * zeta
-    ring = A.ring
-    for i in range(A.rank):
-        for j in range(A.rank):
-            lhs = Matrix.column(ring, B.multiply(corrected.col_list(i), corrected.col_list(j)))
-            rhs = corrected * Matrix.column(ring, A.product_column(i, j))
-            if lhs != rhs:
-                raise AlgebraError(f"corrected section is not multiplicative at ({i}, {j})")
-    return corrected
+    s = E.section - E.inclusion * zeta
+    c = _first_mismatch(multiplication_matrix(E.total) * s.kron(s), s * multiplication_matrix(A))
+    if c is not None:
+        raise AlgebraError(f"corrected section is not multiplicative at {divmod(c, A.rank)}")
+    return s
 
 
 def enumerate_extension_classes(

@@ -238,9 +238,6 @@ class Matrix:
         k = bisect_left(col, (i,))
         return col[k][1] if k < len(col) and col[k][0] == i else self.ring.zero
 
-    def row_list(self, i: int) -> list:
-        return [self[i, j] for j in range(self.cols)]
-
     def col_list(self, j: int) -> list:
         out = [self.ring.zero] * self.rows
         for i, v in self.columns[j]:

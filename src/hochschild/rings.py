@@ -10,6 +10,8 @@ class RingError(ValueError):
     pass
 
 
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)  # immutable, so every Q zero and one can share them
+
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -67,11 +69,11 @@ class ScalarRing:
 
     @property
     def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
+        return _Q_ZERO if self.kind == "Q" else 0
 
     @property
     def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
+        return _Q_ONE if self.kind == "Q" else 1
 
     def of_int(self, n: int):
         if self.kind == "Q":
@@ -85,7 +87,7 @@ class ScalarRing:
         if isinstance(x, str):
             return self.parse(x)
         if self.kind == "Q":
-            return Fraction(x)
+            return x if type(x) is Fraction else Fraction(x)
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise RingError(f"{x} is not an element of {self}")

@@ -253,6 +253,12 @@ def test_homology_guard_refuses_free2_degree_3():
         hochschild_homology(A, regular_bimodule(A), 3, guard=DEFAULT_GUARD)
 
 
+def test_homology_guard_sizes_the_normalized_complex():
+    # the raw boundary at degree 10 would be 2048x4096; the normalized one is 2x2
+    A = dual_numbers(QQ)
+    assert hochschild_homology(A, regular_bimodule(A), 10, guard=DEFAULT_GUARD) == KModuleInvariants(1)
+
+
 # -- relative Ext -----------------------------------------------------------------------
 
 def _trivial_module(A):

@@ -269,6 +269,12 @@ def test_cli_engine_shape_and_containment_errors_exit_4(capsys, monkeypatch, exc
     assert doc["error"]["witness"].startswith(type(exc).__name__)
 
 
+def test_cli_homology_degree_10_fits_the_default_guard(capsys):
+    code, doc = run_cli(capsys, "hh", fx("dual_q.json"), "--degree", "10", "--homology")
+    assert code == 0
+    assert (doc["free_rank"], doc["torsion"]) == (1, [])
+
+
 def test_cli_guard_zero_means_unlimited(capsys):
     code, doc = run_cli(capsys, "hh", fx("dual_q.json"), "--degree", "1", "--guard", "0")
     assert code == 0

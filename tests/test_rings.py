@@ -54,3 +54,13 @@ def test_parse_format_round_trip():
 def test_ring_equality_and_hash():
     assert GF(5) == ScalarRing("Fp", 5)
     assert len({ZZ, QQ, GF(5), GF(5)}) == 3
+
+
+def test_rational_canon_keeps_fractions_and_shares_constants():
+    for x in (Fraction(0), Fraction(-1, 2), Fraction(22, 7)):
+        assert QQ.canon(x) is x
+    assert QQ.canon(3) == Fraction(3) and type(QQ.canon(3)) is Fraction
+    assert QQ.canon("-2/4") == Fraction(-1, 2)
+    assert QQ.zero is QQ.zero and QQ.one is QQ.one
+    assert (QQ.zero, QQ.one) == (Fraction(0), Fraction(1))
+    assert type(QQ.zero) is Fraction and type(QQ.one) is Fraction
