@@ -13,9 +13,9 @@ ranks skip that pass.  All arithmetic is exact; over Z every kernel is
 the full (hence saturated) integer kernel.
 
 Over Z, invariant factors come from the Hermite form of the column lattice:
-each pivot equal to 1 splits off a trivial summand, and the (dense) Smith
+each pivot equal to 1 splits off a trivial summand, and the sparse Smith
 normal form runs only on the small residue of rows whose pivot exceeds 1.
-Generators of a quotient still need the full Smith transform U.
+It tracks U^-1 next to U, so the generators of a quotient are columns of U^-1.
 
 Everything here is pure: no operation mutates its inputs, so concurrent
 use from multiple threads is safe.
@@ -728,102 +728,112 @@ def solve(M: Matrix, b: Matrix) -> Matrix | None:
 def smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form over Z: returns (U, D, V) with U*M*V = D.
 
-    U and V are unimodular; D is diagonal with d1 | d2 | ... >= 0.  Pivoting
-    always selects the entry of smallest absolute value, the usual heuristic
-    against coefficient swell; correctness does not depend on the choice.
+    U and V are unimodular; D is m x n and diagonal with d1 | d2 | ... >= 0.
+    Each step takes as pivot the entry of smallest absolute value in the
+    trailing block, ties going to the lowest row and then the lowest column;
+    it clears the pivot column and row by division with remainder (a smaller
+    remainder becomes the pivot), adds the first row holding an entry the
+    pivot does not divide, and makes the pivot positive.  U, D and V are
+    therefore determined by M alone.
     """
     if M.ring.kind != "Z":
         raise RingError("Smith normal form requires the ring Z")
     m, n = M.rows, M.cols
-    A = M.to_rows()
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    diag, U, _, V = _smith([dict(r) for r in M.transpose().columns], n)
+    D = tuple(((j, diag[j]),) if j < len(diag) and diag[j] else () for j in range(n))
+    return _make(ZZ, m, m, U).transpose(), _make(ZZ, m, n, D), _make(ZZ, n, n, V)
+
+
+def _smith(A: list[dict], n: int) -> tuple[list[int], tuple, tuple, tuple]:
+    """The moves of smith_normal_form on the dict rows A (n columns, consumed).
+
+    Rows stay keyed by physical column and ``phys`` maps logical columns to
+    physical ones, so a column swap swaps two entries.  U^-1 takes the
+    inverse moves: row_i -= q*row_j on U is col_j += q*col_i on U^-1, and a
+    row swap or sign flip of U is the same on columns of U^-1.  Returns the
+    diagonal (min(m, n) entries), the rows of U and the columns of U^-1 and V.
+    """
+    m = len(A)
+    U = [{i: 1} for i in range(m)]
+    Uinv = [{i: 1} for i in range(m)]
+    V = [{j: 1} for j in range(n)]  # by physical column, like A
+    phys = list(range(n))
+    logical = list(range(n))
 
     def row_op(i, j, q):  # row_i -= q * row_j
-        Ai, Aj = A[i], A[j]
-        for k in range(n):
-            Ai[k] -= q * Aj[k]
-        Ui, Uj = U[i], U[j]
-        for k in range(m):
-            Ui[k] -= q * Uj[k]
+        _row_sub(A[i], A[j], q, 0)
+        _row_sub(U[i], U[j], q, 0)
+        _row_sub(Uinv[j], Uinv[i], -q, 0)
 
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(m):
-            A[r][i] -= q * A[r][j]
-        for r in range(n):
-            V[r][i] -= q * V[r][j]
+    def row_swap(i, j):
+        for T in (A, U, Uinv):
+            T[i], T[j] = T[j], T[i]
+
+    def col_swap(i, j):  # logical columns
+        pi, pj = phys[i], phys[j]
+        phys[i], phys[j] = pj, pi
+        logical[pi], logical[pj] = j, i
 
     t = 0
-    while True:
+    while t < m and t < n:
         best = None
-        for i in range(t, m):
-            Ai = A[i]
-            for j in range(t, n):
-                v = Ai[j]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
+        for i, r in enumerate(A[t:], t):  # rows from t on hold only columns from t on
+            a = min(map(abs, r.values()), default=0)
+            if a and (best is None or a < best[0]):
+                best = (a, i, min(logical[p] for p, v in r.items() if abs(v) == a))
+                if a == 1:
+                    break  # no later row can beat a unit
         if best is None:
             break
         _, bi, bj = best
         if bi != t:
-            A[t], A[bi] = A[bi], A[t]
-            U[t], U[bi] = U[bi], U[t]
+            row_swap(t, bi)
         if bj != t:
-            for r in range(m):
-                A[r][t], A[r][bj] = A[r][bj], A[r][t]
-            for r in range(n):
-                V[r][t], V[r][bj] = V[r][bj], V[r][t]
+            col_swap(t, bj)
         while True:
-            # clear column t
+            # clear column t; no row is touched before its turn, so the
+            # rows to visit are known up front (as are the columns below)
+            pt = phys[t]
             dirty = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    row_op(i, t, q)
-                    if A[i][t]:  # remainder smaller than pivot: swap up
-                        A[t], A[i] = A[i], A[t]
-                        U[t], U[i] = U[i], U[t]
-                        dirty = True
+            for i in [i for i in range(t + 1, m) if pt in A[i]]:
+                row_op(i, t, A[i][pt] // A[t][pt])
+                if pt in A[i]:  # remainder smaller than pivot: swap up
+                    row_swap(t, i)
+                    dirty = True
             if dirty:
                 continue
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    col_op(j, t, q)
-                    if A[t][j]:
-                        for r in range(m):
-                            A[r][t], A[r][j] = A[r][j], A[r][t]
-                        for r in range(n):
-                            V[r][t], V[r][j] = V[r][j], V[r][t]
-                        dirty = True
+            # clear row t; the column ops reach every row holding column t,
+            # which after a column swap includes rows below t
+            row = A[t]
+            holders = [row]
+            for j in sorted(logical[p] for p in row if logical[p] > t):
+                pt, pj = phys[t], phys[j]
+                q = row[pj] // row[pt]
+                for r in holders:  # col_j -= q * col_t
+                    r[pj] = r.get(pj, 0) - q * r[pt]
+                    if not r[pj]:
+                        del r[pj]
+                _row_sub(V[pj], V[pt], q, 0)
+                if pj in row:
+                    col_swap(t, j)
+                    holders = [r for r in A[t:] if pj in r]
+                    dirty = True
             if dirty:
                 continue
             # divisibility fix-up: pivot must divide every remaining entry
-            offender = None
-            piv = A[t][t]
-            for i in range(t + 1, m):
-                Ai = A[i]
-                for j in range(t + 1, n):
-                    if Ai[j] % piv != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            piv = row[phys[t]]
+            offender = next((i for i in range(t + 1, m) if piv != 1 and any(map(piv.__rmod__, A[i].values()))), None)
             if offender is None:
                 break
             row_op(t, offender, -1)  # row_t += row_offender
-        if A[t][t] < 0:
-            for k in range(n):
-                A[t][k] = -A[t][k]
-            for k in range(m):
-                U[t][k] = -U[t][k]
+        if A[t][phys[t]] < 0:
+            for T in (A[t], U[t], Uinv[t]):
+                for k in T:
+                    T[k] = -T[k]
         t += 1
-        if t == m or t == n:
-            break
-    Um = Matrix.from_rows(ZZ, U)
-    Dm = Matrix.from_rows(ZZ, A)
-    Vm = Matrix.from_rows(ZZ, V)
-    return Um, Dm, Vm
+    diag = [A[i].get(phys[i], 0) for i in range(min(m, n))]
+    U, Uinv, V = (tuple(tuple(sorted(c.items())) for c in T) for T in (U, Uinv, [V[p] for p in phys]))
+    return diag, U, Uinv, V
 
 
 def invariants_from_diagonal(diag: list[int], total_rank: int) -> KModuleInvariants:
@@ -837,8 +847,8 @@ def cokernel_invariants(M: Matrix) -> KModuleInvariants:
 
     Over Z the column lattice is first brought to Hermite form.  A pivot
     equal to 1 is alone in its column there, so its row and column split off
-    a trivial summand; only the rows with a pivot > 1, restricted to the
-    columns they touch, go through the Smith normal form.
+    a trivial summand; only the rows with a pivot > 1 go through the Smith
+    normal form.
     """
     if M.ring.kind != "Z":
         return KModuleInvariants(M.rows - rank(M))
@@ -847,12 +857,7 @@ def cokernel_invariants(M: Matrix) -> KModuleInvariants:
     residue = [r for c, r in pivots if r[c] > 1]
     diag = [1] * (len(pivots) - len(residue))
     if residue:
-        touched = {c: k for k, c in enumerate(sorted(set().union(*residue)))}
-        R = Matrix.from_triplets(
-            ZZ, len(residue), len(touched), ((i, touched[c], v) for i, r in enumerate(residue) for c, v in r.items())
-        )
-        _, D, _ = smith_normal_form(R)
-        diag += [D[i, i] for i in range(len(residue))]
+        diag += _smith(residue, M.rows)[0]
     return invariants_from_diagonal(diag, M.rows)
 
 
@@ -879,21 +884,15 @@ def quotient_generators(Z: Matrix, B: Matrix) -> tuple[KModuleInvariants, list[M
     basis = column_span_basis(Z)
     r = basis.cols
     ring = Z.ring
+    C = coords_in_span(basis, B)
     if ring.kind == "Z":
-        U, D, _ = smith_normal_form(coords_in_span(basis, B))
-        diag = [D[i, i] for i in range(min(D.rows, D.cols))]
-        # generators of Z^r / C are the columns of U^{-1}; solve U x = e_i
-        invs = invariants_from_diagonal(diag, r)
-        free_idx = [i for i in range(r) if i >= len(diag) or diag[i] == 0]
-        tors_idx = [i for i in range(len(diag)) if abs(diag[i]) > 1]
-        gens = []
-        for i in free_idx + tors_idx:
-            e = Matrix.column(ring, [1 if k == i else 0 for k in range(r)])
-            x = solve(U, e)  # columns of U^{-1}, one linear solve each
-            gens.append(basis * x)
-        return invs, gens
+        diag, _, Uinv, _ = _smith([dict(row) for row in C.transpose().columns], C.cols)
+        # generators of Z^r / C are the columns of U^-1 at the free and torsion places
+        idx = [i for i in range(r) if i >= len(diag) or not diag[i]] + [i for i, d in enumerate(diag) if d > 1]
+        G = basis * _make(ZZ, r, len(idx), tuple(Uinv[i] for i in idx))
+        return invariants_from_diagonal(diag, r), [G.submatrix_cols((k,)) for k in range(len(idx))]
     # field: complement of span(coords) inside k^r
-    rows = [dict(c) for c in coords_in_span(basis, B).columns if c]
+    rows = [dict(c) for c in C.columns if c]
     pivot_cols = {c for c, _ in _reduce_rows_field(rows, r, ring)}
     invs = KModuleInvariants(r - len(pivot_cols))
     gens = [basis.submatrix_cols((i,)) for i in range(r) if i not in pivot_cols]

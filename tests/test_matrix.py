@@ -26,6 +26,7 @@ from hochschild.matrix import (
     kernel_basis,
     quotient_generators,
     rank,
+    _smith,
     smith_normal_form,
     solve,
     subquotient_invariants,
@@ -118,9 +119,10 @@ def test_snf_hand_reduction_example():
 
 
 def test_snf_zero_and_identity():
-    Z = Matrix.zeros(ZZ, 2, 3)
-    U, D, V = smith_normal_form(Z)
-    assert D == Z and U == Matrix.identity(ZZ, 2) and V == Matrix.identity(ZZ, 3)
+    for m, n in ((2, 3), (0, 3), (3, 0), (0, 0)):  # D keeps the shape of an empty input
+        Z = Matrix.zeros(ZZ, m, n)
+        U, D, V = smith_normal_form(Z)
+        assert D == Z and U == Matrix.identity(ZZ, m) and V == Matrix.identity(ZZ, n)
     One = Matrix.from_rows(ZZ, [[1]])
     _, D1, _ = smith_normal_form(One)
     assert D1 == One
@@ -359,7 +361,7 @@ def test_kernel_is_annihilated_and_saturated(M):
 
 
 @PROPS
-@given(matrices(rings=(ZZ,), min_dim=1))
+@given(matrices(rings=(ZZ,), min_dim=0))
 def test_smith_form_against_sympy(M):
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -686,3 +688,178 @@ def test_elimination_is_not_quadratic_in_the_pivot_width(ring):
     assert kernel_basis(M).cols == 0
     assert rank(M) == n
     assert time.perf_counter() - start < 5.0
+
+
+# -- the sparse Smith replay against the dense reference ------------------------------
+
+
+def _oracle_smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """Reference: the dense Smith form the sparse replay must reproduce move for move.
+
+    Smith normal form over Z: returns (U, D, V) with U*M*V = D.
+
+    U and V are unimodular; D is diagonal with d1 | d2 | ... >= 0.  Pivoting
+    always selects the entry of smallest absolute value, the usual heuristic
+    against coefficient swell; correctness does not depend on the choice.
+    """
+    if M.ring.kind != "Z":
+        raise RingError("Smith normal form requires the ring Z")
+    m, n = M.rows, M.cols
+    A = M.to_rows()
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        Ai, Aj = A[i], A[j]
+        for k in range(n):
+            Ai[k] -= q * Aj[k]
+        Ui, Uj = U[i], U[j]
+        for k in range(m):
+            Ui[k] -= q * Uj[k]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for r in range(m):
+            A[r][i] -= q * A[r][j]
+        for r in range(n):
+            V[r][i] -= q * V[r][j]
+
+    t = 0
+    while True:
+        best = None
+        for i in range(t, m):
+            Ai = A[i]
+            for j in range(t, n):
+                v = Ai[j]
+                if v and (best is None or abs(v) < best[0]):
+                    best = (abs(v), i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != t:
+            A[t], A[bi] = A[bi], A[t]
+            U[t], U[bi] = U[bi], U[t]
+        if bj != t:
+            for r in range(m):
+                A[r][t], A[r][bj] = A[r][bj], A[r][t]
+            for r in range(n):
+                V[r][t], V[r][bj] = V[r][bj], V[r][t]
+        while True:
+            # clear column t
+            dirty = False
+            for i in range(t + 1, m):
+                if A[i][t]:
+                    q = A[i][t] // A[t][t]
+                    row_op(i, t, q)
+                    if A[i][t]:  # remainder smaller than pivot: swap up
+                        A[t], A[i] = A[i], A[t]
+                        U[t], U[i] = U[i], U[t]
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, n):
+                if A[t][j]:
+                    q = A[t][j] // A[t][t]
+                    col_op(j, t, q)
+                    if A[t][j]:
+                        for r in range(m):
+                            A[r][t], A[r][j] = A[r][j], A[r][t]
+                        for r in range(n):
+                            V[r][t], V[r][j] = V[r][j], V[r][t]
+                        dirty = True
+            if dirty:
+                continue
+            # divisibility fix-up: pivot must divide every remaining entry
+            offender = None
+            piv = A[t][t]
+            for i in range(t + 1, m):
+                Ai = A[i]
+                for j in range(t + 1, n):
+                    if Ai[j] % piv != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_op(t, offender, -1)  # row_t += row_offender
+        if A[t][t] < 0:
+            for k in range(n):
+                A[t][k] = -A[t][k]
+            for k in range(m):
+                U[t][k] = -U[t][k]
+        t += 1
+        if t == m or t == n:
+            break
+    Um = Matrix.from_rows(ZZ, U)
+    Dm = Matrix.from_rows(ZZ, A)
+    Vm = Matrix.from_rows(ZZ, V)
+    return Um, Dm, Vm
+
+
+def _assert_smith_matches_the_reference(M):
+    U, D, V = smith_normal_form(M)
+    assert (U.rows, U.cols, D.rows, D.cols, V.rows, V.cols) == (M.rows, M.rows, M.rows, M.cols, M.cols, M.cols)
+    assert U * M * V == D
+    if M.rows:  # the reference loses the column count of a 0 x n input
+        assert (U, D, V) == _oracle_smith_normal_form(M)
+
+
+@PROPS
+@given(st.one_of(torsion_matrices(), matrices(rings=(ZZ,))))
+def test_smith_replays_the_dense_reference(M):
+    _assert_smith_matches_the_reference(M)
+
+
+def test_smith_column_ops_reach_rows_below_the_pivot():
+    # pivot 2 at (0, 0); clearing row 0 turns the 3 into a remainder 1, which
+    # swaps its column (holding the 4 of row 1) into the pivot place; clearing
+    # the 5 then subtracts 5 times that column, which must reach row 1 too
+    M = Matrix.from_rows(ZZ, [[2, 3, 5], [0, 4, 0]])
+    _assert_smith_matches_the_reference(M)
+    # d1 = gcd of the entries, d1*d2 = gcd of the 2x2 minors 8, 0, -20
+    assert [smith_normal_form(M)[1][i, i] for i in range(2)] == [1, 4]
+
+
+@PROPS
+@given(st.one_of(torsion_matrices(), matrices(rings=(ZZ,))))
+def test_smith_tracks_the_inverse_of_u(M):
+    _, U, Uinv, _ = _smith([dict(r) for r in M.transpose().columns], M.cols)
+    m = M.rows
+    assert Matrix(ZZ, m, m, U).transpose() * Matrix(ZZ, m, m, Uinv) == Matrix.identity(ZZ, m)
+
+
+@PROPS
+@given(torsion_matrices(), st.data())
+def test_quotient_generators_are_the_columns_of_u_inverse(Z, data):
+    # B = Z*C lies in the span of Z; generator i is basis * (U^-1 e_i), the
+    # one solution of U x = e_i for the reference U
+    C = Matrix.from_rows(ZZ, data.draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=Z.cols, max_size=Z.cols,
+    ))) if Z.cols else Matrix.zeros(ZZ, 0, 3)
+    B = Z * C
+    basis = column_span_basis(Z)
+    r = basis.cols
+    U, D, _ = _oracle_smith_normal_form(coords_in_span(basis, B))
+    diag = [D[i, i] for i in range(min(D.rows, D.cols))]
+    idx = [i for i in range(r) if i >= len(diag) or diag[i] == 0] + [i for i in range(len(diag)) if diag[i] > 1]
+    expected = [basis * solve(U, Matrix.column(ZZ, [int(k == i) for k in range(r)])) for i in idx]
+    invs, gens = quotient_generators(Z, B)
+    assert invs == invariants_from_diagonal(diag, r)
+    assert gens == expected
+
+
+def _scattered_permutation(n):
+    # 2 times a shuffled permutation matrix, plus a 3 in every seventh row
+    perm = list(range(n))
+    random.Random(5).shuffle(perm)
+    triplets = [(i, perm[i], 2) for i in range(n)] + [(i, perm[(i + 1) % n], 3) for i in range(0, n, 7)]
+    return Matrix.from_triplets(ZZ, n, n, triplets)
+
+
+def test_smith_is_not_cubic():
+    _assert_smith_matches_the_reference(_scattered_permutation(300))
+    M = _scattered_permutation(1000)
+    start = time.perf_counter()
+    U, D, V = smith_normal_form(M)
+    assert time.perf_counter() - start < 5.0
+    assert U * M * V == D
