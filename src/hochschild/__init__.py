@@ -30,14 +30,10 @@ from .algebra import (
     validate_algebra,
 )
 from .bar import (
-    BarChainModule,
     SyzygyModule,
     bar_differential,
-    chain_module,
     contracting_homotopy,
     derivation_factorization,
-    normalized_bar_differential,
-    normalized_contracting_homotopy,
     syzygy,
     universal_derivation,
 )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 
-from .matrix import Matrix, SizeGuardError, check_guard, kernel_basis, solve
+from .matrix import Matrix, SizeGuardError, kernel_basis, solve
 from .rings import ScalarRing
 
 
@@ -290,15 +290,6 @@ def outer_actions(A: FiniteAlgebra, inner: int) -> tuple[tuple[Matrix, ...], tup
     left = tuple(left_mult_matrix(A, i).kron(I) for i in range(A.rank))
     right = tuple(I.kron(right_mult_matrix(A, i)) for i in range(A.rank))
     return left, right
-
-
-def outer_bimodule(A: FiniteAlgebra, n: int, guard: int | None = None) -> Bimodule:
-    """A^(x)(n+2) with a acting on the leftmost factor, b on the rightmost."""
-    d = A.rank
-    size = d ** (n + 2)
-    if guard is not None:
-        check_guard(size, size, guard)
-    return Bimodule(A, size, *outer_actions(A, d ** (n + 1)))
 
 
 def hom_bimodule(N: LeftModule, M: LeftModule) -> Bimodule:

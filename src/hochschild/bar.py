@@ -2,9 +2,16 @@
 
 Chain level n is A^(x)(n+2) (level -1 means A itself); the normalized
 variant replaces the middle factors by Abar = A / k*1 and needs the unit to
-be the 0-th basis vector.  Differentials, homotopies and syzygies are
-cached per (algebra, level): values are deterministic, so the memo table
-is safe under concurrent use (idempotent last-writer-wins entries).
+be the 0-th basis vector; one ``normalized`` flag selects the complex.
+
+One builder, _boundary_triplets, assembles every differential: the cyclic
+boundary of C_k(A, M) = M (x) A^(x)k.  For M = A (x) A with the inner
+actions a(x (x) y) = x (x) ay and (x (x) y)a = xa (x) y it is b'_k up to the
+order of the basis (Loday, Cyclic Homology, 1992), and cohomology builds
+the Hochschild coboundaries and boundaries with it too.  Differentials,
+homotopies and syzygies are cached per (algebra, level): values are
+deterministic, so the memo table is safe under concurrent use (idempotent
+last-writer-wins entries).
 """
 
 from __future__ import annotations
@@ -13,7 +20,16 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 
-from .algebra import AlgebraError, Bimodule, FiniteAlgebra, outer_actions, regular_bimodule
+from .algebra import (
+    AlgebraError,
+    Bimodule,
+    FiniteAlgebra,
+    left_mult_matrix,
+    multiplication_matrix,
+    outer_actions,
+    regular_bimodule,
+    right_mult_matrix,
+)
 from .matrix import DEFAULT_GUARD, Matrix, check_guard, coords_in_span, kernel_basis
 
 
@@ -44,52 +60,83 @@ def _level_tuples(A: FiniteAlgebra, n: int, normalized: bool):
     return list(product(range(d), repeat=n + 2))
 
 
-def _index_map(tuples) -> dict:
-    return {t: i for i, t in enumerate(tuples)}
+def _tensor_tuples(d: int, n: int, normalized: bool):
+    rng = range(1, d) if normalized else range(d)
+    return list(product(rng, repeat=n))
+
+
+def _boundary_triplets(A: FiniteAlgebra, M: Bimodule, k: int, normalized: bool):
+    """(row, col, value) triplets of the cyclic boundary C_k(A, M) -> C_(k-1)(A, M).
+
+    Chains M (x) A^(x)k are indexed p * width^k + t for module coordinate p
+    and tensor index t; the normalized complex runs over non-unit basis
+    classes and drops the unit component of interior products.
+    """
+    d, m = A.rank, M.rank
+    z = A.ring.zero
+    src = _tensor_tuples(d, k, normalized)
+    dst_index = {t: i for i, t in enumerate(_tensor_tuples(d, k - 1, normalized))}
+    T_src, T_dst = len(src), len(dst_index)
+    kept = range(1, d) if normalized else range(d)
+    # merges[a][b]: the kept nonzero coordinates (kk, c) of e_a e_b
+    merges = [
+        [[(kk, A.c(a, b, kk)) for kk in kept if A.c(a, b, kk) != z] for b in range(d)] for a in range(d)
+    ]
+    wrap = 1 if k % 2 == 0 else -1  # (-1)^k
+
+    for ti, t in enumerate(src):
+        head, tail = dst_index[t[1:]], dst_index[t[:-1]]
+        for p in range(m):
+            col = p * T_src + ti
+            # m (x) a1 ... -> (m a1) (x) a2 ...
+            for q, v in M.right[t[0]].columns[p]:
+                yield q * T_dst + head, col, v
+            # interior merges with signs (-1)^i, i = 1..k-1
+            for i in range(1, k):
+                odd = i % 2 == 1
+                for kk, c in merges[t[i - 1]][t[i]]:
+                    yield p * T_dst + dst_index[t[: i - 1] + (kk,) + t[i + 1 :]], col, -c if odd else c
+            # wrap-around: (-1)^k (ak m) (x) a1 ... a(k-1)
+            for q, v in M.left[t[-1]].columns[p]:
+                yield q * T_dst + tail, col, v if wrap > 0 else -v
 
 
 @lru_cache(maxsize=None)
 def _differential(A: FiniteAlgebra, n: int, normalized: bool) -> Matrix:
+    """b'_n as the cyclic boundary of C_n(A, A (x) A), re-indexed onto the bar basis.
+
+    The outer factors x (x) y are the coefficient module, so the first and
+    last merges of b' are its right and left actions and the interior merges
+    (unit dropped when normalized) are those of the cyclic boundary.  Cyclic
+    index (x d + y) T + t is bar index (x T + t) d + y.
+    """
+    if n == 0:
+        return multiplication_matrix(A)
     d = A.rank
-    z = A.ring.zero
-    src = _level_tuples(A, n, normalized)
-    dst = _level_tuples(A, n - 1, normalized) if n >= 1 else [(i,) for i in range(d)]
-    dst_index = _index_map(dst)
+    I = Matrix.identity(A.ring, d)
+    left = tuple(I.kron(left_mult_matrix(A, i)) for i in range(d))
+    M = Bimodule(A, d * d, left, tuple(right_mult_matrix(A, i).kron(I) for i in range(d)))
+    width = d - 1 if normalized else d
 
-    def triplets():
-        for col, t in enumerate(src):
-            for i in range(n + 1):
-                sign = 1 if i % 2 == 0 else -1
-                a, b = t[i], t[i + 1]
-                base = (a * d + b) * d
-                # in the normalized complex a merge inside the middle block lands
-                # in Abar: the unit component of the product is dropped
-                middle_merge = normalized and n >= 1 and 1 <= i <= n - 1
-                for k in range(d):
-                    c = A.mul[base + k]
-                    if c == z or (middle_merge and k == 0):
-                        continue
-                    row = k if n == 0 else dst_index[t[:i] + (k,) + t[i + 2 :]]
-                    yield row, col, c if sign > 0 else -c
+    def bar_index(T):
+        return [(x * T + t) * d + y for x in range(d) for y in range(d) for t in range(T)]
 
-    return Matrix.from_triplets(A.ring, len(dst), len(src), triplets())
+    rows, cols = bar_index(width ** (n - 1)), bar_index(width**n)
+    triplets = ((rows[i], cols[j], v) for i, j, v in _boundary_triplets(A, M, n, normalized))
+    return Matrix.from_triplets(A.ring, len(rows), len(cols), triplets)
 
 
-def bar_differential(A: FiniteAlgebra, n: int, guard: int | None = DEFAULT_GUARD) -> Matrix:
-    """b'_n : A^(x)(n+2) -> A^(x)(n+1), the alternating sum of adjacent merges."""
+def bar_differential(A: FiniteAlgebra, n: int, normalized: bool = False, guard: int | None = DEFAULT_GUARD) -> Matrix:
+    """b'_n : level n -> level n-1, the alternating sum of adjacent merges.
+
+    With normalized=True it runs on A (x) Abar^(x)n (x) A and needs a unital basis.
+    """
     if n < 0:
         raise ValueError("bar differential is defined for n >= 0")
-    check_guard(bar_rank(A, n - 1), bar_rank(A, n), guard)
-    return _differential(A, n, False)
-
-
-def normalized_bar_differential(A: FiniteAlgebra, n: int, guard: int | None = DEFAULT_GUARD) -> Matrix:
-    """The same alternating sum on A (x) Abar^(x)n (x) A."""
-    if n < 0:
-        raise ValueError("bar differential is defined for n >= 0")
-    _require_unital(A)
-    check_guard(bar_rank(A, n - 1, True), bar_rank(A, n, True), guard)
-    return _differential(A, n, True)
+    if normalized:
+        _require_unital(A)
+    check_guard(bar_rank(A, n - 1, normalized), bar_rank(A, n, normalized), guard)
+    return _differential(A, n, normalized)
 
 
 @lru_cache(maxsize=None)
@@ -97,7 +144,7 @@ def _homotopy(A: FiniteAlgebra, n: int, normalized: bool) -> Matrix:
     z = A.ring.zero
     src = _level_tuples(A, n, normalized)
     dst = _level_tuples(A, n + 1, normalized)
-    dst_index = _index_map(dst)
+    dst_index = {t: i for i, t in enumerate(dst)}
 
     def triplets():
         for col, t in enumerate(src):
@@ -114,7 +161,7 @@ def _homotopy(A: FiniteAlgebra, n: int, normalized: bool) -> Matrix:
     return Matrix.from_triplets(A.ring, len(dst), len(src), triplets())
 
 
-def contracting_homotopy(A: FiniteAlgebra, n: int, guard: int | None = DEFAULT_GUARD) -> Matrix:
+def contracting_homotopy(A: FiniteAlgebra, n: int, normalized: bool = False, guard: int | None = DEFAULT_GUARD) -> Matrix:
     """s_n : level n -> level n+1, prepending the unit.
 
     Satisfies b'_(n+1) s_n + s_(n-1) b'_n = id at level n for every n >= -1
@@ -123,16 +170,10 @@ def contracting_homotopy(A: FiniteAlgebra, n: int, guard: int | None = DEFAULT_G
     """
     if n < -1:
         raise ValueError("homotopy is defined for n >= -1")
-    check_guard(bar_rank(A, n + 1), bar_rank(A, n), guard)
-    return _homotopy(A, n, False)
-
-
-def normalized_contracting_homotopy(A: FiniteAlgebra, n: int, guard: int | None = DEFAULT_GUARD) -> Matrix:
-    if n < -1:
-        raise ValueError("homotopy is defined for n >= -1")
-    _require_unital(A)
-    check_guard(bar_rank(A, n + 1, True), bar_rank(A, n, True), guard)
-    return _homotopy(A, n, True)
+    if normalized:
+        _require_unital(A)
+    check_guard(bar_rank(A, n + 1, normalized), bar_rank(A, n, normalized), guard)
+    return _homotopy(A, n, normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -154,35 +195,6 @@ def chain_bimodule(A: FiniteAlgebra, n: int, normalized: bool = False, guard: in
     check_guard(rank, rank, guard)
     left, right = chain_actions(A, n, normalized)
     return Bimodule(A, rank, left, right)
-
-
-@dataclass(frozen=True)
-class BarChainModule:
-    """One level of the (normalized) bar complex, with its level metadata.
-
-    Level -1 denotes the algebra itself; the rank is d^(n+2), respectively
-    d (d-1)^n d in the normalized case, which needs a unital basis.
-    """
-
-    algebra: FiniteAlgebra
-    level: int
-    normalized: bool
-    rank: int
-
-    def __post_init__(self):
-        if self.level < -1:
-            raise ValueError("chain levels start at -1")
-        if self.normalized:
-            _require_unital(self.algebra)
-        if self.rank != bar_rank(self.algebra, self.level, self.normalized):
-            raise ValueError("rank does not match the level formula")
-
-    def bimodule(self, guard: int | None = DEFAULT_GUARD) -> Bimodule:
-        return chain_bimodule(self.algebra, self.level, self.normalized, guard)
-
-
-def chain_module(A: FiniteAlgebra, n: int, normalized: bool = False) -> BarChainModule:
-    return BarChainModule(A, n, normalized, bar_rank(A, n, normalized))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .koszul import (
     hcdim_lower_bound,
     regular_sequence_check,
 )
-from .matrix import DEFAULT_GUARD, ContainmentError, ShapeError, SizeGuardError, rank
+from .matrix import DEFAULT_GUARD, ContainmentError, ShapeError, SizeGuardError, quotient_generators
 from .projectivity import hcdim_scan, is_quasi_free, separability_idempotent
 from .rings import RingError
 
@@ -60,6 +60,8 @@ def _emit(doc, out_path) -> None:
 def _guard_value(args) -> int | None:
     if args.guard is None:
         return DEFAULT_GUARD
+    if args.guard < 0:
+        raise ValueError(f"--guard must be >= 0 (0 = unlimited), got {args.guard}")
     return None if args.guard == 0 else args.guard
 
 
@@ -104,17 +106,17 @@ def cmd_hh(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .cohomology import center, derivations, inner_derivations, hh1_report
+    from .cohomology import center, derivations, inner_derivations
 
     A = load_algebra(args.algebra)
     M = regular_bimodule(A)
     guard = _guard_value(args)
     doc: dict = {"rank": A.rank, "scalars": ring_to_json(A.ring)}
     doc["center_dim"] = center(A, M).cols
-    doc["der_dim"] = derivations(A, M).cols
-    doc["inn_dim"] = rank(inner_derivations(A, M))
-    h1 = hh1_report(A, M)
-    doc["hh1"] = _invariants_doc(h1.invariants)
+    Der, Inn = derivations(A, M), inner_derivations(A, M)  # bases, so cols are ranks
+    doc["der_dim"] = Der.cols
+    doc["inn_dim"] = Inn.cols
+    doc["hh1"] = _invariants_doc(quotient_generators(Der, Inn)[0])
     e = separability_idempotent(A)
     doc["separability"] = {"separable": e is not None}
     if e is not None:

@@ -13,17 +13,17 @@ arguments to non-unit basis classes and drops unit components of products;
 its cohomology agrees with the full complex (checked in the test suite).
 
 Homology uses the cyclic bar complex C_k(A, M) = M (x) A^(x)k, and one
-builder assembles both: C^n(A, M) is dual to C_n(A, M^*) for the dual
-bimodule M^* = Hom_k(M, k), whose left and right actions are the transposed
-right and left actions of M, so b^n is the transposed boundary
-C_(n+1)(A, M^*) -> C_n(A, M^*) (Loday, Cyclic Homology, 1992).
+builder (bar._boundary_triplets, which also assembles b') serves both:
+C^n(A, M) is dual to C_n(A, M^*) for the dual bimodule M^* = Hom_k(M, k),
+whose left and right actions are the transposed right and left actions of
+M, so b^n is the transposed boundary C_(n+1)(A, M^*) -> C_n(A, M^*)
+(Loday, Cyclic Homology, 1992).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from .algebra import (
     AlgebraError,
@@ -32,7 +32,7 @@ from .algebra import (
     LeftModule,
     hom_bimodule,
 )
-from .bar import _require_unital
+from .bar import _boundary_triplets, _require_unital, _tensor_tuples
 from .matrix import (
     DEFAULT_GUARD,
     KModuleInvariants,
@@ -65,47 +65,6 @@ class CohomologyReport:
     degree: int
     invariants: KModuleInvariants
     representatives: tuple[Cochain, ...] | None = None
-
-
-def _tensor_tuples(d: int, n: int, normalized: bool):
-    rng = range(1, d) if normalized else range(d)
-    return list(product(rng, repeat=n))
-
-
-def _boundary_triplets(A: FiniteAlgebra, M: Bimodule, k: int, normalized: bool):
-    """(row, col, value) triplets of the cyclic boundary C_k(A, M) -> C_(k-1)(A, M).
-
-    Chains M (x) A^(x)k are indexed p * width^k + t for module coordinate p
-    and tensor index t; the normalized complex runs over non-unit basis
-    classes and drops the unit component of interior products.
-    """
-    d, m = A.rank, M.rank
-    z = A.ring.zero
-    src = _tensor_tuples(d, k, normalized)
-    dst_index = {t: i for i, t in enumerate(_tensor_tuples(d, k - 1, normalized))}
-    T_src, T_dst = len(src), len(dst_index)
-    kept = range(1, d) if normalized else range(d)
-    # merges[a][b]: the kept nonzero coordinates (kk, c) of e_a e_b
-    merges = [
-        [[(kk, A.c(a, b, kk)) for kk in kept if A.c(a, b, kk) != z] for b in range(d)] for a in range(d)
-    ]
-    wrap = 1 if k % 2 == 0 else -1  # (-1)^k
-
-    for ti, t in enumerate(src):
-        head, tail = dst_index[t[1:]], dst_index[t[:-1]]
-        for p in range(m):
-            col = p * T_src + ti
-            # m (x) a1 ... -> (m a1) (x) a2 ...
-            for q, v in M.right[t[0]].columns[p]:
-                yield q * T_dst + head, col, v
-            # interior merges with signs (-1)^i, i = 1..k-1
-            for i in range(1, k):
-                odd = i % 2 == 1
-                for kk, c in merges[t[i - 1]][t[i]]:
-                    yield p * T_dst + dst_index[t[: i - 1] + (kk,) + t[i + 1 :]], col, -c if odd else c
-            # wrap-around: (-1)^k (ak m) (x) a1 ... a(k-1)
-            for q, v in M.left[t[-1]].columns[p]:
-                yield q * T_dst + tail, col, v if wrap > 0 else -v
 
 
 @lru_cache(maxsize=None)

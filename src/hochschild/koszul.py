@@ -25,7 +25,7 @@ from .matrix import (
     kernel_basis,
     subquotient_invariants,
 )
-from .rings import ScalarRing
+from .rings import ZZ, ScalarRing
 
 
 # ---------------------------------------------------------------------------
@@ -330,36 +330,10 @@ class GradedTorReport:
 
 
 def _aggregate(invs: list[KModuleInvariants]) -> KModuleInvariants:
-    free = sum(i.free_rank for i in invs)
+    """The direct sum: free ranks add, torsion is the invariant-factor chain of diag(t_1, ..., t_k)."""
     factors = [t for i in invs for t in i.torsion]
-    if not factors:
-        return KModuleInvariants(free)
-    # recombine into a divisibility chain via prime-power components
-    primes: dict[int, list[int]] = {}
-    for t in factors:
-        n = t
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                primes.setdefault(p, []).append(e)
-            p += 1
-        if n > 1:
-            primes.setdefault(n, []).append(1)
-    depth = max(len(v) for v in primes.values())
-    chain = []
-    for level in range(depth):
-        f = 1
-        for p, exps in primes.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if level < len(exps_sorted):
-                f *= p ** exps_sorted[level]
-        chain.append(f)
-    chain = [c for c in sorted(chain) if c > 1]
-    return KModuleInvariants(free, tuple(chain))
+    diag = Matrix.from_triplets(ZZ, len(factors), len(factors), ((k, k, t) for k, t in enumerate(factors)))
+    return KModuleInvariants(sum(i.free_rank for i in invs), cokernel_invariants(diag).torsion)
 
 
 def graded_koszul_tor(
@@ -435,7 +409,7 @@ def graded_koszul_tor(
                 per_degree.append((e, h))
             invs_list.append(h)
         by_degree.append(tuple(per_degree))
-        aggregated.append(_aggregate(invs_list) if invs_list else KModuleInvariants(0))
+        aggregated.append(_aggregate(invs_list))
     fd = max((i for i, t in enumerate(aggregated) if not t.is_zero), default=0)
     return GradedTorReport(v, cap, tuple(by_degree), tuple(aggregated), fd)
 

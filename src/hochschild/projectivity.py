@@ -293,7 +293,6 @@ class HcdimReport:
 def hcdim_scan(
     A: FiniteAlgebra,
     cap: int,
-    extra_modules: tuple[tuple[str, Bimodule], ...] = (),
     guard: int | None = DEFAULT_GUARD,
 ) -> HcdimReport:
     """Bracket the cohomological dimension between a witness and a proof.
@@ -318,8 +317,7 @@ def hcdim_scan(
             upper = n
             upper_cert = cert
             break
-    probes = list(_probe_modules(A, guard)) + sorted(extra_modules, key=lambda x: x[0])
-    probes.sort(key=lambda x: x[0])
+    probes = _probe_modules(A, guard)
     lower = 0
     witnesses = []
     top = cap + 1 if upper is None else min(cap + 1, upper)

@@ -15,7 +15,6 @@ import pytest
 from hochschild.algebra import (
     hom_bimodule,
     multiplication_matrix,
-    outer_bimodule,
     regular_bimodule,
     validate_algebra,
     validate_left_module,
@@ -26,9 +25,8 @@ from hochschild.bar import (
     bar_differential,
     bar_rank,
     chain_actions,
+    chain_bimodule,
     contracting_homotopy,
-    normalized_bar_differential,
-    normalized_contracting_homotopy,
     syzygy,
 )
 from hochschild.catalog import standard_corpus
@@ -117,19 +115,19 @@ def test_c01_complex_axioms():
         MB = regular_bimodule(B)
         for n in range(4):
             assert (
-                normalized_bar_differential(B, n, guard=None)
-                * normalized_bar_differential(B, n + 1, guard=None)
+                bar_differential(B, n, normalized=True, guard=None)
+                * bar_differential(B, n + 1, normalized=True, guard=None)
             ).is_zero, (name, n)
             lo = coboundary_matrix(B, MB, n, normalized=True, guard=None)
             hi = coboundary_matrix(B, MB, n + 1, normalized=True, guard=None)
             assert (hi * lo).is_zero, (name, n)
         for n in range(-1, 4):
-            lhs = normalized_bar_differential(B, n + 1, guard=None) * normalized_contracting_homotopy(
-                B, n, guard=None
+            lhs = bar_differential(B, n + 1, normalized=True, guard=None) * contracting_homotopy(
+                B, n, normalized=True, guard=None
             )
             if n >= 0:
-                lhs = lhs + normalized_contracting_homotopy(B, n - 1, guard=None) * normalized_bar_differential(
-                    B, n, guard=None
+                lhs = lhs + contracting_homotopy(B, n - 1, normalized=True, guard=None) * bar_differential(
+                    B, n, normalized=True, guard=None
                 )
             assert lhs == Matrix.identity(B.ring, bar_rank(B, n, True)), (name, n)
 
@@ -137,7 +135,7 @@ def test_c01_complex_axioms():
 @criterion(2, "HH^0 = center and HH^1 = Der/Inn on all fixture pairs (exact)")
 def test_c02_low_degree_interpretations():
     for name, A in SMALL.items():
-        pairs = [regular_bimodule(A), outer_bimodule(A, 0)]
+        pairs = [regular_bimodule(A), chain_bimodule(A, 0)]
         reg_left = regular_bimodule(A).left_module()
         pairs.append(hom_bimodule(reg_left, reg_left))
         for M in pairs:

@@ -13,7 +13,6 @@ from hochschild.algebra import (
     intertwiners,
     multiplication_matrix,
     opposite,
-    outer_bimodule,
     regular_bimodule,
     transport_bimodule,
     truncated_tensor_algebra,
@@ -23,6 +22,7 @@ from hochschild.algebra import (
     with_unital_basis,
     zero_bimodule,
 )
+from hochschild.bar import chain_bimodule
 from hochschild.catalog import (
     base_ring_algebra,
     dual_numbers,
@@ -209,7 +209,7 @@ def test_zero_bimodule_round_trip():
 
 def test_outer_bimodule_is_valid():
     A = dual_numbers(QQ)
-    M = outer_bimodule(A, 1)
+    M = chain_bimodule(A, 1)
     validate_bimodule(A, 8, M.left, M.right)
 
 

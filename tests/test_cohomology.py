@@ -3,11 +3,11 @@ import pytest
 from hochschild.algebra import (
     hom_bimodule,
     intertwiners,
-    outer_bimodule,
     regular_bimodule,
     validate_left_module,
     with_unital_basis,
 )
+from hochschild.bar import chain_bimodule
 from hochschild.catalog import (
     base_ring_algebra,
     dual_numbers,
@@ -155,7 +155,7 @@ def test_center_examples():
 
 def test_center_matches_hh0(small_corpus):
     for A in small_corpus.values():
-        for M in (regular_bimodule(A), outer_bimodule(A, 0)):
+        for M in (regular_bimodule(A), chain_bimodule(A, 0)):
             c = center(A, M)
             h = hh(A, M, 0, representatives=False).invariants
             assert h == KModuleInvariants(c.cols), A.basis_names
@@ -188,7 +188,7 @@ def test_der_of_base_ring_vanishes():
 
 def test_hh1_two_routes_agree(small_corpus):
     for A in small_corpus.values():
-        for M in (regular_bimodule(A), outer_bimodule(A, 0)):
+        for M in (regular_bimodule(A), chain_bimodule(A, 0)):
             via_quotient = hh1_report(A, M).invariants
             via_complex = hh(A, M, 1, representatives=False).invariants
             assert via_quotient == via_complex, A.basis_names

@@ -1,6 +1,7 @@
 """Cross-module consistency properties tying the subsystems together."""
 
-from hochschild.algebra import hom_bimodule, outer_bimodule, regular_bimodule
+from hochschild.algebra import hom_bimodule, regular_bimodule
+from hochschild.bar import chain_bimodule
 from hochschild.catalog import (
     base_ring_algebra,
     dual_numbers,
@@ -28,7 +29,7 @@ def test_separable_fixtures_have_vanishing_hh_on_every_probe():
     for A in (matrix_algebra2(QQ), split_pair(ZZ), base_ring_algebra(F2)):
         assert separability_idempotent(A) is not None
         reg = regular_bimodule(A)
-        probes = [reg, outer_bimodule(A, 0), hom_bimodule(reg.left_module(), reg.left_module())]
+        probes = [reg, chain_bimodule(A, 0), hom_bimodule(reg.left_module(), reg.left_module())]
         for M in probes:
             for n in (1, 2):
                 assert hh(A, M, n, normalized=False, representatives=False).invariants.is_zero
@@ -39,7 +40,7 @@ def test_projective_syzygy_kills_next_degree_on_probes():
     A = upper_triangular2(QQ)
     assert omega_is_projective(A, 1).is_projective
     reg = regular_bimodule(A)
-    probes = [reg, outer_bimodule(A, 0), hom_bimodule(reg.left_module(), reg.left_module())]
+    probes = [reg, chain_bimodule(A, 0), hom_bimodule(reg.left_module(), reg.left_module())]
     for M in probes:
         assert hh(A, M, 2, representatives=False).invariants.is_zero
 

@@ -280,6 +280,21 @@ def test_cli_guard_zero_means_unlimited(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hh", fx("dual_q.json"), "--degree", "1"),
+        ("hh", fx("dual_q.json"), "--degree", "1", "--homology"),
+        ("analyze", fx("dual_q.json")),
+    ],
+)
+def test_cli_negative_guard_is_a_validation_error(capsys, argv):
+    code, doc = run_cli(capsys, *argv, "--guard", "-1")
+    assert code == 2
+    assert doc["error"]["stage"] == "validation"
+    assert "--guard" in doc["error"]["witness"]
+
+
 def test_cli_missing_file_exit_2(capsys):
     code, doc = run_cli(capsys, "hh", "no_such_file.json", "--degree", "0")
     assert code == 2

@@ -4,6 +4,7 @@ from hochschild.algebra import AlgebraError
 from hochschild.catalog import base_ring_algebra, dual_numbers, matrix_algebra2, split_pair
 from hochschild.koszul import (
     ExteriorBasis,
+    _aggregate,
     GradedPolyModule,
     base_global_dimension,
     finite_koszul_tor,
@@ -243,3 +244,14 @@ def test_lower_bound_examples():
 def test_lower_bound_rejects_negative_inputs():
     with pytest.raises(ValueError):
         hcdim_lower_bound(-1, 0)
+
+
+def test_aggregate_adds_free_ranks_and_recombines_torsion():
+    K = KModuleInvariants
+    assert _aggregate([]) == K(0)
+    assert _aggregate([K(2), K(0), K(3)]) == K(5)
+    # Z/2 + Z/6 + Z/4 + Z/12 = Z/2 + Z/2 + Z/12 + Z/12 as a divisibility chain
+    assert _aggregate([K(1, (2,)), K(0, (6,)), K(2, (4, 12))]) == K(3, (2, 2, 12, 12))
+    # a large prime: no factoring, so this returns at once
+    p = 2**61 - 1
+    assert _aggregate([K(0, (p,)), K(0, (2 * p,))]) == K(0, (p, 2 * p))
