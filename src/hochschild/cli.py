@@ -141,8 +141,9 @@ def cmd_analyze(args) -> int:
 def cmd_extensions(args) -> int:
     A = load_algebra(args.algebra)
     M = load_bimodule(args.bimodule) if args.bimodule else regular_bimodule(A)
+    guard = _guard_value(args)
     if args.enumerate:
-        reps = enumerate_extension_classes(A, M)
+        reps = enumerate_extension_classes(A, M, guard=guard)
         doc = {
             "classes": len(reps),
             "representatives": [_matrix_to_json(r.matrix) for r in reps],
@@ -273,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("bimodule", nargs="?", help="coefficient bimodule file (default: A itself)")
     g = ex.add_mutually_exclusive_group(required=True)
     g.add_argument("--enumerate", action="store_true", help="enumerate all classes (finite fields)")
-    g.add_argument("--class", dest="cocycle_class", help="check a cocycle file and test triviality")
-    g.add_argument("--lift", help="decide lifting of an extension file")
+    g.add_argument("--class", dest="cocycle_class", help="check a cocycle file and test triviality (file-sized, unguarded)")
+    g.add_argument("--lift", help="decide lifting of an extension file (file-sized, unguarded)")
     common(ex)
     ex.set_defaults(func=cmd_extensions)
 

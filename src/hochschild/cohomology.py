@@ -1,4 +1,4 @@
-"""Hochschild cocomplex, cohomology/homology, centers and derivations.
+"""Hochschild cocomplex and cohomology, with HH^0 and HH^1 read classically; homology.
 
 Cochains of degree n are k-linear maps A^(x)n -> M stored as m x d^n
 matrices over the induced tensor basis; the coboundary is
@@ -7,10 +7,13 @@ matrices over the induced tensor basis; the coboundary is
                        + sum_i (-1)^(i+1) f(..., a_i a_(i+1), ...)
                        + (-1)^(n+1) f(a0,...,a(n-1)) an
 
-so that b^0(m)(a) = a m - m a and 2-cocycles are exactly the associativity
-data of square-zero extensions.  The normalized variant restricts the
-arguments to non-unit basis classes and drops unit components of products;
-its cohomology agrees with the full complex (checked in the test suite).
+so that b^0(m)(a) = a m - m a.  The classical readings come off the raw
+complex: the center Z_A(M) = ker b^0 is HH^0, the derivations ker b^1
+modulo the inner derivations im b^0 give HH^1, and 2-cocycles are exactly
+the associativity data of square-zero extensions (HH^2).  The normalized
+variant restricts the arguments to non-unit basis classes and drops unit
+components of products; its cohomology agrees with the full complex
+(checked in the test suite).
 
 Homology uses the cyclic bar complex C_k(A, M) = M (x) A^(x)k, and one
 builder (bar._boundary_triplets, which also assembles b') serves both:
@@ -38,6 +41,7 @@ from .matrix import (
     KModuleInvariants,
     Matrix,
     check_guard,
+    column_span_basis,
     homology,
     kernel_basis,
     quotient_generators,
@@ -148,77 +152,27 @@ def is_cocycle(c: Cochain, guard: int | None = DEFAULT_GUARD) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# degree 0 and 1 through their classical descriptions
+# degree 0 and 1 read off b^0 and b^1
 # ---------------------------------------------------------------------------
 
 
 def center(A: FiniteAlgebra, M: Bimodule) -> Matrix:
-    """Basis of Z_A(M) = {m : a m = m a for all a}, solved directly."""
-    blocks = [M.left[i] - M.right[i] for i in range(A.rank)]
-    stacked = blocks[0]
-    for b in blocks[1:]:
-        stacked = stacked.vstack(b)
-    return kernel_basis(stacked)
-
-
-def _leibniz_system(A: FiniteAlgebra, M: Bimodule) -> Matrix:
-    """The linear system whose kernel is Der_k(A, M), assembled from scratch.
-
-    Unknowns are the entries D[p][q] = p-th coordinate of D(e_q), vectorized
-    row-major; one equation block per basis pair (i, j).
-    """
-    d, m = A.rank, M.rank
-    z = A.ring.zero
-
-    def triplets():
-        for i in range(d):
-            for j in range(d):
-                block = (i * d + j) * m
-                # sum_k c[i][j][k] D(e_k) - e_i D(e_j) - D(e_i) e_j = 0
-                for k in range(d):
-                    c = A.c(i, j, k)
-                    if c != z:
-                        for p in range(m):
-                            yield block + p, p * d + k, c
-                L, R = M.left[i], M.right[j]
-                for q in range(m):
-                    for p, v in L.columns[q]:
-                        yield block + p, q * d + j, -v
-                    for p, w in R.columns[q]:
-                        yield block + p, q * d + i, -w
-
-    return Matrix.from_triplets(A.ring, d * d * m, m * d, triplets())
+    """Basis of Z_A(M) = {m : a m = m a for all a} = ker b^0 of the raw complex."""
+    return kernel_basis(coboundary_matrix(A, M, 0, False, guard=None))
 
 
 def derivations(A: FiniteAlgebra, M: Bimodule) -> Matrix:
-    """Basis of Der_k(A, M) as vectorized maps (columns)."""
-    return kernel_basis(_leibniz_system(A, M))
-
-
-def inner_derivation_generators(A: FiniteAlgebra, M: Bimodule) -> Matrix:
-    """The maps a -> a m - m a for each basis vector m of M (a spanning set)."""
-    d, m = A.rank, M.rank
-
-    def triplets():
-        for w in range(m):
-            for i in range(d):
-                for p, v in M.left[i].columns[w]:
-                    yield p * d + i, w, v
-                for p, v in M.right[i].columns[w]:
-                    yield p * d + i, w, -v
-
-    return Matrix.from_triplets(A.ring, m * d, m, triplets())
+    """Basis of Der_k(A, M) = ker b^1 of the raw complex, as vectorized maps (columns)."""
+    return kernel_basis(coboundary_matrix(A, M, 1, False, guard=None))
 
 
 def inner_derivations(A: FiniteAlgebra, M: Bimodule) -> Matrix:
-    """Basis of Inn_k(A, M) (over Z: of the inner-derivation lattice)."""
-    from .matrix import column_span_basis
-
-    return column_span_basis(inner_derivation_generators(A, M))
+    """Basis of Inn_k(A, M) = im b^0, the maps a -> a m - m a (over Z: their lattice)."""
+    return column_span_basis(coboundary_matrix(A, M, 0, False, guard=None))
 
 
 def hh1_report(A: FiniteAlgebra, M: Bimodule) -> CohomologyReport:
-    """HH^1 as Der/Inn, computed independently of the cocomplex route."""
+    """HH^1 = Der/Inn from the raw b^1 and b^0; hh(A, M, 1) defaults to the normalized complex."""
     Der = derivations(A, M)
     Inn = inner_derivations(A, M)
     invs, gens = quotient_generators(Der, Inn)

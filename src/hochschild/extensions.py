@@ -26,10 +26,10 @@ from .algebra import (
     FiniteAlgebra,
     multiplication_matrix,
     opposite,
-    validate_algebra,
 )
 from .cohomology import coboundary_matrix
 from .matrix import (
+    DEFAULT_GUARD,
     Matrix,
     SizeGuardError,
     column_span_basis,
@@ -140,19 +140,23 @@ def validate_extension(E: ExtensionPresentation) -> ExtensionPresentation:
 def crossed_product(A: FiniteAlgebra, M: Bimodule, B: TwoCochain) -> FiniteAlgebra:
     """The twisted algebra on A + M: (a,m)(a',m') = (aa', am' + ma' + B(a,a')).
 
-    Requires B to be a 2-cocycle (that is exactly associativity); the result
-    is validated.  The unit is (1, -B(1, 1)): the cocycle identity at
-    (1, 1, a) and (a, 1, 1) gives -B(1, 1) a = B(1, a) and a B(1, 1) = B(a, 1).
+    Requires B to be a 2-cocycle, which is exactly associativity, so the
+    table needs no further scan.  The unit is (1, -B(1, 1)): the cocycle
+    identity at (1, 1, a) and (a, 1, 1) gives -B(1, 1) a = B(1, a) and
+    a B(1, 1) = B(a, 1).
     """
     ok, witness = is_two_cocycle(B)
     if not ok:
         raise AlgebraError(f"not a 2-cocycle: associativity obstruction at basis triple {witness}")
-    T = _crossed_product_unchecked(A, M, B)
-    return validate_algebra(T.ring, T.rank, T.basis_names, T.unit, T.mul)
+    return _crossed_product_unchecked(A, M, B)
 
 
-def _crossed_product_table(A: FiniteAlgebra, M: Bimodule, B: TwoCochain):
-    """The raw multiplication table of A + M twisted by an arbitrary cochain."""
+def _crossed_product_unchecked(A: FiniteAlgebra, M: Bimodule, B: TwoCochain) -> FiniteAlgebra:
+    """The table of A + M twisted by an arbitrary cochain, with the unit (1, -B(1,1)).
+
+    Nothing is validated: for a non-cocycle the table is simply not
+    associative, and validate_algebra will say where.
+    """
     d, m = A.rank, M.rank
     total = d + m
     mul = [A.ring.zero] * total**3
@@ -171,19 +175,9 @@ def _crossed_product_table(A: FiniteAlgebra, M: Bimodule, B: TwoCochain):
             put(i, d + p, d, M.left[i].columns[p])
             put(d + p, i, d, M.right[i].columns[p])
     names = tuple(A.basis_names) + tuple(f"m{i}" for i in range(m))
-    return mul, names
-
-
-def _crossed_product_unchecked(A: FiniteAlgebra, M: Bimodule, B: TwoCochain) -> FiniteAlgebra:
-    """The twisted table with the unit (1, -B(1,1)), without any validation.
-
-    For a non-cocycle the table is simply not associative and validation
-    will say where.
-    """
-    mul, names = _crossed_product_table(A, M, B)
     m0 = B.value_on(list(A.unit), list(A.unit))
     unit = list(A.unit) + [A.ring.neg(v) for v in m0.col_list(0)]
-    return FiniteAlgebra(A.ring, A.rank + M.rank, names, tuple(unit), tuple(mul))
+    return FiniteAlgebra(A.ring, total, names, tuple(unit), tuple(mul))
 
 
 def crossed_product_presentation(A: FiniteAlgebra, M: Bimodule, B: TwoCochain) -> ExtensionPresentation:
@@ -262,27 +256,28 @@ def lift_exists(E: ExtensionPresentation) -> Matrix | None:
 
 
 def enumerate_extension_classes(
-    A: FiniteAlgebra, M: Bimodule, guard_exponent: int = 2**20
+    A: FiniteAlgebra, M: Bimodule, guard_exponent: int = 2**20, guard: int | None = DEFAULT_GUARD
 ) -> list[TwoCochain]:
     """All square-zero extension classes of A by M over a finite prime field.
 
     Enumerates the 2-cocycles as the F_p-combinations of a basis of ker b^2
     and buckets them by cohomology class; the representative of a class is
     its normal form modulo the echelonized coboundary space (the
-    lexicographically least member).  The count is |F_p|^(dim HH^2).  The
-    guard bounds the number p^(dim Z^2) of cocycles visited.
+    lexicographically least member).  The count is |F_p|^(dim HH^2).
+    guard_exponent bounds the number p^(dim Z^2) of cocycles visited, and
+    guard the sizes of b^2 and b^1.
     """
     ring = A.ring
     if ring.kind != "Fp":
         raise AlgebraError("exhaustive enumeration needs a finite prime field")
     p = ring.p
     dim = M.rank * A.rank**2
-    cocycles = kernel_basis(coboundary_matrix(A, M, 2, False)).columns
+    cocycles = kernel_basis(coboundary_matrix(A, M, 2, False, guard)).columns
     if p ** len(cocycles) > guard_exponent:
         raise SizeGuardError(
             f"enumeration space of size {p}^{len(cocycles)} exceeds the guard {guard_exponent}"
         )
-    b1 = coboundary_matrix(A, M, 1, False)
+    b1 = coboundary_matrix(A, M, 1, False, guard)
     image = column_span_basis(b1)
     # echelon reduction data: leading row of each image column
     leads = [col[0][0] for col in image.columns]

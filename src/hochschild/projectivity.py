@@ -13,7 +13,6 @@ two directions explicit and never conflates them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebra import (
     Bimodule,
@@ -37,8 +36,7 @@ from .extensions import (
     lift_exists,
     trivial_extension,
 )
-from .matrix import DEFAULT_GUARD, Matrix, SizeGuardError, check_guard, coords_in_span, solve
-from .rings import QQ
+from .matrix import DEFAULT_GUARD, Matrix, SizeGuardError, check_guard, coords_in_span, rank, solve
 
 
 @dataclass(frozen=True)
@@ -188,13 +186,9 @@ def omega_is_projective(
             raise AssertionError("section from the vanishing class failed verification")
         return ProjectivityCertificate("projective", n, normalized, section=S)
     obstruction = "no bimodule-linear section exists"
-    if A.ring.kind == "Z" and solve(_to_rational(bn), _to_rational(f)) is not None:
+    if A.ring.kind == "Z" and rank(bn.hstack(f)) == rank(bn):  # f is in the rational span of bn
         obstruction = "torsion obstruction: a section exists over Q but not integrally"
     return ProjectivityCertificate("not_projective", n, normalized, obstruction=obstruction)
-
-
-def _to_rational(M: Matrix) -> Matrix:
-    return Matrix(QQ, M.rows, M.cols, (tuple((i, Fraction(v)) for i, v in c) for c in M.columns))
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,8 @@ def test_c05_extension_correspondence():
         B = two_cochain_from_vector(A, M, vec)
         ok, witness = is_two_cocycle(B)
         if ok:
-            crossed_product(A, M, B)  # validates as associative
+            total = crossed_product(A, M, B)
+            assert validate_algebra(total.ring, total.rank, total.basis_names, total.unit, total.mul) == total
         else:
             total = _crossed_product_unchecked(A, M, B)
             with pytest.raises(AlgebraError) as exc:

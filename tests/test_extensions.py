@@ -98,6 +98,7 @@ def test_nontrivial_crossed_product_validates():
     A, M, B = _xx_cocycle()
     total = crossed_product(A, M, B)
     assert total.rank == 4
+    assert validate_algebra(total.ring, total.rank, total.basis_names, total.unit, total.mul) == total
 
 
 def test_crossed_product_rejects_non_cocycle_with_witness():
@@ -124,7 +125,8 @@ def test_associativity_iff_cocycle_on_random_cochains():
             B = two_cochain_from_vector(A, M, vec)
             ok, witness = is_two_cocycle(B)
             if ok:
-                crossed_product(A, M, B)  # must validate
+                total = crossed_product(A, M, B)
+                assert validate_algebra(total.ring, total.rank, total.basis_names, total.unit, total.mul) == total
             else:
                 total = _crossed_product_unchecked(A, M, B)
                 with pytest.raises(AlgebraError) as exc:

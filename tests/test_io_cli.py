@@ -286,6 +286,9 @@ def test_cli_guard_zero_means_unlimited(capsys):
         ("hh", fx("dual_q.json"), "--degree", "1"),
         ("hh", fx("dual_q.json"), "--degree", "1", "--homology"),
         ("analyze", fx("dual_q.json")),
+        ("extensions", fx("dual_f2.json"), "--enumerate"),
+        ("extensions", fx("dual_f2.json"), "--class", fx("cocycle_dual_f2_xx.json")),
+        ("extensions", fx("dual_f2.json"), "--lift", fx("ext_dual_f2_trivial.json")),
     ],
 )
 def test_cli_negative_guard_is_a_validation_error(capsys, argv):
@@ -293,6 +296,12 @@ def test_cli_negative_guard_is_a_validation_error(capsys, argv):
     assert code == 2
     assert doc["error"]["stage"] == "validation"
     assert "--guard" in doc["error"]["witness"]
+
+
+def test_cli_extensions_enumerate_obeys_the_guard(capsys):
+    code, doc = run_cli(capsys, "extensions", fx("dual_f2.json"), "--enumerate", "--guard", "1")
+    assert code == 3
+    assert doc["error"]["stage"] == "size-guard"
 
 
 def test_cli_missing_file_exit_2(capsys):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hochschild.algebra import (
@@ -22,7 +24,6 @@ from hochschild.matrix import Matrix, SizeGuardError, solve
 from hochschild.projectivity import (
     _extension_class,
     _separable_primitive,
-    _to_rational,
     hcdim_scan,
     is_quasi_free,
     omega_is_projective,
@@ -169,6 +170,10 @@ def _section_system(A, om):
     return Matrix.from_triplets(ring, len(rows), N * r, triplets), Matrix.column(ring, rhs)
 
 
+def _to_rational(M):
+    return Matrix(QQ, M.rows, M.cols, (tuple((i, Fraction(v)) for i, v in c) for c in M.columns))
+
+
 def _oracle_verdict(A, n, normalized):
     system, rhs = _section_system(A, syzygy(A, n, normalized, guard=None))
     if solve(system, rhs) is not None:
@@ -194,6 +199,7 @@ ORACLE_ALGEBRAS = [
     dual_numbers(QQ),
     dual_numbers(F2),
     truncated_poly(F2, 3),
+    truncated_poly(ZZ, 3),
     _group_ring_c2(ZZ),
     _group_ring_c2(QQ),
     _group_ring_c2(GF(3)),
