@@ -102,10 +102,12 @@ def coboundary_matrix(
 def _embed_normalized_cochain(A: FiniteAlgebra, M: Bimodule, n: int, vec: Matrix) -> Matrix:
     """Zero-extend a normalized cochain (a vectorized column) to the full tensor basis."""
     d = A.rank
-    src_tuples = _tensor_tuples(d, n, True)
-    full_index = {t: i for i, t in enumerate(_tensor_tuples(d, n, False))}
-    T = len(src_tuples)
-    triplets = ((k // T, full_index[src_tuples[k % T]], v) for k, v in vec.columns[0])
+    T = (d - 1) ** n
+
+    def full_index(s):  # s has base-(d-1) digits t_i - 1; the full index is sum_i t_i d^(n-1-i)
+        return sum((s // (d - 1) ** i % (d - 1) + 1) * d**i for i in range(n))
+
+    triplets = ((k // T, full_index(k % T), v) for k, v in vec.columns[0])
     return Matrix.from_triplets(A.ring, M.rank, d**n, triplets)
 
 

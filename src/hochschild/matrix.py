@@ -7,7 +7,9 @@ so the bar and Hochschild complexes, which are almost entirely zero, cost
 memory and time in proportion to their nonzeros.  The elimination routines
 work on transient dict rows built straight from those columns, filed by
 leading column, so a reduction takes time proportional to its fill plus
-its pivot width.  Pivot rows are reduced against each other only where
+its pivot width.  _echelon alone picks the core: F_p the field core, Z
+and Q the integer core (Q on rows cleared of denominators, never on
+Fraction rows).  Pivot rows are reduced against each other only where
 they are read (normal forms, field solving, the Z cokernel); kernels and
 ranks skip that pass.  All arithmetic is exact; over Z every kernel is
 the full (hence saturated) integer kernel.
@@ -484,11 +486,10 @@ def _reduce_rows_int(rows: list[dict], pivot_width: int) -> list[tuple[int, dict
     return pivots
 
 
-def _reduce_rows_field(rows: list[dict], pivot_width: int, ring: ScalarRing) -> list[tuple[int, dict]]:
-    """Field row reduction over the first pivot_width columns, as _reduce_rows_int:
+def _reduce_rows_field(rows: list[dict], pivot_width: int, p: int) -> list[tuple[int, dict]]:
+    """Row reduction over F_p on the first pivot_width columns, as _reduce_rows_int:
     pivot rows are scaled to a leading 1 and the work is proportional to the
-    fill plus pivot_width."""
-    modp = ring.p if ring.kind == "Fp" else 0
+    fill plus pivot_width.  Q runs the integer core instead (see _echelon)."""
     buckets: dict[int, list[int]] = {}
     for k, r in enumerate(rows):
         _file_by_lead(buckets, k, r, pivot_width)
@@ -499,17 +500,13 @@ def _reduce_rows_field(rows: list[dict], pivot_width: int, ring: ScalarRing) -> 
             continue
         holders.sort()
         piv = rows[holders[0]]
-        inv = ring.invert(piv[c])
-        if inv != ring.one:
-            if modp:
-                for k in list(piv):
-                    piv[k] = piv[k] * inv % modp
-            else:
-                for k in list(piv):
-                    piv[k] = piv[k] * inv
+        inv = pow(piv[c], -1, p)
+        if inv != 1:
+            for k in list(piv):
+                piv[k] = piv[k] * inv % p
         for k in holders[1:]:
             r = rows[k]
-            _row_sub(r, piv, r[c], modp)
+            _row_sub(r, piv, r[c], p)
             _file_by_lead(buckets, k, r, pivot_width)
         pivots.append((c, piv))
     rows[:] = [r for r in rows if r and min(r) >= pivot_width]
@@ -547,12 +544,31 @@ def _back_substitute(pivots: list[tuple[int, dict]], ring: ScalarRing) -> None:
                             heappush(heap, k)
 
 
-def _scale_row_to_int(row: dict) -> dict:
-    """Clear Fraction denominators of a dict row (multiplies by a positive unit)."""
-    if not row:
-        return {}
-    denom = lcm(*[v.denominator for v in row.values()]) if row else 1
-    return {c: int(v * denom) for c, v in row.items()}
+def _echelon(ring: ScalarRing, rows: list[dict], width: int) -> list[tuple[int, dict]]:
+    """Echelon pivot rows over the first width columns, by the core of the ring.
+
+    Over Q each row is first cleared of denominators, a positive unit, so the
+    integer core sees the same rational row space, pivot columns and RREF.
+    As in the cores, the list is left holding the rows led past width.
+    """
+    if ring.kind == "Fp":
+        return _reduce_rows_field(rows, width, ring.p)
+    if ring.kind == "Q":
+        for k, r in enumerate(rows):
+            d = lcm(*[v.denominator for v in r.values()])
+            rows[k] = {c: v.numerator * (d // v.denominator) for c, v in r.items()}
+    return _reduce_rows_int(rows, width)
+
+
+def _reduced_echelon(ring: ScalarRing, rows: list[dict], width: int) -> list[tuple[int, dict]]:
+    """The pivot rows of _echelon reduced against each other: the Hermite form
+    over Z, the RREF over a field.  Over Q each integer pivot row is divided
+    by its pivot first."""
+    pivots = _echelon(ring, rows, width)
+    if ring.kind == "Q":
+        pivots = [(c, {k: Fraction(v, r[c]) for k, v in r.items()}) for c, r in pivots]
+    _back_substitute(pivots, ring)
+    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +578,13 @@ def _scale_row_to_int(row: dict) -> dict:
 
 def rank(M: Matrix) -> int:
     # the column rank: the columns of M are the rows of its transpose
-    rows = [dict(c) for c in M.columns]
-    if M.ring.kind == "Fp":
-        return len(_reduce_rows_field(rows, M.rows, M.ring))
-    if M.ring.kind == "Q":
-        rows = [_scale_row_to_int(r) for r in rows]
-    return len(_reduce_rows_int(rows, M.rows))
+    return len(_echelon(M.ring, [dict(c) for c in M.columns], M.rows))
+
+
+def _combination_rows(M: Matrix) -> list[dict]:
+    """The columns of M as dict rows, row j carrying e_j past M.rows (its combination)."""
+    m, one = M.rows, M.ring.one
+    return [dict(col + ((m + j, one),)) for j, col in enumerate(M.columns)]
 
 
 def kernel_basis(M: Matrix) -> Matrix:
@@ -577,36 +594,16 @@ def kernel_basis(M: Matrix) -> Matrix:
     result is saturated.  Computed by reducing the transpose augmented with an
     identity block: rows whose leading part dies give the kernel combinations.
     """
-    n, m = M.cols, M.rows
-    rational = M.ring.kind == "Q"
-    one = M.ring.one
-    rows = []
-    for j, col in enumerate(M.columns):
-        row = dict(col)
-        row[m + j] = one
-        if rational:
-            row = _scale_row_to_int(row)
-        rows.append(row)
-    if M.ring.kind == "Fp":
-        _reduce_rows_field(rows, m, M.ring)
-    else:
-        _reduce_rows_int(rows, m)
-    kernel_rows = [{c - m: v for c, v in r.items()} for r in rows]  # leading parts are zero
-    return _normal_form_columns(M.ring, kernel_rows, n)
+    rows = _combination_rows(M)
+    _echelon(M.ring, rows, M.rows)
+    kernel_rows = [{c - M.rows: v for c, v in r.items()} for r in rows]  # leading parts are zero
+    return _normal_form_columns(M.ring, kernel_rows, M.cols)
 
 
 def _normal_form_columns(ring: ScalarRing, vec_rows: list[dict], width: int) -> Matrix:
     """Canonicalize a set of vectors (dict rows of the given width) to echelon columns."""
-    vecs = [dict(r) for r in vec_rows if r]
-    if ring.kind == "Z":
-        pivots = _reduce_rows_int(vecs, width)
-    else:
-        if ring.kind == "Q":
-            vecs = [{c: Fraction(v) for c, v in r.items()} for r in vecs]
-        pivots = _reduce_rows_field(vecs, width, ring)
-    _back_substitute(pivots, ring)
-    canon = _canonizer(ring)
-    cols = tuple(tuple((k, canon(r[k])) for k in sorted(r)) for _, r in pivots)
+    pivots = _reduced_echelon(ring, [dict(r) for r in vec_rows if r], width)
+    cols = tuple(tuple(sorted(r.items())) for _, r in pivots)
     return _make(ring, width, len(cols), cols)
 
 
@@ -676,53 +673,32 @@ def coords_in_span(basis: Matrix, M: Matrix) -> Matrix:
 def solve(M: Matrix, b: Matrix) -> Matrix | None:
     """One solution x of M x = b over the ring, or None (absence is a normal outcome).
 
-    Over Z the decision is integral: a rational-only solution yields None.
+    Over a field x is read off the RREF of [M | b] with every free variable
+    0; over Q that RREF comes from integer rows (see _echelon).  Over Z the
+    decision is integral: a rational-only solution yields None.
     """
     if b.rows != M.rows or b.cols != 1:
         raise ShapeError("right-hand side must be a column of matching height")
     M._same(b)
-    ring = M.ring
-    z = ring.zero
+    ring, m, n = M.ring, M.rows, M.cols
     if ring.kind == "Z":
-        # Echelon form of the transpose, rows augmented by unit combination
-        # vectors.  The Hermite rows would be a unitriangular recombination of
-        # these, giving the same x, so no back-substitution is needed.
-        rows = []
-        for j, col in enumerate(M.columns):
-            row = dict(col)
-            row[M.rows + j] = 1
-            rows.append(row)
-        pivots = _reduce_rows_int(rows, M.rows)
-        residual = b.col_list(0)
-        x = [0] * M.cols
-        for c, r in pivots:
-            val = residual[c]
-            if val == 0:
-                continue
-            if val % r[c] != 0:
-                return None
-            q = val // r[c]
-            for k, v in r.items():
-                if k < M.rows:
-                    residual[k] -= q * v
-                else:
-                    x[k - M.rows] += q * v
-        if any(v != 0 for v in residual):
+        # Echelon rows of the transpose with their combinations of the columns of
+        # M: the leading parts are triangular, so b has unique coordinates in them,
+        # and x is the same combination of the combination parts.
+        pivots = [sorted(r.items()) for _, r in _echelon(ring, _combination_rows(M), m)]
+        lead = tuple(tuple((k, v) for k, v in r if k < m) for r in pivots)
+        combo = tuple(tuple((k - m, v) for k, v in r if k >= m) for r in pivots)
+        try:
+            return _make(ring, n, len(combo), combo) * coords_in_span(_make(ring, m, len(lead), lead), b)
+        except ContainmentError:
             return None
-        return Matrix.column(ring, x)
-    # field case: RREF of [M | b]
     rows = [dict(c) for c in M.transpose().columns]
     for i, v in b.columns[0]:
-        rows[i][M.cols] = v
-    pivots = _reduce_rows_field(rows, M.cols, ring)
-    _back_substitute(pivots, ring)
-    for r in rows:
-        if r and M.cols in r:
-            return None  # zero row with nonzero rhs
-    x = [z] * M.cols
-    for c, r in pivots:
-        x[c] = ring.canon(r.get(M.cols, z))
-    return Matrix.column(ring, x)
+        rows[i][n] = v
+    pivots = _reduced_echelon(ring, rows, n)
+    if rows:
+        return None  # a row left over is 0 = b_i with b_i nonzero
+    return _make(ring, n, 1, (tuple((c, r[n]) for c, r in pivots if n in r),))
 
 
 def smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -850,9 +826,9 @@ def cokernel_invariants(M: Matrix) -> KModuleInvariants:
     a trivial summand; only the rows with a pivot > 1 go through the Smith
     normal form.
     """
+    pivots = _echelon(M.ring, [dict(c) for c in M.columns if c], M.rows)
     if M.ring.kind != "Z":
-        return KModuleInvariants(M.rows - rank(M))
-    pivots = _reduce_rows_int([dict(c) for c in M.columns if c], M.rows)
+        return KModuleInvariants(M.rows - len(pivots))
     _back_substitute(pivots, ZZ)
     residue = [r for c, r in pivots if r[c] > 1]
     diag = [1] * (len(pivots) - len(residue))
@@ -893,7 +869,7 @@ def quotient_generators(Z: Matrix, B: Matrix) -> tuple[KModuleInvariants, list[M
         return invariants_from_diagonal(diag, r), [G.submatrix_cols((k,)) for k in range(len(idx))]
     # field: complement of span(coords) inside k^r
     rows = [dict(c) for c in C.columns if c]
-    pivot_cols = {c for c, _ in _reduce_rows_field(rows, r, ring)}
+    pivot_cols = {c for c, _ in _echelon(ring, rows, r)}
     invs = KModuleInvariants(r - len(pivot_cols))
     gens = [basis.submatrix_cols((i,)) for i in range(r) if i not in pivot_cols]
     return invs, gens

@@ -13,6 +13,7 @@ two directions explicit and never conflates them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .algebra import (
     Bimodule,
@@ -169,6 +170,13 @@ def omega_is_projective(
     """
     if normalized is None:
         normalized = A.has_unital_basis
+    return _omega_is_projective(A, n, normalized, guard)
+
+
+@lru_cache(maxsize=None)
+def _omega_is_projective(A: FiniteAlgebra, n: int, normalized: bool, guard: int | None) -> ProjectivityCertificate:
+    """omega_is_projective with normalized resolved, memoized like _syzygy: is_quasi_free
+    and hcdim_scan share each level; a refusal raises before anything is cached."""
     check_guard(bar_rank(A, n, normalized), bar_rank(A, n - 1, normalized), guard)
     om = syzygy(A, n, normalized, guard=guard)
     om_next = syzygy(A, n + 1, normalized, guard=guard)

@@ -10,9 +10,8 @@ from hochschild.algebra import regular_bimodule
 from hochschild.catalog import dual_numbers, upper_triangular2
 from hochschild.cohomology import coboundary_matrix
 from hochschild.matrix import (
-    _back_substitute,
-    _reduce_rows_field,
     _reduce_rows_int,
+    _reduced_echelon,
     _row_sub,
     ContainmentError,
     KModuleInvariants,
@@ -619,15 +618,41 @@ def _oracle_solve_z(M, b):
     return Matrix.column(ZZ, x)
 
 
+def _oracle_solve_field(M, b):
+    """Reference: x off the RREF of [M | b] from the reference field core (on
+    Fraction rows over Q), every free variable 0."""
+    n = M.cols
+    rows = [dict(c) for c in M.transpose().columns]
+    for i, v in b.columns[0]:
+        rows[i][n] = v
+    pivots = _oracle_reduce_rows_field(rows, n, M.ring)
+    if any(rows):
+        return None
+    x = [M.ring.zero] * n
+    for c, r in pivots:
+        x[c] = r.get(n, M.ring.zero)
+    return Matrix.column(M.ring, x)
+
+
 def _reduce_both(ring, rows, width):
-    """(reference pivots, reference leftovers, new pivots, new leftovers) on copies of rows."""
+    """(reference pivots, reference leftovers, new pivots, new leftovers) on copies of rows.
+
+    The new side is the production route to the Hermite form or the RREF:
+    the core _echelon picks for the ring (over Q the integer core on rows
+    cleared of denominators), then back-substitution.
+    """
     old_rows, new_rows = [dict(r) for r in rows], [dict(r) for r in rows]
     if ring.kind == "Z":
-        old, new = _oracle_reduce_rows_int(old_rows, width), _reduce_rows_int(new_rows, width)
+        old = _oracle_reduce_rows_int(old_rows, width)
     else:
-        old, new = _oracle_reduce_rows_field(old_rows, width, ring), _reduce_rows_field(new_rows, width, ring)
-    _back_substitute(new, ring)
-    return old, old_rows, new, new_rows
+        old = _oracle_reduce_rows_field(old_rows, width, ring)
+    return old, old_rows, _reduced_echelon(ring, new_rows, width), new_rows
+
+
+def _full_rref(pivots, leftovers, ncols):
+    """The RREF over all ncols columns of the pivot rows and the leftover rows (Q)."""
+    rows = [{c: Fraction(v) for c, v in r.items()} for r in [r for _, r in pivots] + leftovers]
+    return _oracle_reduce_rows_field(rows, ncols, QQ)
 
 
 @st.composite
@@ -651,18 +676,34 @@ def elimination_inputs(draw):
 def test_cores_match_the_unbucketed_reference(case):
     ring, rows, width = case
     old, old_left, new, new_left = _reduce_both(ring, rows, width)
+    if ring.kind == "Q" and any(old_left):
+        # The integer core picks the pivot of smallest magnitude, the reference
+        # the first row, so the rows left over differ, and with them the
+        # augmented columns (past width) of the pivot rows, which are unique
+        # only up to the span of the leftovers.  Adding the leftovers to the
+        # reduction makes the form unique again: it must agree pivot for
+        # pivot, augmented columns included.
+        ncols = 1 + max((c for r in rows for c in r), default=-1)
+        assert _full_rref(new, new_left, ncols) == _full_rref(old, old_left, ncols)
+        assert [(c, {k: v for k, v in r.items() if k < width}) for c, r in new] == [
+            (c, {k: v for k, v in r.items() if k < width}) for c, r in old
+        ]
+        return
     assert new == old  # same pivot columns, equal rows, augmented columns included
     # the reference keeps empty input rows when no column has a pivot; no caller reads them
     assert new_left == [r for r in old_left if r]
 
 
 @PROPS
-@given(matrices(rings=(ZZ,)), st.data())
+@given(matrices(), st.data())
 def test_integer_solve_matches_the_reference(M, data):
-    y = Matrix.column(ZZ, data.draw(st.lists(st.integers(-3, 3), min_size=M.cols, max_size=M.cols)))
-    b_any = Matrix.column(ZZ, data.draw(st.lists(st.integers(-3, 3), min_size=M.rows, max_size=M.rows)))
+    # x itself must agree, not merely solve: the golden reports freeze it
+    ring = M.ring
+    oracle = _oracle_solve_z if ring.kind == "Z" else _oracle_solve_field
+    y = Matrix.column(ring, data.draw(st.lists(_values(ring), min_size=M.cols, max_size=M.cols)))
+    b_any = Matrix.column(ring, data.draw(st.lists(_values(ring), min_size=M.rows, max_size=M.rows)))
     for b in (M * y, b_any):
-        assert solve(M, b) == _oracle_solve_z(M, b)
+        assert solve(M, b) == oracle(M, b)
 
 
 def test_integer_back_substitution_follows_later_pivot_columns():
@@ -684,9 +725,11 @@ def test_elimination_is_not_quadratic_in_the_pivot_width(ring):
     # by one column, and each pivot step touches two or three entries
     n = 4000
     M = Matrix.from_triplets(ring, n, n, [(i, j, 1) for j in range(n) for i in (n - 1 - j, n - 2 - j) if i >= 0])
+    ones = Matrix.column(ring, [1] * n)
     start = time.perf_counter()
     assert kernel_basis(M).cols == 0
     assert rank(M) == n
+    assert solve(M, M * ones) == ones
     assert time.perf_counter() - start < 5.0
 
 

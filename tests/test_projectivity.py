@@ -318,3 +318,27 @@ def test_hcdim_scan_quasi_free_non_separable():
 def test_scan_respects_guard():
     report = hcdim_scan(dual_numbers(QQ), 2, guard=10)
     assert any("guard" in note for note in report.notes)
+
+
+def test_analyze_decides_level_one_once(monkeypatch):
+    # is_quasi_free and hcdim_scan share one memoized level-1 certificate
+    import contextlib
+    import io
+    from importlib import resources
+
+    from hochschild import cli, projectivity
+
+    decided = []
+    extension_class = projectivity._extension_class
+
+    def counting(A, om_next):
+        decided.append(om_next.level - 1)
+        return extension_class(A, om_next)
+
+    monkeypatch.setattr(projectivity, "_extension_class", counting)
+    projectivity._omega_is_projective.cache_clear()
+    dual_q = str(resources.files("hochschild") / "fixtures" / "dual_q.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["analyze", dual_q, "--cap", "2"]) == 0
+    assert decided.count(1) == 1
+    assert sorted(decided) == [0, 1, 2]
