@@ -24,12 +24,15 @@ from .extensions import (
 )
 from .io_json import (
     SchemaError,
+    _load_doc,
     _matrix_to_json,
+    _resolve_algebra,
     dumps,
     load_algebra,
     load_bimodule,
     load_cochain,
     load_extension,
+    presented_module_from_json,
     ring_from_json,
     ring_to_json,
 )
@@ -173,10 +176,8 @@ def cmd_extensions(args) -> int:
 def cmd_koszul(args) -> int:
     guard = _guard_value(args)
     if args.finite:
-        instance = json.loads(Path(args.finite).read_text())
+        instance = _load_doc(args.finite)
         base = Path(args.finite).parent
-        from .io_json import _resolve_algebra, presented_module_from_json
-
         A = _resolve_algebra(instance.get("algebra"), base)
         if "module" in instance and instance["module"] != "self":
             Mod = presented_module_from_json(dict(instance["module"], algebra=instance.get("algebra")), base)
@@ -280,10 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     ex.set_defaults(func=cmd_extensions)
 
     ko = sub.add_parser("koszul", help="Koszul Tor tables and flat-dimension certificates")
-    ko.add_argument("--vars", type=int, help="number of polynomial variables (graded route)")
+    route = ko.add_mutually_exclusive_group(required=True)
+    route.add_argument("--vars", type=int, help="number of polynomial variables (graded route)")
+    route.add_argument("--finite", help="finite-rank instance file: {algebra, sequence, module}")
     ko.add_argument("--ring", default="Z", help='base ring: Z, Q or {"Fp": p}')
     ko.add_argument("--cap", type=int, default=4, help="internal degree cap (graded route)")
-    ko.add_argument("--finite", help="finite-rank instance file: {algebra, sequence, module}")
     common(ko)
     ko.set_defaults(func=cmd_koszul)
 

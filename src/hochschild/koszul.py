@@ -3,13 +3,16 @@
 Two settings share the machinery: finite-rank commutative algebras acting on
 finitely presented coefficient modules, and graded polynomial rings handled
 degree by degree under a cap (each graded piece is honest finite
-linear algebra; infinite-rank modules are never represented).
+linear algebra; infinite-rank modules are never represented).  Both build
+the terms wedge^i (x) P_i as presented modules and the differentials with
+one block assembler, and read Tor through one homology loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .algebra import AlgebraError, FiniteAlgebra, act, left_mult_matrix
@@ -33,41 +36,19 @@ from .rings import ZZ, ScalarRing
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExteriorBasis:
-    """The C(d, n) sorted n-subsets of {0..d-1} in lexicographic order."""
-
-    d: int
-    n: int
-    subsets: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def of(d: int, n: int) -> "ExteriorBasis":
-        return ExteriorBasis(d, n, tuple(combinations(range(d), n)))
-
-    def index(self, subset: tuple[int, ...]) -> int:
-        return self.subsets.index(subset)
-
-    def __len__(self) -> int:
-        return len(self.subsets)
-
-
 def koszul_sign_pattern(d: int, n: int) -> list[tuple[int, int, int, int]]:
     """(target_index, source_index, sign, variable) entries of the n-th differential.
 
+    Exterior bases are the sorted subsets of {0..d-1} in lexicographic order.
     The source basis element e_{i1} ^ ... ^ e_{in} maps to the alternating sum
     over j of (-1)^(j+1) x_{ij} times the wedge with e_{ij} omitted.
     """
-    src = ExteriorBasis.of(d, n)
-    dst = ExteriorBasis.of(d, n - 1)
-    dst_index = {s: i for i, s in enumerate(dst.subsets)}
-    out = []
-    for ci, S in enumerate(src.subsets):
-        for j, var in enumerate(S):
-            sign = 1 if j % 2 == 0 else -1  # (-1)^(j+1) with j one-based
-            T = S[:j] + S[j + 1 :]
-            out.append((dst_index[T], ci, sign, var))
-    return out
+    dst_index = {T: i for i, T in enumerate(combinations(range(d), n - 1))}
+    return [
+        (dst_index[S[:j] + S[j + 1 :]], ci, 1 if j % 2 == 0 else -1, var)  # (-1)^(j+1) with j one-based
+        for ci, S in enumerate(combinations(range(d), n))
+        for j, var in enumerate(S)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +166,16 @@ def regular_sequence_check(M: PresentedModule, xs) -> RegularSequenceReport:
 # ---------------------------------------------------------------------------
 
 
+def _actions(M: PresentedModule, xs) -> list[Matrix]:
+    """The actions of x_1..x_d on M: the blocks of every Koszul differential on M.
+
+    An empty sequence builds no differential, so it is accepted over any algebra.
+    """
+    if xs and not M.algebra.is_commutative:
+        raise AlgebraError("Koszul complexes need a commutative algebra")
+    return [act(M.action, list(x)) for x in xs]
+
+
 def koszul_differential(
     M: PresentedModule, xs, n: int, guard: int | None = DEFAULT_GUARD
 ) -> Matrix:
@@ -192,28 +183,28 @@ def koszul_differential(
 
     Blocks follow koszul_sign_pattern; each block is +-(action of x_j).
     """
-    A = M.algebra
-    if not A.is_commutative:
-        raise AlgebraError("Koszul complexes need a commutative algebra")
-    xs = [list(x) for x in xs]
-    d = len(xs)
-    if not 1 <= n <= d:
+    blocks = _actions(M, xs)
+    if not 1 <= n <= len(blocks):
         raise ValueError("exterior degree out of range")
-    g = M.generators
-    rows = comb(d, n - 1) * g
-    cols = comb(d, n) * g
+    return _block_differential(n, blocks, guard)
+
+
+def _block_differential(n: int, blocks: list[Matrix], guard: int | None) -> Matrix:
+    """The n-th differential with block (ti, ci) = sign * blocks[var], over len(blocks) variables.
+
+    The blocks share one shape: they map the piece under wedge^n to the piece
+    under wedge^(n-1).
+    """
+    d, X = len(blocks), blocks[0]
+    rows, cols = comb(d, n - 1) * X.rows, comb(d, n) * X.cols
     check_guard(rows, cols, guard)
-    acts = [act(M.action, x) for x in xs]
-    return Matrix.from_triplets(A.ring, rows, cols, _block_triplets(koszul_sign_pattern(d, n), acts))
-
-
-def _block_triplets(pattern, blocks):
-    """Triplets of the block matrix with block (ti, ci) = sign * blocks[var]."""
-    for ti, ci, sign, var in pattern:
-        X = blocks[var]
-        for c, col in enumerate(X.columns):
-            for r, v in col:
-                yield ti * X.rows + r, ci * X.cols + c, v if sign > 0 else -v
+    triplets = (
+        (ti * X.rows + r, ci * X.cols + c, v if sign > 0 else -v)
+        for ti, ci, sign, var in koszul_sign_pattern(d, n)
+        for c, col in enumerate(blocks[var].columns)
+        for r, v in col
+    )
+    return Matrix.from_triplets(X.ring, rows, cols, triplets)
 
 
 def homology_of_presented(
@@ -225,6 +216,28 @@ def homology_of_presented(
     Z = cyc.hstack(relations_mid)
     B = incoming.hstack(relations_mid)
     return subquotient_invariants(Z, B)
+
+
+def _koszul_homology(terms, guard: int | None) -> list[KModuleInvariants]:
+    """Homology of the complex wedge^i (x) P_i, i = 0..d, with terms[i] = (relations, blocks).
+
+    P_i is its relation matrix's rows modulo its columns, and the blocks of
+    term i >= 1 map P_i to P_(i-1) (see _block_differential); those of term 0
+    are not read.
+    """
+    d = len(terms) - 1
+    ring = terms[0][0].ring
+    rels = [Matrix.zeros(ring, 0, 0)]
+    rels += [Matrix.identity(ring, comb(d, i)).kron(R) for i, (R, _) in enumerate(terms)]
+    diffs = [Matrix.zeros(ring, 0, rels[1].rows)]
+    diffs += [_block_differential(i, blocks, guard) for i, (_, blocks) in enumerate(terms) if i]
+    diffs.append(Matrix.zeros(ring, rels[-1].rows, 0))
+    return [
+        homology_of_presented(diffs[i + 1], diffs[i], rels[i + 1], rels[i])
+        if rels[i + 1].rows
+        else KModuleInvariants(0)
+        for i in range(d + 1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -241,31 +254,13 @@ def finite_koszul_tor(A: FiniteAlgebra, xs, M: PresentedModule, guard: int | Non
     it is refused.
     """
     xs = [list(x) for x in xs]
-    d = len(xs)
     reg = regular_sequence_check(free_module(A), xs)
     if not reg.ok:
         raise AlgebraError(
             f"the sequence is not regular on the algebra (fails at index {reg.failing_index}: {reg.reason}); "
             "the Koszul complex is only a resolution for regular sequences"
         )
-    diffs = {n: koszul_differential(M, xs, n, guard) for n in range(1, d + 1)}
-    g = M.generators
-    ring = A.ring
-
-    def rel_at(i: int) -> Matrix:
-        blocks = comb(d, i)
-        if blocks == 0:
-            return Matrix.zeros(ring, 0, 0)
-        return Matrix.identity(ring, blocks).kron(M.relations) if M.relations.cols else Matrix.zeros(
-            ring, blocks * g, 0
-        )
-
-    tor = []
-    for i in range(d + 1):
-        outgoing = diffs[i] if i >= 1 else Matrix.zeros(ring, 0, g)
-        rel_out = rel_at(i - 1) if i >= 1 else Matrix.zeros(ring, 0, 0)
-        incoming = diffs[i + 1] if i + 1 <= d else Matrix.zeros(ring, comb(d, i) * g, 0)
-        tor.append(homology_of_presented(incoming, outgoing, rel_at(i), rel_out))
+    tor = _koszul_homology([(M.relations, _actions(M, xs))] * (len(xs) + 1), guard)
     fd = max((i for i, t in enumerate(tor) if not t.is_zero), default=0)
     return FiniteTorReport(tuple(tor), fd)
 
@@ -275,49 +270,23 @@ def finite_koszul_tor(A: FiniteAlgebra, xs, M: PresentedModule, guard: int | Non
 # ---------------------------------------------------------------------------
 
 
-def _monomials(v: int, degree: int) -> list[tuple[int, ...]]:
-    """Exponent vectors of total degree `degree`, in descending degrevlex order."""
-    if degree < 0:
-        return []
-    out = []
+def _multiplication_maps(v: int, ring: ScalarRing, degree: int) -> list[Matrix]:
+    """Multiplication by x_0, ..., x_(v-1) from degree to degree + 1 in k[x_0..x_(v-1)] (0/1 matrices).
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], degree, v)
-    # within one degree, descending degrevlex = ascending reversed exponent tuples
-    out.sort(key=lambda m: tuple(reversed(m)))
-    return out
-
-
-@dataclass(frozen=True)
-class GradedPolyModule:
-    """Degreewise model of k[x_1..x_v] up to a degree cap."""
-
-    variables: int
-    ring: ScalarRing
-    cap: int
-
-    def basis(self, degree: int) -> list[tuple[int, ...]]:
-        if degree > self.cap:
-            raise ValueError("degree exceeds the cap")
-        return _monomials(self.variables, degree)
-
-    def multiplication_map(self, var: int, degree: int) -> Matrix:
-        """Multiplication by x_var from degree to degree + 1 (a 0/1 matrix)."""
-        src = self.basis(degree)
-        dst = self.basis(degree + 1)
-        dst_index = {m: i for i, m in enumerate(dst)}
-        cols = []
-        for mono in src:
-            bumped = list(mono)
-            bumped[var] += 1
-            cols.append(((dst_index[tuple(bumped)], self.ring.one),))
-        return Matrix(self.ring, len(dst), len(src), cols)
+    A monomial is the sorted tuple of its variables; each degree lists its
+    monomials in descending degrevlex order.  Negative degrees are 0.
+    """
+    src, dst = (
+        sorted(combinations_with_replacement(range(v), e), key=lambda m: m[::-1]) if e >= 0 else []
+        for e in (degree, degree + 1)
+    )
+    dst_index = {m: i for i, m in enumerate(dst)}
+    return [
+        Matrix.from_triplets(
+            ring, len(dst), len(src), ((dst_index[tuple(sorted(m + (j,)))], c, ring.one) for c, m in enumerate(src))
+        )
+        for j in range(v)
+    ]
 
 
 @dataclass(frozen=True)
@@ -342,76 +311,25 @@ def graded_koszul_tor(
     """Tor of the residue module (all variables act by zero) over k[x_1..x_v].
 
     The Koszul complex on the full variable sequence is processed one
-    internal degree at a time; each graded piece is a presented module and
-    its homology is exact linear algebra.  Certifies the flat dimension v:
-    Tor_v is free of rank 1 and Tor_(v+1) vanishes (the complex has length v).
+    internal degree e at a time: its term i is wedge^i (x) S_(e-i) modulo the
+    ideal (x_1..x_v) acting on S_(e-i-1), a presented module, so its homology
+    is exact linear algebra.  Certifies the flat dimension v: Tor_v is free
+    of rank 1 and Tor_(v+1) vanishes (the complex has length v).
     """
     v = variables
     if v < 1:
         raise ValueError("need at least one variable")
     if cap < v:
         raise ValueError(f"degree cap {cap} is too small to certify the top Tor; need >= {v}")
-    P = GradedPolyModule(v, ring, cap + 1)
-    pattern = {n: koszul_sign_pattern(v, n) for n in range(1, v + 1)}
-
-    def free_rank_at(i: int, e: int) -> int:
-        mono = e - i
-        return comb(v, i) * (comb(mono + v - 1, v - 1) if mono >= 0 else 0)
-
-    def mono_count(e: int) -> int:
-        return comb(e + v - 1, v - 1) if e >= 0 else 0
-
-    def differential(i: int, e: int) -> Matrix:
-        src_m = mono_count(e - i)
-        dst_m = mono_count(e - i + 1)
-        rows = comb(v, i - 1) * dst_m
-        cols = comb(v, i) * src_m
-        check_guard(rows, cols, guard)
-        if not (src_m and dst_m):
-            return Matrix.zeros(ring, rows, cols)
-        mult = [P.multiplication_map(j, e - i) for j in range(v)]
-        return Matrix.from_triplets(ring, rows, cols, _block_triplets(pattern[i], mult))
-
-    def relations(i: int, e: int) -> Matrix:
-        # the ideal (x_1..x_v) acting on the graded piece below
-        cols_m = mono_count(e - i - 1)
-        rows_m = mono_count(e - i)
-        blocks = comb(v, i)
-        if blocks == 0 or rows_m == 0 or cols_m == 0:
-            return Matrix.zeros(ring, blocks * rows_m, 0)
-        I = Matrix.identity(ring, blocks)
-        stacked = None
-        for j in range(v):
-            block = I.kron(P.multiplication_map(j, e - i - 1))
-            stacked = block if stacked is None else stacked.hstack(block)
-        return stacked
-
-    by_degree = []
-    aggregated = []
-    for i in range(v + 2):
-        per_degree = []
-        invs_list = []
-        for e in range(cap + 1):
-            if i > v:
-                continue
-            F_rank = free_rank_at(i, e)
-            if F_rank == 0:
-                continue
-            outgoing = differential(i, e) if i >= 1 else Matrix.zeros(ring, 0, F_rank)
-            rel_out = relations(i - 1, e) if i >= 1 else Matrix.zeros(ring, 0, 0)
-            incoming = (
-                differential(i + 1, e)
-                if i + 1 <= v and free_rank_at(i + 1, e) > 0
-                else Matrix.zeros(ring, F_rank, 0)
-            )
-            h = homology_of_presented(incoming, outgoing, relations(i, e), rel_out)
-            if not h.is_zero:
-                per_degree.append((e, h))
-            invs_list.append(h)
-        by_degree.append(tuple(per_degree))
-        aggregated.append(_aggregate(invs_list))
-    fd = max((i for i, t in enumerate(aggregated) if not t.is_zero), default=0)
-    return GradedTorReport(v, cap, tuple(by_degree), tuple(aggregated), fd)
+    maps = {k: _multiplication_maps(v, ring, k) for k in range(-v - 1, cap)}
+    per_e = []
+    for e in range(cap + 1):
+        terms = [(reduce(Matrix.hstack, maps[e - i - 1]), maps[e - i] if i else None) for i in range(v + 1)]
+        per_e.append(_koszul_homology(terms, guard))
+    by_degree = [tuple((e, h[i]) for e, h in enumerate(per_e) if not h[i].is_zero) for i in range(v + 1)] + [()]
+    tor = [_aggregate([h[i] for h in per_e]) for i in range(v + 1)] + [KModuleInvariants(0)]
+    fd = max((i for i, t in enumerate(tor) if not t.is_zero), default=0)
+    return GradedTorReport(v, cap, tuple(by_degree), tuple(tor), fd)
 
 
 # ---------------------------------------------------------------------------

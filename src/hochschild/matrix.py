@@ -581,6 +581,15 @@ def rank(M: Matrix) -> int:
     return len(_echelon(M.ring, [dict(c) for c in M.columns], M.rows))
 
 
+def _dict_rows(M: Matrix) -> list[dict]:
+    """The rows of M as dicts {column: value}, keys in increasing column order."""
+    rows = [{} for _ in range(M.rows)]
+    for j, col in enumerate(M.columns):
+        for i, v in col:
+            rows[i][j] = v
+    return rows
+
+
 def _combination_rows(M: Matrix) -> list[dict]:
     """The columns of M as dict rows, row j carrying e_j past M.rows (its combination)."""
     m, one = M.rows, M.ring.one
@@ -692,7 +701,7 @@ def solve(M: Matrix, b: Matrix) -> Matrix | None:
             return _make(ring, n, len(combo), combo) * coords_in_span(_make(ring, m, len(lead), lead), b)
         except ContainmentError:
             return None
-    rows = [dict(c) for c in M.transpose().columns]
+    rows = _dict_rows(M)
     for i, v in b.columns[0]:
         rows[i][n] = v
     pivots = _reduced_echelon(ring, rows, n)
@@ -715,7 +724,7 @@ def smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     if M.ring.kind != "Z":
         raise RingError("Smith normal form requires the ring Z")
     m, n = M.rows, M.cols
-    diag, U, _, V = _smith([dict(r) for r in M.transpose().columns], n)
+    diag, U, _, V = _smith(_dict_rows(M), n)
     D = tuple(((j, diag[j]),) if j < len(diag) and diag[j] else () for j in range(n))
     return _make(ZZ, m, m, U).transpose(), _make(ZZ, m, n, D), _make(ZZ, n, n, V)
 
@@ -862,7 +871,7 @@ def quotient_generators(Z: Matrix, B: Matrix) -> tuple[KModuleInvariants, list[M
     ring = Z.ring
     C = coords_in_span(basis, B)
     if ring.kind == "Z":
-        diag, _, Uinv, _ = _smith([dict(row) for row in C.transpose().columns], C.cols)
+        diag, _, Uinv, _ = _smith(_dict_rows(C), C.cols)
         # generators of Z^r / C are the columns of U^-1 at the free and torsion places
         idx = [i for i in range(r) if i >= len(diag) or not diag[i]] + [i for i, d in enumerate(diag) if d > 1]
         G = basis * _make(ZZ, r, len(idx), tuple(Uinv[i] for i in idx))

@@ -215,6 +215,29 @@ def test_cli_koszul_sequence_of_wrong_length_exit_2(capsys, tmp_path, algebra, e
     assert "coordinates" in doc["error"]["witness"]
 
 
+@pytest.mark.parametrize("content", [None, "{not json"])
+def test_cli_koszul_unreadable_instance_exit_2(capsys, tmp_path, content):
+    instance = tmp_path / "instance.json"
+    if content is not None:
+        instance.write_text(content)
+    code, doc = run_cli(capsys, "koszul", "--finite", str(instance))
+    assert code == 2
+    assert doc["error"]["stage"] == "file"
+
+
+def test_cli_koszul_needs_vars_or_finite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["koszul", "--ring", "Z"])
+    assert exc.value.code == 2
+    assert "--vars" in capsys.readouterr().err
+
+
+def test_cli_koszul_size_guard_exit_3(capsys):
+    code, doc = run_cli(capsys, "koszul", "--vars", "3", "--cap", "5", "--guard", "10")
+    assert code == 3
+    assert doc["error"]["stage"] == "size-guard"
+
+
 def test_cli_bound(capsys):
     code, doc = run_cli(capsys, "bound", "--fd", "2", "--Dk", "1", "--fdk", "0")
     assert code == 0

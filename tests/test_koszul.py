@@ -1,11 +1,13 @@
+from itertools import combinations
+from math import comb
+
 import pytest
 
 from hochschild.algebra import AlgebraError
 from hochschild.catalog import base_ring_algebra, dual_numbers, matrix_algebra2, split_pair
 from hochschild.koszul import (
-    ExteriorBasis,
     _aggregate,
-    GradedPolyModule,
+    _multiplication_maps,
     base_global_dimension,
     finite_koszul_tor,
     free_module,
@@ -18,7 +20,7 @@ from hochschild.koszul import (
     regular_element_check,
     regular_sequence_check,
 )
-from hochschild.matrix import KModuleInvariants, Matrix
+from hochschild.matrix import KModuleInvariants, Matrix, SizeGuardError
 from hochschild.rings import GF, QQ, ZZ
 
 F2 = GF(2)
@@ -30,13 +32,6 @@ def _z_mod(n):
 
 
 # -- exterior structure ------------------------------------------------------------
-
-def test_exterior_basis_counts():
-    eb = ExteriorBasis.of(4, 2)
-    assert len(eb) == 6
-    assert eb.subsets[0] == (0, 1)
-    assert eb.subsets == tuple(sorted(eb.subsets))
-
 
 def test_sign_pattern_two_variables():
     # d2 sends e1^e2 to x1 e2 - x2 e1: the classical [ -y, x ] column
@@ -52,12 +47,12 @@ def test_sign_pattern_three_variables_curl():
         ((0, 2), 1): [(2, 1, 0), (0, -1, 2)],
         ((1, 2), 2): [(2, 1, 1), (1, -1, 2)],
     }
-    eb2 = ExteriorBasis.of(3, 2)
+    subsets = list(combinations(range(3), 2))
     got = {}
     for (ti, ci, sign, var) in pattern:
         got.setdefault(ci, []).append((ti, sign, var))
     for (subset, ci), terms in expected.items():
-        assert eb2.subsets[ci] == subset
+        assert subsets[ci] == subset
         assert got[ci] == terms
 
 
@@ -177,26 +172,24 @@ def test_tor_remark_values():
 # -- graded Tor -------------------------------------------------------------------------
 
 def test_monomial_counts():
-    P = GradedPolyModule(3, ZZ, 5)
-    from math import comb
-
-    for e in range(5):
-        assert len(P.basis(e)) == comb(e + 2, 2)
+    for e in range(-2, 5):
+        maps = _multiplication_maps(3, ZZ, e)
+        assert len(maps) == 3
+        for X in maps:
+            assert (X.rows, X.cols) == (comb(e + 3, 2) if e >= -1 else 0, comb(e + 2, 2) if e >= 0 else 0)
 
 
 def test_multiplication_maps_commute():
-    P = GradedPolyModule(2, ZZ, 4)
-    x0 = P.multiplication_map(0, 1)
-    x1 = P.multiplication_map(1, 1)
-    x0_up = P.multiplication_map(0, 2)
-    x1_up = P.multiplication_map(1, 2)
+    x0, x1 = _multiplication_maps(2, ZZ, 1)
+    x0_up, x1_up = _multiplication_maps(2, ZZ, 2)
     assert x1_up * x0 == x0_up * x1
+    # descending degrevlex: (x0, x1) in degree 1, (x0^2, x0 x1, x1^2) in degree 2
+    assert x0.to_rows() == [[1, 0], [0, 1], [0, 0]]
+    assert x1.to_rows() == [[0, 0], [1, 0], [0, 1]]
 
 
 @pytest.mark.parametrize("v", [1, 2, 3, 4])
 def test_graded_tor_binomial_pattern_over_z(v):
-    from math import comb
-
     report = graded_koszul_tor(v, ZZ, v + 1)
     for i in range(v + 1):
         assert report.tor[i] == KModuleInvariants(comb(v, i)), (v, i)
@@ -206,10 +199,13 @@ def test_graded_tor_binomial_pattern_over_z(v):
 
 
 def test_graded_tor_concentrated_on_diagonal():
-    report = graded_koszul_tor(2, ZZ, 4)
-    for i, slots in enumerate(report.by_degree):
-        for e, invs in slots:
-            assert e == i
+    # closed form: Tor_i(k, k) over k[x_1..x_v] is wedge^i k^v, sitting in internal degree i
+    for ring in (ZZ, QQ, F2, GF(3)):
+        for v in range(1, 5):
+            report = graded_koszul_tor(v, ring, v + 1)
+            for i in range(v + 1):
+                assert report.by_degree[i] == ((i, KModuleInvariants(comb(v, i))),), (ring, v, i)
+            assert report.by_degree[v + 1] == ()
 
 
 def test_graded_tor_over_f2():
@@ -220,6 +216,17 @@ def test_graded_tor_over_f2():
 def test_graded_tor_cap_too_small():
     with pytest.raises(ValueError):
         graded_koszul_tor(3, ZZ, 2)
+
+
+def test_graded_tor_obeys_the_guard():
+    with pytest.raises(SizeGuardError, match="6x9"):
+        graded_koszul_tor(3, ZZ, 5, guard=10)
+
+
+def test_finite_tor_obeys_the_guard():
+    A = base_ring_algebra(ZZ)
+    with pytest.raises(SizeGuardError, match="1x1"):
+        finite_koszul_tor(A, [[2]], _z_mod(2), guard=0)
 
 
 # -- the assembled bound -------------------------------------------------------------------
