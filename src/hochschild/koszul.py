@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, pairwise
 from math import comb
 
 from .algebra import AlgebraError, FiniteAlgebra, act, left_mult_matrix
@@ -176,9 +176,7 @@ def _actions(M: PresentedModule, xs) -> list[Matrix]:
     return [act(M.action, list(x)) for x in xs]
 
 
-def koszul_differential(
-    M: PresentedModule, xs, n: int, guard: int | None = DEFAULT_GUARD
-) -> Matrix:
+def koszul_differential(M: PresentedModule, xs, n: int, guard: int | None = DEFAULT_GUARD) -> Matrix:
     """The n-th Koszul differential on wedge^n (x) M, as one block matrix.
 
     Blocks follow koszul_sign_pattern; each block is +-(action of x_j).
@@ -218,26 +216,20 @@ def homology_of_presented(
     return subquotient_invariants(Z, B)
 
 
-def _koszul_homology(terms, guard: int | None) -> list[KModuleInvariants]:
-    """Homology of the complex wedge^i (x) P_i, i = 0..d, with terms[i] = (relations, blocks).
+def _koszul_homology(relations: list[Matrix], blocks: list[list[Matrix]], guard: int | None) -> list[KModuleInvariants]:
+    """Homology of the complex wedge^i (x) P_i, i = 0..d, with d = len(blocks).
 
-    P_i is its relation matrix's rows modulo its columns, and the blocks of
-    term i >= 1 map P_i to P_(i-1) (see _block_differential); those of term 0
-    are not read.
+    P_i is the rows of relations[i] modulo its columns, and blocks[i - 1] are
+    the d maps P_i -> P_(i-1) that d_i is assembled from (see
+    _block_differential).  Every differential passes the guard before any
+    term's relations are built.
     """
-    d = len(terms) - 1
-    ring = terms[0][0].ring
-    rels = [Matrix.zeros(ring, 0, 0)]
-    rels += [Matrix.identity(ring, comb(d, i)).kron(R) for i, (R, _) in enumerate(terms)]
-    diffs = [Matrix.zeros(ring, 0, rels[1].rows)]
-    diffs += [_block_differential(i, blocks, guard) for i, (_, blocks) in enumerate(terms) if i]
-    diffs.append(Matrix.zeros(ring, rels[-1].rows, 0))
-    return [
-        homology_of_presented(diffs[i + 1], diffs[i], rels[i + 1], rels[i])
-        if rels[i + 1].rows
-        else KModuleInvariants(0)
-        for i in range(d + 1)
-    ]
+    d, ring = len(blocks), relations[0].ring
+    diffs = [Matrix.zeros(ring, 0, relations[0].rows)]
+    diffs += [_block_differential(n, bs, guard) for n, bs in enumerate(blocks, 1)]
+    diffs.append(Matrix.zeros(ring, relations[d].rows, 0))
+    rels = [Matrix.zeros(ring, 0, 0)] + [Matrix.identity(ring, comb(d, i)).kron(R) for i, R in enumerate(relations)]
+    return [homology_of_presented(diffs[i + 1], diffs[i], rels[i + 1], rels[i]) for i in range(d + 1)]
 
 
 @dataclass(frozen=True)
@@ -260,7 +252,7 @@ def finite_koszul_tor(A: FiniteAlgebra, xs, M: PresentedModule, guard: int | Non
             f"the sequence is not regular on the algebra (fails at index {reg.failing_index}: {reg.reason}); "
             "the Koszul complex is only a resolution for regular sequences"
         )
-    tor = _koszul_homology([(M.relations, _actions(M, xs))] * (len(xs) + 1), guard)
+    tor = _koszul_homology([M.relations] * (len(xs) + 1), [_actions(M, xs)] * len(xs), guard)
     fd = max((i for i, t in enumerate(tor) if not t.is_zero), default=0)
     return FiniteTorReport(tuple(tor), fd)
 
@@ -273,17 +265,23 @@ def finite_koszul_tor(A: FiniteAlgebra, xs, M: PresentedModule, guard: int | Non
 def _multiplication_maps(v: int, ring: ScalarRing, degree: int) -> list[Matrix]:
     """Multiplication by x_0, ..., x_(v-1) from degree to degree + 1 in k[x_0..x_(v-1)] (0/1 matrices).
 
-    A monomial is the sorted tuple of its variables; each degree lists its
-    monomials in descending degrevlex order.  Negative degrees are 0.
+    A monomial is its exponent vector, the gaps between the v - 1 bars of a
+    stars and bars word; degrees list monomials in descending degrevlex order
+    (ascending reversed vectors), and negative degrees are 0.
     """
     src, dst = (
-        sorted(combinations_with_replacement(range(v), e), key=lambda m: m[::-1]) if e >= 0 else []
-        for e in (degree, degree + 1)
+        sorted(
+            (tuple(b - a - 1 for a, b in pairwise((-1, *bars, n))) for bars in combinations(range(n), v - 1)),
+            key=lambda m: m[::-1],
+        )
+        if n >= v - 1
+        else []
+        for n in (degree + v - 1, degree + v)
     )
-    dst_index = {m: i for i, m in enumerate(dst)}
+    row = {m: i for i, m in enumerate(dst)}
     return [
         Matrix.from_triplets(
-            ring, len(dst), len(src), ((dst_index[tuple(sorted(m + (j,)))], c, ring.one) for c, m in enumerate(src))
+            ring, len(dst), len(src), ((row[(*m[:j], m[j] + 1, *m[j + 1 :])], c, ring.one) for c, m in enumerate(src))
         )
         for j in range(v)
     ]
@@ -305,9 +303,7 @@ def _aggregate(invs: list[KModuleInvariants]) -> KModuleInvariants:
     return KModuleInvariants(sum(i.free_rank for i in invs), cokernel_invariants(diag).torsion)
 
 
-def graded_koszul_tor(
-    variables: int, ring: ScalarRing, cap: int, guard: int | None = DEFAULT_GUARD
-) -> GradedTorReport:
+def graded_koszul_tor(variables: int, ring: ScalarRing, cap: int, guard: int | None = DEFAULT_GUARD) -> GradedTorReport:
     """Tor of the residue module (all variables act by zero) over k[x_1..x_v].
 
     The Koszul complex on the full variable sequence is processed one
@@ -321,11 +317,16 @@ def graded_koszul_tor(
         raise ValueError("need at least one variable")
     if cap < v:
         raise ValueError(f"degree cap {cap} is too small to certify the top Tor; need >= {v}")
-    maps = {k: _multiplication_maps(v, ring, k) for k in range(-v - 1, cap)}
+    for n in range(1, v + 1):  # refuse before any work, naming the first d_n(e) too large, n then e ascending
+        for e in range(n, cap + 1):
+            check_guard(comb(v, n - 1) * comb(e - n + v, v - 1), comb(v, n) * comb(e - n + v - 1, v - 1), guard)
+    maps = {k: _multiplication_maps(v, ring, k) for k in range(-v - 1, -1)}  # maps[k] leaves degree k
     per_e = []
-    for e in range(cap + 1):
-        terms = [(reduce(Matrix.hstack, maps[e - i - 1]), maps[e - i] if i else None) for i in range(v + 1)]
-        per_e.append(_koszul_homology(terms, guard))
+    for e in range(cap + 1):  # degree e reads maps[e - v - 1] .. maps[e - 1]
+        maps[e - 1] = _multiplication_maps(v, ring, e - 1)
+        maps.pop(e - v - 2, None)
+        relations = [reduce(Matrix.hstack, maps[e - i - 1]) for i in range(v + 1)]
+        per_e.append(_koszul_homology(relations, [maps[e - i] for i in range(1, v + 1)], guard))
     by_degree = [tuple((e, h[i]) for e, h in enumerate(per_e) if not h[i].is_zero) for i in range(v + 1)] + [()]
     tor = [_aggregate([h[i] for h in per_e]) for i in range(v + 1)] + [KModuleInvariants(0)]
     fd = max((i for i, t in enumerate(tor) if not t.is_zero), default=0)

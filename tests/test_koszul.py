@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 from math import comb
 
@@ -221,6 +222,19 @@ def test_graded_tor_cap_too_small():
 def test_graded_tor_obeys_the_guard():
     with pytest.raises(SizeGuardError, match="6x9"):
         graded_koszul_tor(3, ZZ, 5, guard=10)
+    # d_1 at every degree is checked before d_2 anywhere: 35x80 is d_1 at e = 4, 40x24 is d_2 at e = 3
+    with pytest.raises(SizeGuardError, match="35x80"):
+        graded_koszul_tor(4, ZZ, 4, guard=850)
+
+
+def test_graded_tor_refuses_before_building_high_degrees():
+    # degree 10**4 in three variables has about 5e7 monomials; the refusal must come from shapes alone
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError):
+        graded_koszul_tor(3, ZZ, 10**4, guard=10)
+    with pytest.raises(SizeGuardError):
+        graded_koszul_tor(3, ZZ, 3000)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_finite_tor_obeys_the_guard():
