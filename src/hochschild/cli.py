@@ -26,6 +26,7 @@ from .io_json import (
     SchemaError,
     _load_doc,
     _matrix_to_json,
+    _parse_scalar,
     _resolve_algebra,
     dumps,
     load_algebra,
@@ -176,14 +177,16 @@ def cmd_extensions(args) -> int:
 def cmd_koszul(args) -> int:
     guard = _guard_value(args)
     if args.finite:
+        if args.ring is not None or args.cap is not None:
+            raise ValueError("--ring and --cap belong to the graded route; a --finite instance names its algebra")
         instance = _load_doc(args.finite)
+        seq, module = (instance.get("sequence", []), instance.get("module", "self")) if isinstance(instance, dict) else (None, None)
+        if not (isinstance(seq, list) and all(isinstance(x, list) for x in seq) and (module == "self" or isinstance(module, dict))):
+            raise SchemaError("koszul", 'expected {"algebra", "sequence": [[scalar, ...], ...], "module": "self" or an object}')
         base = Path(args.finite).parent
         A = _resolve_algebra(instance.get("algebra"), base)
-        if "module" in instance and instance["module"] != "self":
-            Mod = presented_module_from_json(dict(instance["module"], algebra=instance.get("algebra")), base)
-        else:
-            Mod = free_module(A)
-        seq = [[A.ring.parse(s) for s in x] for x in instance.get("sequence", [])]
+        Mod = free_module(A) if module == "self" else presented_module_from_json(dict(module, algebra=instance.get("algebra")), base)
+        seq = [[_parse_scalar(A.ring, s, "koszul.sequence") for s in x] for x in seq]
         reg = regular_sequence_check(free_module(A), seq)
         doc = {"regular": reg.ok}
         if not reg.ok:
@@ -194,8 +197,8 @@ def cmd_koszul(args) -> int:
             doc["tor"] = [_invariants_doc(t) for t in report.tor]
             doc["fd_certificate"] = report.fd_certificate
     else:
-        ring = ring_from_json(args.ring if not args.ring.startswith("{") else json.loads(args.ring))
-        report = graded_koszul_tor(args.vars, ring, args.cap, guard=guard)
+        ring = ring_from_json(json.loads(args.ring) if (args.ring or "").startswith("{") else args.ring or "Z")
+        report = graded_koszul_tor(args.vars, ring, 4 if args.cap is None else args.cap, guard=guard)
         doc = {
             "variables": report.variables,
             "cap": report.cap,
@@ -284,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     route = ko.add_mutually_exclusive_group(required=True)
     route.add_argument("--vars", type=int, help="number of polynomial variables (graded route)")
     route.add_argument("--finite", help="finite-rank instance file: {algebra, sequence, module}")
-    ko.add_argument("--ring", default="Z", help='base ring: Z, Q or {"Fp": p}')
-    ko.add_argument("--cap", type=int, default=4, help="internal degree cap (graded route)")
+    ko.add_argument("--ring", help='base ring: Z (default), Q or {"Fp": p} (graded route)')
+    ko.add_argument("--cap", type=int, help="internal degree cap, default 4 (graded route)")
     common(ko)
     ko.set_defaults(func=cmd_koszul)
 

@@ -6,13 +6,16 @@ nonzero (row, value) pairs in increasing row order and never stores a zero,
 so the bar and Hochschild complexes, which are almost entirely zero, cost
 memory and time in proportion to their nonzeros.  The elimination routines
 work on transient dict rows built straight from those columns, filed by
-leading column, so a reduction takes time proportional to its fill plus
-its pivot width.  _echelon alone picks the core: F_p the field core, Z
-and Q the integer core (Q on rows cleared of denominators, never on
-Fraction rows).  Pivot rows are reduced against each other only where
-they are read (normal forms, field solving, the Z cokernel); kernels and
-ranks skip that pass.  All arithmetic is exact; over Z every kernel is
-the full (hence saturated) integer kernel.
+leading column, so a reduction takes time proportional to its fill plus its
+pivot width.  _echelon alone picks the core: F_p the field core, Z and Q the
+integer core (Q on rows cleared of denominators, never on Fraction rows).
+The cores pivot on the sparsest holder of a column (over Z and Q, among those
+of least |entry|) to keep the fill down.  Every caller but the Z solve reads
+a form that does not depend on that choice; the Z solve reads unreduced
+transforms, so it keeps the first row of smallest |entry|.  Pivot rows are
+reduced against each other only where they are read (normal forms, field
+solving, the Z cokernel); kernels and ranks skip that pass.  All arithmetic
+is exact; over Z every kernel is the full (hence saturated) integer kernel.
 
 Over Z, invariant factors come from the Hermite form of the column lattice:
 each pivot equal to 1 splits off a trivial summand, and the sparse Smith
@@ -442,7 +445,7 @@ def _file_by_lead(buckets: dict, k: int, row: dict, pivot_width: int) -> None:
             buckets.setdefault(lead, []).append(k)
 
 
-def _reduce_rows_int(rows: list[dict], pivot_width: int) -> list[tuple[int, dict]]:
+def _reduce_rows_int(rows: list[dict], pivot_width: int, sparsest: bool = True) -> list[tuple[int, dict]]:
     """Integer row reduction to echelon form over the first pivot_width columns.
 
     Only unimodular operations are used (swaps, adding integer multiples of
@@ -451,11 +454,15 @@ def _reduce_rows_int(rows: list[dict], pivot_width: int) -> list[tuple[int, dict
     reduced against each other (_back_substitute does that); the input list
     is left holding the other nonzero rows, in input order.  Rows are filed
     by leading column, so the work is proportional to the fill plus pivot_width.
+    The pivot at c has the smallest |entry| there, then if sparsest the fewest
+    stored entries, then the first input place.  The Z solve reads unreduced
+    transforms, which depend on that choice, so it keeps sparsest=False.
     """
     buckets: dict[int, list[int]] = {}
     for k, r in enumerate(rows):
         _file_by_lead(buckets, k, r, pivot_width)
     pivots: list[tuple[int, dict]] = []
+    key = (lambda k: (abs(rows[k][c]), len(rows[k]), k)) if sparsest else (lambda k: abs(rows[k][c]))
     for c in range(pivot_width):
         holders = buckets.pop(c, None)
         if holders is None:
@@ -463,7 +470,7 @@ def _reduce_rows_int(rows: list[dict], pivot_width: int) -> list[tuple[int, dict
         holders.sort()  # input order, which the stable sorts below keep among ties
         # repeatedly reduce by the entry of smallest magnitude until one remains
         while len(holders) > 1:
-            holders.sort(key=lambda k: abs(rows[k][c]))
+            holders.sort(key=key)
             piv = rows[holders[0]]
             pv = piv[c]
             rest = []
@@ -489,7 +496,9 @@ def _reduce_rows_int(rows: list[dict], pivot_width: int) -> list[tuple[int, dict
 def _reduce_rows_field(rows: list[dict], pivot_width: int, p: int) -> list[tuple[int, dict]]:
     """Row reduction over F_p on the first pivot_width columns, as _reduce_rows_int:
     pivot rows are scaled to a leading 1 and the work is proportional to the
-    fill plus pivot_width.  Q runs the integer core instead (see _echelon)."""
+    fill plus pivot_width.  The pivot at column c is the holder with the fewest
+    stored entries, first in input order among ties; every caller reads a
+    result that does not depend on it (the Z solve, which would, is integral)."""
     buckets: dict[int, list[int]] = {}
     for k, r in enumerate(rows):
         _file_by_lead(buckets, k, r, pivot_width)
@@ -498,7 +507,7 @@ def _reduce_rows_field(rows: list[dict], pivot_width: int, p: int) -> list[tuple
         holders = buckets.pop(c, None)
         if holders is None:
             continue
-        holders.sort()
+        holders.sort(key=lambda k: (len(rows[k]), k))
         piv = rows[holders[0]]
         inv = pow(piv[c], -1, p)
         if inv != 1:
@@ -544,20 +553,23 @@ def _back_substitute(pivots: list[tuple[int, dict]], ring: ScalarRing) -> None:
                             heappush(heap, k)
 
 
-def _echelon(ring: ScalarRing, rows: list[dict], width: int) -> list[tuple[int, dict]]:
+def _echelon(ring: ScalarRing, rows: list[dict], width: int, sparsest: bool = True) -> list[tuple[int, dict]]:
     """Echelon pivot rows over the first width columns, by the core of the ring.
 
     Over Q each row is first cleared of denominators, a positive unit, so the
     integer core sees the same rational row space, pivot columns and RREF.
-    As in the cores, the list is left holding the rows led past width.
+    sparsest goes to the integer core; the list keeps the rows led past width.
     """
     if ring.kind == "Fp":
         return _reduce_rows_field(rows, width, ring.p)
     if ring.kind == "Q":
         for k, r in enumerate(rows):
-            d = lcm(*[v.denominator for v in r.values()])
-            rows[k] = {c: v.numerator * (d // v.denominator) for c, v in r.items()}
-    return _reduce_rows_int(rows, width)
+            for v in r.values():
+                if type(v) is not int:  # a Fraction row; all-int rows pass as they are
+                    d = lcm(*[v.denominator for v in r.values()])
+                    rows[k] = {c: v.numerator * (d // v.denominator) for c, v in r.items()}
+                    break
+    return _reduce_rows_int(rows, width, sparsest)
 
 
 def _reduced_echelon(ring: ScalarRing, rows: list[dict], width: int) -> list[tuple[int, dict]]:
@@ -694,7 +706,7 @@ def solve(M: Matrix, b: Matrix) -> Matrix | None:
         # Echelon rows of the transpose with their combinations of the columns of
         # M: the leading parts are triangular, so b has unique coordinates in them,
         # and x is the same combination of the combination parts.
-        pivots = [sorted(r.items()) for _, r in _echelon(ring, _combination_rows(M), m)]
+        pivots = [sorted(r.items()) for _, r in _echelon(ring, _combination_rows(M), m, sparsest=False)]
         lead = tuple(tuple((k, v) for k, v in r if k < m) for r in pivots)
         combo = tuple(tuple((k - m, v) for k, v in r if k >= m) for r in pivots)
         try:

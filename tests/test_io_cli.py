@@ -225,6 +225,38 @@ def test_cli_koszul_unreadable_instance_exit_2(capsys, tmp_path, content):
     assert doc["error"]["stage"] == "file"
 
 
+@pytest.mark.parametrize(
+    "instance, stage",
+    [
+        ([1], "koszul"),
+        ({"sequence": 5}, "koszul"),
+        ({"algebra": "scalar_z.json", "sequence": [5]}, "koszul"),
+        ({"algebra": "scalar_z.json", "module": 5}, "koszul"),
+        ({"algebra": "scalar_z.json", "sequence": [[2]]}, "koszul.sequence"),
+    ],
+)
+def test_cli_koszul_malformed_instance_exit_2(capsys, tmp_path, instance, stage):
+    if isinstance(instance, dict) and "algebra" in instance:
+        instance["algebra"] = fx(instance["algebra"])
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    code, doc = run_cli(capsys, "koszul", "--finite", str(path))
+    assert code == 2
+    assert doc["error"]["stage"] == stage
+
+
+@pytest.mark.parametrize("extra", [["--ring", "Q"], ["--cap", "9"], ["--ring", "Z", "--cap", "4"]])
+def test_cli_koszul_finite_rejects_graded_options(capsys, extra):
+    code, doc = run_cli(capsys, "koszul", "--finite", fx("koszul_z_mod2.json"), *extra)
+    assert code == 2
+    assert doc["error"]["stage"] == "validation"
+    assert "--ring" in doc["error"]["witness"]
+
+
+def test_cli_koszul_graded_defaults_are_z_and_cap_4(capsys):
+    assert run_cli(capsys, "koszul", "--vars", "2") == run_cli(capsys, "koszul", "--vars", "2", "--ring", "Z", "--cap", "4")
+
+
 def test_cli_koszul_needs_vars_or_finite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["koszul", "--ring", "Z"])

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hochschild import matrix as matrix_module
 from hochschild.algebra import regular_bimodule
-from hochschild.catalog import dual_numbers, upper_triangular2
+from hochschild.catalog import dual_numbers, truncated_poly, upper_triangular2
 from hochschild.cohomology import coboundary_matrix
 from hochschild.matrix import (
     _reduce_rows_int,
@@ -518,9 +519,14 @@ def test_arithmetic_matches_dense_arithmetic(M, data):
 # -- elimination cores against the unbucketed reference ---------------------------
 
 
-def _oracle_reduce_rows_int(rows: list[dict], pivot_width: int) -> list[tuple[int, dict]]:
+def _oracle_reduce_rows_int(rows: list[dict], pivot_width: int, sparsest: bool = True) -> list[tuple[int, dict]]:
     """Reference: the integer core that rescans every live row at every column
-    and Hermite-reduces all earlier pivot rows at every new pivot."""
+    and Hermite-reduces all earlier pivot rows at every new pivot.
+
+    The pivot is the holder of smallest magnitude, then (if sparsest) of
+    fewest entries, then first in input order; without sparsest, ties after
+    the first round keep the previous round's order (the rule of Z solve)."""
+    position = {id(r): k for k, r in enumerate(rows)}
     pivots: list[tuple[int, dict]] = []
     live = rows
     for c in range(pivot_width):
@@ -529,7 +535,10 @@ def _oracle_reduce_rows_int(rows: list[dict], pivot_width: int) -> list[tuple[in
             continue
         # repeatedly reduce by the entry of smallest magnitude until one remains
         while len(holders) > 1:
-            holders.sort(key=lambda r: abs(r[c]))
+            if sparsest:
+                holders.sort(key=lambda r: (abs(r[c]), len(r), position[id(r)]))
+            else:
+                holders.sort(key=lambda r: abs(r[c]))
             piv = holders[0]
             pv = piv[c]
             rest = []
@@ -557,17 +566,14 @@ def _oracle_reduce_rows_int(rows: list[dict], pivot_width: int) -> list[tuple[in
     return pivots
 
 
-def _oracle_reduce_rows_field(rows: list[dict], pivot_width: int, ring) -> list[tuple[int, dict]]:
-    """Reference: the field core (RREF) with full rescans, as above."""
+def _oracle_reduce_rows_field(rows: list[dict], pivot_width: int, ring, sparsest: bool = True) -> list[tuple[int, dict]]:
+    """Reference: the field core (RREF) with full rescans, as above.  The pivot
+    is the holder with the fewest entries (if sparsest), first in input order."""
     modp = ring.p if ring.kind == "Fp" else 0
     pivots: list[tuple[int, dict]] = []
     live = rows
     for c in range(pivot_width):
-        piv = None
-        for r in live:
-            if c in r:
-                piv = r
-                break
+        piv = min((r for r in live if c in r), key=len if sparsest else (lambda r: 0), default=None)
         if piv is None:
             continue
         inv = ring.invert(piv[c])
@@ -598,7 +604,7 @@ def _oracle_solve_z(M, b):
         row = dict(col)
         row[M.rows + j] = 1
         rows.append(row)
-    pivots = _oracle_reduce_rows_int(rows, M.rows)
+    pivots = _oracle_reduce_rows_int(rows, M.rows, sparsest=False)  # the rule Z solve keeps
     residual = b.col_list(0)
     x = [0] * M.cols
     for c, r in pivots:
@@ -678,7 +684,7 @@ def test_cores_match_the_unbucketed_reference(case):
     old, old_left, new, new_left = _reduce_both(ring, rows, width)
     if ring.kind == "Q" and any(old_left):
         # The integer core picks the pivot of smallest magnitude, the reference
-        # the first row, so the rows left over differ, and with them the
+        # the sparsest row, so the rows left over differ, and with them the
         # augmented columns (past width) of the pivot rows, which are unique
         # only up to the span of the leftovers.  Adding the leftovers to the
         # reduction makes the form unique again: it must agree pivot for
@@ -704,6 +710,72 @@ def test_integer_solve_matches_the_reference(M, data):
     b_any = Matrix.column(ring, data.draw(st.lists(_values(ring), min_size=M.rows, max_size=M.rows)))
     for b in (M * y, b_any):
         assert solve(M, b) == oracle(M, b)
+
+
+def test_integer_solve_keeps_the_smallest_magnitude_rule():
+    # the sparsest-row rule would pivot on column 2 = (1, 0) and return (0, 0, 2)
+    M = Matrix.from_rows(ZZ, [[1, 0, 1], [1, 1, 0]])
+    assert solve(M, Matrix.column(ZZ, [2, 0])) == Matrix.column(ZZ, [2, -2, 0])
+
+
+def _install_first_row_cores(mp) -> list:
+    """Swap both production cores for the unbucketed references under the
+    first-row tie rule: the first holder over F_p, the first of smallest
+    magnitude over Z and Q (the rule Z solve keeps).  Returns a list that
+    gains an entry at every call."""
+    calls = []
+
+    def int_core(rows, width, sparsest=True):
+        calls.append(width)
+        pivots = _oracle_reduce_rows_int(rows, width, sparsest=False)
+        rows[:] = [r for r in rows if r]
+        return pivots
+
+    def field_core(rows, width, p):
+        calls.append(width)
+        pivots = _oracle_reduce_rows_field(rows, width, GF(p), sparsest=False)
+        rows[:] = [r for r in rows if r]
+        return pivots
+
+    mp.setattr(matrix_module, "_reduce_rows_int", int_core)
+    mp.setattr(matrix_module, "_reduce_rows_field", field_core)
+    return calls
+
+
+@PROPS
+@given(matrices(max_dim=7), st.data())
+def test_results_do_not_depend_on_the_tie_rule(M, data):
+    ring = M.ring
+    y = Matrix.column(ring, data.draw(st.lists(_values(ring), min_size=M.cols, max_size=M.cols)))
+    b_any = Matrix.column(ring, data.draw(st.lists(_values(ring), min_size=M.rows, max_size=M.rows)))
+
+    def results():
+        out = [kernel_basis(M), column_span_basis(M), rank(M), cokernel_invariants(M)]
+        if ring.kind != "Z":
+            out += [solve(M, M * y), solve(M, b_any)]
+        return out
+
+    new = results()
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _install_first_row_cores(mp)
+        assert results() == new
+    assert calls
+
+
+@pytest.mark.parametrize("ring", [GF(3), ZZ])
+def test_sparsest_pivot_keeps_the_fill_down(ring, monkeypatch):
+    # 3750x750; the first-holder rule passes about 157,000 entries through _row_sub
+    A = truncated_poly(ring, 6)
+    b3 = coboundary_matrix(A, regular_bimodule(A), 3, normalized=True)
+    touched = []
+
+    def counting_row_sub(r, s, q, modp):
+        touched.append(len(s))
+        _row_sub(r, s, q, modp)
+
+    monkeypatch.setattr(matrix_module, "_row_sub", counting_row_sub)
+    kernel_basis(b3)
+    assert 0 < sum(touched) <= 40_000
 
 
 def test_integer_back_substitution_follows_later_pivot_columns():
