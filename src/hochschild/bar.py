@@ -3,6 +3,10 @@
 Chain level n is A^(x)(n+2) (level -1 means A itself); the normalized
 variant replaces the middle factors by Abar = A / k*1 and needs the unit to
 be the 0-th basis vector; one ``normalized`` flag selects the complex.
+_letters is the one description of that choice: the basis vectors that may
+sit between the outer factors (all of them, or the non-unit classes).  Every
+chain size, index map, homotopy and cochain embedding reads it, as a range
+or as the letter inclusion J (the identity restricted to those columns).
 
 One builder, _boundary_triplets, assembles every differential: the cyclic
 boundary of C_k(A, M) = M (x) A^(x)k.  For M = A (x) A with the inner
@@ -33,13 +37,19 @@ from .algebra import (
 from .matrix import DEFAULT_GUARD, Matrix, check_guard, coords_in_span, kernel_basis
 
 
+def _letters(A: FiniteAlgebra, normalized: bool) -> range:
+    """Basis indices of the middle factors: all of A, or Abar = A / k*1 (unit e_0 dropped)."""
+    return range(1, A.rank) if normalized else range(A.rank)
+
+
+def _letter_inclusion(A: FiniteAlgebra, normalized: bool) -> Matrix:
+    """J : k^letters -> A, the identity restricted to the letter columns."""
+    return Matrix.identity(A.ring, A.rank).submatrix_cols(_letters(A, normalized))
+
+
 def bar_rank(A: FiniteAlgebra, n: int, normalized: bool = False) -> int:
     """Rank of chain level n (level -1 is A itself)."""
-    if n == -1:
-        return A.rank
-    if normalized:
-        return A.rank * (A.rank - 1) ** n * A.rank
-    return A.rank ** (n + 2)
+    return A.rank if n == -1 else A.rank * len(_letters(A, normalized)) ** n * A.rank
 
 
 def _require_unital(A: FiniteAlgebra) -> None:
@@ -50,19 +60,8 @@ def _require_unital(A: FiniteAlgebra) -> None:
         )
 
 
-def _level_tuples(A: FiniteAlgebra, n: int, normalized: bool):
-    d = A.rank
-    if n == -1:
-        return [(i,) for i in range(d)]
-    if normalized:
-        ranges = [range(d)] + [range(1, d)] * n + [range(d)]
-        return list(product(*ranges))
-    return list(product(range(d), repeat=n + 2))
-
-
-def _tensor_tuples(d: int, n: int, normalized: bool):
-    rng = range(1, d) if normalized else range(d)
-    return list(product(rng, repeat=n))
+def _tensor_tuples(A: FiniteAlgebra, n: int, normalized: bool):
+    return list(product(_letters(A, normalized), repeat=n))
 
 
 def _boundary_triplets(A: FiniteAlgebra, M: Bimodule, k: int, normalized: bool):
@@ -74,15 +73,15 @@ def _boundary_triplets(A: FiniteAlgebra, M: Bimodule, k: int, normalized: bool):
     """
     d, m = A.rank, M.rank
     z = A.ring.zero
-    src = _tensor_tuples(d, k, normalized)
-    dst_index = {t: i for i, t in enumerate(_tensor_tuples(d, k - 1, normalized))}
+    src = _tensor_tuples(A, k, normalized)
+    dst_index = {t: i for i, t in enumerate(_tensor_tuples(A, k - 1, normalized))}
     T_src, T_dst = len(src), len(dst_index)
-    kept = range(1, d) if normalized else range(d)
-    # merges[a][b]: the kept nonzero coordinates (kk, c) of e_a e_b
-    merges = [
-        [[(kk, A.c(a, b, kk)) for kk in kept if A.c(a, b, kk) != z] for b in range(d)] for a in range(d)
-    ]
-    wrap = 1 if k % 2 == 0 else -1  # (-1)^k
+    kept = _letters(A, normalized)
+    # merges[s][a][b]: the kept nonzero coordinates (kk, (-1)^s c) of e_a e_b
+    plus = [[[(kk, A.c(a, b, kk)) for kk in kept if A.c(a, b, kk) != z] for b in range(d)] for a in range(d)]
+    merges = (plus, [[[(kk, -c) for kk, c in ab] for ab in row] for row in plus])
+    # the wrap-around term carries (-1)^k: sign the left-action columns once
+    wrap = [(L if k % 2 == 0 else -L).columns for L in M.left]
 
     for ti, t in enumerate(src):
         head, tail = dst_index[t[1:]], dst_index[t[:-1]]
@@ -93,12 +92,11 @@ def _boundary_triplets(A: FiniteAlgebra, M: Bimodule, k: int, normalized: bool):
                 yield q * T_dst + head, col, v
             # interior merges with signs (-1)^i, i = 1..k-1
             for i in range(1, k):
-                odd = i % 2 == 1
-                for kk, c in merges[t[i - 1]][t[i]]:
-                    yield p * T_dst + dst_index[t[: i - 1] + (kk,) + t[i + 1 :]], col, -c if odd else c
+                for kk, c in merges[i % 2][t[i - 1]][t[i]]:
+                    yield p * T_dst + dst_index[t[: i - 1] + (kk,) + t[i + 1 :]], col, c
             # wrap-around: (-1)^k (ak m) (x) a1 ... a(k-1)
-            for q, v in M.left[t[-1]].columns[p]:
-                yield q * T_dst + tail, col, v if wrap > 0 else -v
+            for q, v in wrap[t[-1]][p]:
+                yield q * T_dst + tail, col, v
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +114,7 @@ def _differential(A: FiniteAlgebra, n: int, normalized: bool) -> Matrix:
     I = Matrix.identity(A.ring, d)
     left = tuple(I.kron(left_mult_matrix(A, i)) for i in range(d))
     M = Bimodule(A, d * d, left, tuple(right_mult_matrix(A, i).kron(I) for i in range(d)))
-    width = d - 1 if normalized else d
+    width = len(_letters(A, normalized))
 
     def bar_index(T):
         return [(x * T + t) * d + y for x in range(d) for y in range(d) for t in range(T)]
@@ -141,24 +139,11 @@ def bar_differential(A: FiniteAlgebra, n: int, normalized: bool = False, guard: 
 
 @lru_cache(maxsize=None)
 def _homotopy(A: FiniteAlgebra, n: int, normalized: bool) -> Matrix:
-    z = A.ring.zero
-    src = _level_tuples(A, n, normalized)
-    dst = _level_tuples(A, n + 1, normalized)
-    dst_index = {t: i for i, t in enumerate(dst)}
-
-    def triplets():
-        for col, t in enumerate(src):
-            if normalized:
-                # prepend the unit and push the old left factor into Abar,
-                # where the class of 1 is zero
-                if n == -1 or t[0] != 0:
-                    yield dst_index[(0,) + t], col, A.ring.one
-            else:
-                for j, u in enumerate(A.unit):
-                    if u != z:
-                        yield dst_index[(j,) + t], col, u
-
-    return Matrix.from_triplets(A.ring, len(dst), len(src), triplets())
+    """s_n = unit (x) P (x) I prepends the unit; P = J^T pushes the old left factor into the
+    letters (the class of 1 in Abar is zero), and at level -1, P = I makes it the right factor."""
+    P = Matrix.identity(A.ring, A.rank) if n == -1 else _letter_inclusion(A, normalized).transpose()
+    unit = Matrix.column(A.ring, A.unit)
+    return unit.kron(P).kron(Matrix.identity(A.ring, bar_rank(A, n, normalized) // A.rank))
 
 
 def contracting_homotopy(A: FiniteAlgebra, n: int, normalized: bool = False, guard: int | None = DEFAULT_GUARD) -> Matrix:
@@ -264,7 +249,7 @@ def syzygy(A: FiniteAlgebra, n: int, normalized: bool = False, guard: int | None
     if normalized:
         _require_unital(A)
     if n >= 1:
-        check_guard(bar_rank(A, n - 2, normalized) if n >= 2 else A.rank, bar_rank(A, n - 1, normalized), guard)
+        check_guard(bar_rank(A, n - 2, normalized), bar_rank(A, n - 1, normalized), guard)
     return _syzygy(A, n, normalized)
 
 

@@ -79,6 +79,8 @@ def cmd_hh(args) -> int:
         raise SchemaError("bimodule", "bimodule algebra differs from the requested algebra")
     guard = _guard_value(args)
     if args.homology:
+        if args.unnormalized or args.representatives:
+            raise ValueError("--unnormalized and --representatives belong to HH^n; --homology takes neither")
         invs = hochschild_homology(A, M, args.degree, guard=guard)
         doc = {"degree": args.degree, "homology": True, **_invariants_doc(invs)}
         _emit(doc, args.output)

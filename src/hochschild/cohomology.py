@@ -26,7 +26,7 @@ M, so b^n is the transposed boundary C_(n+1)(A, M^*) -> C_n(A, M^*)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .algebra import (
     AlgebraError,
@@ -35,7 +35,7 @@ from .algebra import (
     LeftModule,
     hom_bimodule,
 )
-from .bar import _boundary_triplets, _require_unital, _tensor_tuples
+from .bar import _boundary_triplets, _letter_inclusion, _letters, _require_unital, _tensor_tuples
 from .matrix import (
     DEFAULT_GUARD,
     KModuleInvariants,
@@ -75,7 +75,7 @@ class CohomologyReport:
 def _coboundary(A: FiniteAlgebra, M: Bimodule, n: int, normalized: bool) -> Matrix:
     """b^n as the transpose of the boundary of C_(n+1)(A, M^*), swapped triplet by triplet."""
     dual = Bimodule(A, M.rank, tuple(R.transpose() for R in M.right), tuple(L.transpose() for L in M.left))
-    width = A.rank - 1 if normalized else A.rank
+    width = len(_letters(A, normalized))
     triplets = ((j, i, v) for i, j, v in _boundary_triplets(A, dual, n + 1, normalized))
     return Matrix.from_triplets(A.ring, M.rank * width ** (n + 1), M.rank * width**n, triplets)
 
@@ -94,21 +94,9 @@ def coboundary_matrix(
         raise AlgebraError("bimodule lives over a different algebra")
     if normalized:
         _require_unital(A)
-    width = A.rank - 1 if normalized else A.rank
+    width = len(_letters(A, normalized))
     check_guard(M.rank * width ** (n + 1), M.rank * width**n, guard)
     return _coboundary(A, M, n, normalized)
-
-
-def _embed_normalized_cochain(A: FiniteAlgebra, M: Bimodule, n: int, vec: Matrix) -> Matrix:
-    """Zero-extend a normalized cochain (a vectorized column) to the full tensor basis."""
-    d = A.rank
-    T = (d - 1) ** n
-
-    def full_index(s):  # s has base-(d-1) digits t_i - 1; the full index is sum_i t_i d^(n-1-i)
-        return sum((s // (d - 1) ** i % (d - 1) + 1) * d**i for i in range(n))
-
-    triplets = ((k // T, full_index(k % T), v) for k, v in vec.columns[0])
-    return Matrix.from_triplets(A.ring, M.rank, d**n, triplets)
 
 
 def hh(
@@ -135,16 +123,10 @@ def hh(
     if not representatives:
         return CohomologyReport(n, subquotient_invariants(kernel_basis(bn), B))
     invs, gens = homology(bn, B)
-    reps = tuple(
-        Cochain(
-            A,
-            M,
-            n,
-            _embed_normalized_cochain(A, M, n, g) if normalized else g.reshape(M.rank, A.rank**n),
-        )
-        for g in gens
-    )
-    return CohomologyReport(n, invs, reps)
+    if gens:  # zero-extend along I_m (x) J^(x)n, the identity for the raw complex
+        E = reduce(Matrix.kron, [_letter_inclusion(A, normalized)] * n, Matrix.identity(A.ring, M.rank))
+        gens = [(E * g).reshape(M.rank, A.rank**n) for g in gens]
+    return CohomologyReport(n, invs, tuple(Cochain(A, M, n, g) for g in gens))
 
 
 def is_cocycle(c: Cochain, guard: int | None = DEFAULT_GUARD) -> bool:
@@ -190,7 +172,7 @@ def hh1_report(A: FiniteAlgebra, M: Bimodule) -> CohomologyReport:
 @lru_cache(maxsize=None)
 def _homology_boundary(A: FiniteAlgebra, M: Bimodule, k: int, normalized: bool) -> Matrix:
     """The cyclic bar boundary on M (x) A^(x)k, or on M (x) Abar^(x)k when normalized."""
-    width = A.rank - 1 if normalized else A.rank
+    width = len(_letters(A, normalized))
     triplets = _boundary_triplets(A, M, k, normalized)
     return Matrix.from_triplets(A.ring, M.rank * width ** (k - 1), M.rank * width**k, triplets)
 
@@ -210,7 +192,7 @@ def hochschild_homology(
         raise AlgebraError("bimodule lives over a different algebra")
     m = M.rank
     normalized = A.has_unital_basis
-    width = A.rank - 1 if normalized else A.rank
+    width = len(_letters(A, normalized))
     check_guard(m * width**n, m * width ** (n + 1), guard)
     outgoing = _homology_boundary(A, M, n, normalized) if n else Matrix.zeros(A.ring, 0, m)
     return subquotient_invariants(kernel_basis(outgoing), _homology_boundary(A, M, n + 1, normalized))
@@ -253,8 +235,8 @@ def _relative_ext_coboundary(A: FiniteAlgebra, M: LeftModule, N: LeftModule, n: 
     d = A.rank
     mM, mN = M.rank, N.rank
     z = A.ring.zero
-    src = _tensor_tuples(d, n, False)
-    dst = _tensor_tuples(d, n + 1, False)
+    src = _tensor_tuples(A, n, False)
+    dst = _tensor_tuples(A, n + 1, False)
     src_w = len(src) * mM
     dst_w = len(dst) * mM
     dst_index = {t: i for i, t in enumerate(dst)}

@@ -26,6 +26,8 @@ from .bar import (
     SyzygyModule,
     _differential,
     _homotopy,
+    _letter_inclusion,
+    _letters,
     bar_rank,
     chain_actions,
     syzygy,
@@ -97,7 +99,7 @@ def _extension_class(A: FiniteAlgebra, om_next: SyzygyModule) -> Matrix:
     """
     d, n, normalized = A.rank, om_next.level - 1, om_next.normalized
     z = A.ring.zero
-    T = (d - 1 if normalized else d) ** (n + 1)
+    T = len(_letters(A, normalized)) ** (n + 1)
     unit = [(j, u) for j, u in enumerate(A.unit) if u != z]
     units = Matrix.from_triplets(
         A.ring,
@@ -118,12 +120,11 @@ def _separable_primitive(A: FiniteAlgebra, om_next: SyzygyModule, e: Matrix, f: 
     on the unit.
     """
     d, m, ring = A.rank, om_next.rank, A.ring
-    T = (d - 1 if om_next.normalized else d) ** (om_next.level - 1)
-    first = range(1, d) if om_next.normalized else range(d)
-    c = e.col_list(0)
-    C = Matrix.from_triplets(ring, len(first), d, ((s, j, c[j * d + k]) for s, k in enumerate(first) for j in range(d)))
+    J = _letter_inclusion(A, om_next.normalized)
+    T = J.cols ** (om_next.level - 1)
+    C = (e.reshape(d, d) * J).transpose()
     # column (j, t) of G is sum_k c_jk f(e_k, t)
-    G = f.reshape(m, len(first) * T) * C.kron(Matrix.identity(ring, T))
+    G = f.reshape(m, J.cols * T) * C.kron(Matrix.identity(ring, T))
     x = Matrix.zeros(ring, m, T)
     for j in range(d):
         x = x + om_next.left[j] * G.submatrix_cols(range(j * T, (j + 1) * T))
@@ -133,7 +134,7 @@ def _separable_primitive(A: FiniteAlgebra, om_next: SyzygyModule, e: Matrix, f: 
 def _retraction(A: FiniteAlgebra, om_next: SyzygyModule, x: Matrix) -> Matrix:
     """The bimodule map r(a (x) t (x) a') = a x(t) a' from chain level n onto Omega^(n+1)."""
     d, m = A.rank, om_next.rank
-    T = (d - 1 if om_next.normalized else d) ** (om_next.level - 1)
+    T = len(_letters(A, om_next.normalized)) ** (om_next.level - 1)
     X = x.reshape(m, T)
     right = [R * X for R in om_next.right]
 

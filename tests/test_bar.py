@@ -196,6 +196,40 @@ def test_normalized_homotopy_identity_exact(small_corpus):
             assert lhs == Matrix.identity(A.ring, bar_rank(A, n, True)), (A, n)
 
 
+# s_n written out tuple by tuple on the bar basis: an oracle for the
+# Kronecker-product homotopy.  s is not unique (b's + sb' = id does not pin
+# it), so the library's choice is held to this one entry by entry.
+def _tuple_loop_homotopy(A, n, normalized):
+    z = A.ring.zero
+    src = _level_tuples(A, n, normalized)
+    dst_index = _index_map(_level_tuples(A, n + 1, normalized))
+
+    def triplets():
+        for col, t in enumerate(src):
+            if normalized:
+                # prepend the unit and push the old left factor into Abar,
+                # where the class of 1 is zero
+                if n == -1 or t[0] != 0:
+                    yield dst_index[(0,) + t], col, A.ring.one
+            else:
+                for j, u in enumerate(A.unit):
+                    if u != z:
+                        yield dst_index[(j,) + t], col, u
+
+    return Matrix.from_triplets(A.ring, len(dst_index), len(src), triplets())
+
+
+def test_homotopy_matches_tuple_loop_oracle():
+    algebras = dict(standard_corpus({"Z": ZZ, "Q": QQ, "F2": F2}), split6_q=split_product(QQ, 6))
+    for name, A in algebras.items():
+        forms = (A,) if A.has_unital_basis else (A, with_unital_basis(A)[0])
+        for B in forms:
+            for normalized in (False, True) if B.has_unital_basis else (False,):
+                for n in range(-1, 4):
+                    expected = _tuple_loop_homotopy(B, n, normalized)
+                    assert contracting_homotopy(B, n, normalized, guard=None) == expected, (name, n, normalized)
+
+
 def test_rank_one_homotopy_identity():
     # 1-dimensional oracle: s_n = [1], identities read 1*1 + 1*0 and 0*0 + 1*1
     A = base_ring_algebra(ZZ)

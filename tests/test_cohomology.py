@@ -144,6 +144,38 @@ def test_representative_counts_match_invariants():
         assert len(rep.representatives) == expect
 
 
+# The zero extension of a normalized cochain to the full tensor basis,
+# decoded digit by digit: an oracle for the Kronecker-product embedding.
+def _digit_loop_embedding(A, M, n, vec):
+    d = A.rank
+    T = (d - 1) ** n
+
+    def full_index(s):  # s has base-(d-1) digits t_i - 1; the full index is sum_i t_i d^(n-1-i)
+        return sum((s // (d - 1) ** i % (d - 1) + 1) * d**i for i in range(n))
+
+    triplets = ((k // T, full_index(k % T), v) for k, v in vec.columns[0])
+    return Matrix.from_triplets(A.ring, M.rank, d**n, triplets)
+
+
+def test_representatives_match_digit_loop_embedding(corpus):
+    for name, A in corpus.items():
+        if not A.has_unital_basis:
+            A, _ = with_unital_basis(A)
+        M = regular_bimodule(A)
+        for normalized in (True, False):
+            for n in range(3):
+                bn = coboundary_matrix(A, M, n, normalized, guard=None)
+                B = coboundary_matrix(A, M, n - 1, normalized, guard=None) if n else Matrix.zeros(A.ring, bn.cols, 0)
+                gens = homology(bn, B)[1]
+                if normalized:
+                    expected = [_digit_loop_embedding(A, M, n, g) for g in gens]
+                else:
+                    expected = [g.reshape(M.rank, A.rank**n) for g in gens]
+                reps = hh(A, M, n, normalized, guard=None).representatives
+                assert [c.matrix for c in reps] == expected, (name, n, normalized)
+                assert all(is_cocycle(c, guard=None) for c in reps), (name, n, normalized)
+
+
 # -- HH^0 = center, HH^1 = Der/Inn ----------------------------------------------------
 
 def test_center_examples():

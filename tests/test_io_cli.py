@@ -253,6 +253,14 @@ def test_cli_koszul_finite_rejects_graded_options(capsys, extra):
     assert "--ring" in doc["error"]["witness"]
 
 
+@pytest.mark.parametrize("extra", [["--unnormalized"], ["--representatives"], ["--unnormalized", "--representatives"]])
+def test_cli_hh_homology_rejects_cohomology_options(capsys, extra):
+    code, doc = run_cli(capsys, "hh", fx("dual_q.json"), "--degree", "2", "--homology", *extra)
+    assert code == 2
+    assert doc["error"]["stage"] == "validation"
+    assert "--homology" in doc["error"]["witness"]
+
+
 def test_cli_koszul_graded_defaults_are_z_and_cap_4(capsys):
     assert run_cli(capsys, "koszul", "--vars", "2") == run_cli(capsys, "koszul", "--vars", "2", "--ring", "Z", "--cap", "4")
 

@@ -1,21 +1,59 @@
-"""The README's library quick start runs and prints what its comments say."""
+"""The README's library quick start and CLI block run and print what their comments say."""
 
 import contextlib
 import io
+import json
 import re
+import shlex
 from pathlib import Path
+
+from hochschild.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _quick_start() -> str:
+def _block(heading: str, lang: str) -> str:
     text = README.read_text()
-    section = text[text.index("## Library quick start") :]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    section = text[text.index(heading) :]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
 
 
 def test_library_quick_start_prints_its_documented_results():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        exec(compile(_quick_start(), str(README), "exec"), {})
+        exec(compile(_block("## Library quick start", "python"), str(README), "exec"), {})
     assert out.getvalue().splitlines() == ["k^1 + k/2", "False"]
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0, (argv, out)
+    return out
+
+
+def test_cli_block_runs_and_prints_its_documented_values(capsys):
+    # every `hochschild ...` line that needs no placeholder file runs through
+    # cli.main; a comment that is a JSON object or string is a documented value
+    variables, ran, checked = {}, [], []
+    for line in _block("## CLI", "sh").splitlines():
+        command, _, comment = line.partition("  #")
+        assignment = re.fullmatch(r"(\w+)=\$\((hochschild .*)\)\s*", command)
+        if assignment:
+            variables[assignment.group(1)] = _run(capsys, shlex.split(assignment.group(2))[1:]).strip()
+            continue
+        if not command.startswith("hochschild ") or "path/to/" in command:
+            continue
+        argv = [variables[a[1:]] if a.startswith("$") else a for a in shlex.split(command)[1:]]
+        out = _run(capsys, argv)
+        ran.append(argv[0])
+        comment = comment.strip()
+        if comment[:1] in ("{", '"'):
+            doc, expected = json.loads(out), json.loads(comment)
+            if isinstance(expected, dict):
+                assert expected.items() <= doc.items(), (command, doc)
+            else:
+                assert expected in doc.values(), (command, doc)
+            checked.append(expected)
+    assert {"koszul", "bound", "hh", "analyze", "extensions"} <= set(ran)
+    assert checked == [{"free_rank": 2, "torsion": []}, "HCdim >= 2; not quasi-free"]
