@@ -8,7 +8,8 @@ memory and time in proportion to their nonzeros.  The elimination routines
 work on transient dict rows built straight from those columns, filed by
 leading column, so a reduction takes time proportional to its fill plus its
 pivot width.  _echelon alone picks the core: F_p the field core, Z and Q the
-integer core (Q on rows cleared of denominators, never on Fraction rows).
+integer core (Q on rows cleared of denominators).  A Q value is an int when
+integral, so integer data stays on ints and a Fraction marks a true quotient.
 The cores pivot on the sparsest holder of a column (over Z and Q, among those
 of least |entry|) to keep the fill down.  Every caller but the Z solve reads
 a form that does not depend on that choice; the Z solve reads unreduced
@@ -34,7 +35,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
 
-from .rings import RingError, ScalarRing, ZZ
+from .rings import RingError, ScalarRing, ZZ, q_canon
 
 DEFAULT_GUARD = 4_000_000
 
@@ -101,15 +102,13 @@ def _canonizer(ring: ScalarRing):
     if ring.kind == "Fp":
         p = ring.p
         return lambda v: v % p
-    if ring.kind == "Q":
-        return lambda v: v if type(v) is Fraction else Fraction(v)
-    return lambda v: v
+    return q_canon if ring.kind == "Q" else (lambda v: v)
 
 
 def _is_canonical(ring: ScalarRing, v) -> bool:
-    if ring.kind == "Q":
-        return type(v) is Fraction
-    return type(v) is int and (ring.kind == "Z" or 0 <= v < ring.p)
+    if ring.kind == "Q" and type(v) is Fraction:
+        return v.denominator != 1
+    return type(v) is int and (ring.kind != "Fp" or 0 <= v < ring.p)
 
 
 class Matrix:
@@ -136,7 +135,10 @@ class Matrix:
                 if not v or not _is_canonical(ring, v):
                     raise ValueError(f"{v!r} is not a stored value of a matrix over {ring}")
                 prev = i
-        _set_fields(self, ring, rows, cols, columns)
+        _set_ring(self, ring)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_columns(self, columns)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -277,6 +279,7 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("shape mismatch in addition")
         modp = self.ring.p if self.ring.kind == "Fp" else 0
+        rational = self.ring.kind == "Q"
         out = []
         for a, b in zip(self.columns, other.columns):
             if not b or not a:
@@ -287,7 +290,8 @@ class Matrix:
                 if i in acc:
                     v = (acc[i] + v) % modp if modp else acc[i] + v
                 acc[i] = v
-            out.append(tuple(sorted([p for p in acc.items() if p[1]])))
+            merged = sorted([p for p in acc.items() if p[1]])
+            out.append(tuple([(i, q_canon(v)) for i, v in merged] if rational else merged))
         return _make(self.ring, self.rows, self.cols, tuple(out))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
@@ -308,6 +312,8 @@ class Matrix:
         if self.ring.kind == "Fp":
             p = self.ring.p
             cols = tuple(tuple((i, v * c % p) for i, v in col) for col in self.columns)
+        elif self.ring.kind == "Q":
+            cols = tuple(tuple((i, q_canon(v * c)) for i, v in col) for col in self.columns)
         else:
             cols = tuple(tuple((i, v * c) for i, v in col) for col in self.columns)
         return _make(self.ring, self.rows, self.cols, cols)
@@ -318,6 +324,7 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         modp = self.ring.p if self.ring.kind == "Fp" else 0
+        rational = self.ring.kind == "Q"
         acols = self.columns
         out = []
         for col in other.columns:
@@ -330,6 +337,8 @@ class Matrix:
                         acc[i] = v * w
             if modp:
                 out.append(tuple((i, v) for i, v in ((i, acc[i] % modp) for i in sorted(acc)) if v))
+            elif rational:
+                out.append(tuple((i, q_canon(acc[i])) for i in sorted(acc) if acc[i]))
             else:
                 out.append(tuple((i, acc[i]) for i in sorted(acc) if acc[i]))
         return _make(self.ring, self.rows, other.cols, tuple(out))
@@ -360,11 +369,14 @@ class Matrix:
         self._same(other)
         orows = other.rows
         modp = self.ring.p if self.ring.kind == "Fp" else 0
+        rational = self.ring.kind == "Q"
         cols = []
         for a in self.columns:
             for b in other.columns:
                 if modp:
                     cols.append(tuple((i * orows + k, x * y % modp) for i, x in a for k, y in b))
+                elif rational:
+                    cols.append(tuple((i * orows + k, q_canon(x * y)) for i, x in a for k, y in b))
                 else:
                     cols.append(tuple((i * orows + k, x * y) for i, x in a for k, y in b))
         return _make(self.ring, self.rows * orows, self.cols * other.cols, tuple(cols))
@@ -395,13 +407,6 @@ _set_ring, _set_rows, _set_cols, _set_columns, _set_hash = (
     getattr(Matrix, name).__set__ for name in Matrix.__slots__
 )
 _new = object.__new__
-
-
-def _set_fields(m: Matrix, ring: ScalarRing, rows: int, cols: int, columns: tuple) -> None:
-    _set_ring(m, ring)
-    _set_rows(m, rows)
-    _set_cols(m, cols)
-    _set_columns(m, columns)
 
 
 def _make(ring: ScalarRing, rows: int, cols: int, columns: tuple) -> Matrix:
@@ -572,14 +577,16 @@ def _echelon(ring: ScalarRing, rows: list[dict], width: int, sparsest: bool = Tr
     return _reduce_rows_int(rows, width, sparsest)
 
 
-def _reduced_echelon(ring: ScalarRing, rows: list[dict], width: int) -> list[tuple[int, dict]]:
-    """The pivot rows of _echelon reduced against each other: the Hermite form
-    over Z, the RREF over a field.  Over Q each integer pivot row is divided
-    by its pivot first."""
-    pivots = _echelon(ring, rows, width)
+def _reduce(ring: ScalarRing, pivots: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
+    """Echelon pivot rows reduced against each other: the Hermite form over Z,
+    the RREF over a field.  Over Q each integer pivot row is divided by its
+    pivot first, and the values are made canonical at the end."""
     if ring.kind == "Q":
-        pivots = [(c, {k: Fraction(v, r[c]) for k, v in r.items()}) for c, r in pivots]
+        pivots = [(c, {k: ring.div(v, r[c]) for k, v in r.items()}) for c, r in pivots]
     _back_substitute(pivots, ring)
+    if ring.kind == "Q":
+        for _, r in pivots:
+            r.update([(k, q_canon(v)) for k, v in r.items() if type(v) is Fraction])
     return pivots
 
 
@@ -623,7 +630,7 @@ def kernel_basis(M: Matrix) -> Matrix:
 
 def _normal_form_columns(ring: ScalarRing, vec_rows: list[dict], width: int) -> Matrix:
     """Canonicalize a set of vectors (dict rows of the given width) to echelon columns."""
-    pivots = _reduced_echelon(ring, [dict(r) for r in vec_rows if r], width)
+    pivots = _reduce(ring, _echelon(ring, [dict(r) for r in vec_rows if r], width))
     cols = tuple(tuple(sorted(r.items())) for _, r in pivots)
     return _make(ring, width, len(cols), cols)
 
@@ -671,7 +678,7 @@ def coords_in_span(basis: Matrix, M: Matrix) -> Matrix:
                     raise ContainmentError(jt)
                 q = val // pv
             elif kind == "Q":
-                q = val / pv
+                q = ring.div(val, pv)
             else:
                 q = val * pow(pv, -1, p) % p
             coords[j] = q
@@ -694,9 +701,10 @@ def coords_in_span(basis: Matrix, M: Matrix) -> Matrix:
 def solve(M: Matrix, b: Matrix) -> Matrix | None:
     """One solution x of M x = b over the ring, or None (absence is a normal outcome).
 
-    Over a field x is read off the RREF of [M | b] with every free variable
-    0; over Q that RREF comes from integer rows (see _echelon).  Over Z the
-    decision is integral: a rational-only solution yields None.
+    Over a field the echelon form of [M | b] decides first (a leftover row
+    means None), and only then is x read off its RREF with every free
+    variable 0; over Q the echelon rows are integer rows (see _echelon).  Over
+    Z the decision is integral: a rational-only solution yields None.
     """
     if b.rows != M.rows or b.cols != 1:
         raise ShapeError("right-hand side must be a column of matching height")
@@ -716,10 +724,10 @@ def solve(M: Matrix, b: Matrix) -> Matrix | None:
     rows = _dict_rows(M)
     for i, v in b.columns[0]:
         rows[i][n] = v
-    pivots = _reduced_echelon(ring, rows, n)
+    pivots = _echelon(ring, rows, n)
     if rows:
         return None  # a row left over is 0 = b_i with b_i nonzero
-    return _make(ring, n, 1, (tuple((c, r[n]) for c, r in pivots if n in r),))
+    return _make(ring, n, 1, (tuple((c, r[n]) for c, r in _reduce(ring, pivots) if n in r),))
 
 
 def smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:

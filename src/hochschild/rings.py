@@ -10,7 +10,10 @@ class RingError(ValueError):
     pass
 
 
-_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)  # immutable, so every Q zero and one can share them
+def q_canon(v):
+    """The canonical Q form of an int or Fraction: an int when integral."""
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
+
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -43,8 +46,11 @@ def is_prime(n: int) -> bool:
 class ScalarRing:
     """One of Z, Q or F_p, with exact arithmetic of unbounded magnitude.
 
-    Elements are plain ``int`` for Z and F_p (canonical residues in [0, p))
-    and ``fractions.Fraction`` for Q.  Instances are immutable and hashable.
+    Elements are plain ``int`` for Z and F_p (canonical residues in [0, p)).
+    A Q element is an ``int`` when it is integral and a ``fractions.Fraction``
+    with denominator > 1 otherwise; the form is unique, and Fraction(n) equals
+    and hashes like n.  Only div divides a Q element, since int / int is a
+    float.  Instances are immutable and hashable.
     """
 
     kind: str  # "Z" | "Q" | "Fp"
@@ -67,48 +73,47 @@ class ScalarRing:
     def is_field(self) -> bool:
         return self.kind != "Z"
 
-    @property
-    def zero(self):
-        return _Q_ZERO if self.kind == "Q" else 0
-
-    @property
-    def one(self):
-        return _Q_ONE if self.kind == "Q" else 1
+    zero, one = 0, 1  # canonical in every ring
 
     def of_int(self, n: int):
-        if self.kind == "Q":
-            return Fraction(n)
-        if self.kind == "Fp":
-            return n % self.p
-        return n
+        return n % self.p if self.kind == "Fp" else n
 
     def canon(self, x):
-        """Coerce x (int, Fraction or string) to a canonical ring element."""
-        if isinstance(x, str):
-            return self.parse(x)
-        if self.kind == "Q":
-            return x if type(x) is Fraction else Fraction(x)
-        if isinstance(x, Fraction):
+        """Coerce x (int, Fraction or string) to a canonical ring element; never a float."""
+        if type(x) is not int:
+            if isinstance(x, str):
+                return self.parse(x)
+            if not isinstance(x, (int, Fraction)):
+                raise RingError(f"{x!r} is not an exact element of {self}")
             if x.denominator != 1:
+                if self.kind == "Q":
+                    return x
                 raise RingError(f"{x} is not an element of {self}")
-            x = x.numerator
+            x = x.numerator  # an int, also for a bool or an integral Fraction
         return x % self.p if self.kind == "Fp" else x
 
     def neg(self, x):
         return -x % self.p if self.kind == "Fp" else -x
 
-    def invert(self, x):
-        if self.kind == "Q":
-            if x == 0:
-                raise RingError("division by zero")
-            return 1 / Fraction(x)
+    def div(self, a, b):
+        """The exact quotient a / b of canonical elements, itself canonical.
+
+        Raises RingError when b is zero or, over Z, does not divide a.
+        """
         if self.kind == "Fp":
-            if x % self.p == 0:
+            if b % self.p == 0:
                 raise RingError("division by zero")
-            return pow(x, -1, self.p)
-        if x in (1, -1):
-            return x
-        raise RingError(f"{x} is not a unit in Z")
+            return a * pow(b, -1, self.p) % self.p
+        if b == 0:
+            raise RingError("division by zero")
+        if type(a) is int and type(b) is int and not a % b:
+            return a // b
+        if self.kind == "Z":
+            raise RingError(f"{b} does not divide {a} in Z")
+        return q_canon(Fraction(a, b))
+
+    def invert(self, x):
+        return self.div(1, x)
 
     def is_unit(self, x) -> bool:
         if self.kind == "Z":
@@ -120,8 +125,8 @@ class ScalarRing:
     def parse(self, s: str):
         s = s.strip()
         try:
-            if self.kind == "Q":
-                return Fraction(s)
+            if self.kind == "Q" and not s.lstrip("+-").isdigit():
+                return self.canon(Fraction(s))  # a quotient or a decimal; integers take int below
             if "/" in s:
                 raise ValueError(s)
             n = int(s)
@@ -130,18 +135,13 @@ class ScalarRing:
         if self.kind == "Fp":
             if not 0 <= n < self.p:
                 raise RingError(f"{s!r} is not a canonical residue mod {self.p}")
-            return n
         return n
 
     def format(self, x) -> str:
         return str(x)
 
     def __str__(self) -> str:
-        if self.kind == "Z":
-            return "Z"
-        if self.kind == "Q":
-            return "Q"
-        return f"F{self.p}"
+        return f"F{self.p}" if self.kind == "Fp" else self.kind
 
 
 ZZ = ScalarRing("Z")

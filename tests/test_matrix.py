@@ -12,7 +12,8 @@ from hochschild.catalog import dual_numbers, truncated_poly, upper_triangular2
 from hochschild.cohomology import coboundary_matrix
 from hochschild.matrix import (
     _reduce_rows_int,
-    _reduced_echelon,
+    _echelon,
+    _reduce,
     _row_sub,
     ContainmentError,
     KModuleInvariants,
@@ -342,7 +343,7 @@ def _assert_canonical(M):
         for _, v in col:
             assert v
             if M.ring.kind == "Q":
-                assert type(v) is Fraction
+                assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
             else:
                 assert type(v) is int and (M.ring.kind == "Z" or 0 < v < M.ring.p)
     assert M.nnz == sum(1 for row in M.to_rows() for v in row if v)
@@ -492,8 +493,9 @@ def test_public_constructor_rejects_non_canonical_columns():
             Matrix(ZZ, 2, 1, bad)
     with pytest.raises(ValueError):
         Matrix(GF(5), 1, 1, [[(0, 7)]])
+    Matrix(QQ, 1, 2, [[(0, 1)], [(0, Fraction(1, 2))]])
     with pytest.raises(ValueError):
-        Matrix(QQ, 1, 1, [[(0, 1)]])  # Q values are Fractions
+        Matrix(QQ, 1, 1, [[(0, Fraction(1))]])  # an integral Q value is an int
     with pytest.raises(AttributeError):
         Matrix.identity(ZZ, 1).rows = 2
 
@@ -514,6 +516,77 @@ def test_arithmetic_matches_dense_arithmetic(M, data):
     P = M * N.transpose()
     _assert_canonical(P)
     assert P.to_rows() == [[ring.canon(sum((x * y for x, y in zip(r, s)), ring.zero)) for s in b] for r in a]
+
+
+# -- Q values: an int when integral, a Fraction otherwise --------------------------
+
+_QUOTIENTS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))  # 4/2 and 0/3 are integral
+
+
+@st.composite
+def rational_matrices(draw, max_dim=5):
+    """Matrices over Q, mostly zero, with non-integral entries."""
+    m, n = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    entry = st.one_of(st.just(0), st.just(0), _QUOTIENTS)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    rows[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] = draw(
+        st.builds(Fraction, st.integers(1, 4).map(lambda k: 2 * k - 1), st.just(2)))  # one half-integer at least
+    return Matrix.from_rows(QQ, rows)
+
+
+def _fractions(M):
+    return [[Fraction(v) for v in row] for row in M.to_rows()]
+
+
+def _reference_rref(vectors, width):
+    """The pivot rows of the Fraction reference field core on the given dict vectors."""
+    return _oracle_reduce_rows_field([{k: Fraction(v) for k, v in r.items()} for r in vectors if r], width, QQ)
+
+
+@PROPS
+@given(rational_matrices(), rational_matrices(), _QUOTIENTS, st.data())
+def test_rational_arithmetic_is_canonical_and_exact(M, N, c, data):
+    N = Matrix.from_rows(QQ, [[N[i % N.rows, j % N.cols] for j in range(M.cols)] for i in range(M.rows)])
+    a, b = _fractions(M), _fractions(N)
+    shifts = data.draw(st.lists(_QUOTIENTS, min_size=M.rows * M.cols, max_size=M.rows * M.cols))
+    triplets = [t for (i, j), d in zip(((i, j) for i in range(M.rows) for j in range(M.cols)), shifts)
+                for t in ((i, j, a[i][j] + d), (i, j, -d))]
+    cases = [
+        (M + N, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+        (M - M, [[0] * M.cols for _ in range(M.rows)]),
+        (M * N.transpose(), [[sum(x * y for x, y in zip(r, s)) for s in b] for r in a]),
+        (M.kron(N), [[a[i][j] * b[k][l] for j in range(M.cols) for l in range(N.cols)]
+                     for i in range(M.rows) for k in range(N.rows)]),
+        (M.scale(c), [[x * c for x in r] for r in a]),
+        (Matrix.from_triplets(QQ, M.rows, M.cols, triplets), a),
+    ]
+    for X, dense in cases:
+        _assert_canonical(X)
+        assert _fractions(X) == dense
+    assert M.scale(Fraction(2)) == M.scale(2) and hash(M.scale(Fraction(2))) == hash(M.scale(2))
+
+
+@PROPS
+@given(rational_matrices(), st.data())
+def test_rational_elimination_matches_the_fraction_reference(M, data):
+    m, n = M.rows, M.cols
+    basis = column_span_basis(M)
+    # pivot for pivot: basis column k is the k-th RREF row of the columns of M
+    assert [dict(col) for col in basis.columns] == [r for _, r in _reference_rref([dict(c) for c in M.columns], m)]
+    rows = [{**{i: Fraction(v) for i, v in col}, m + j: Fraction(1)} for j, col in enumerate(M.columns)]
+    _oracle_reduce_rows_field(rows, m, QQ)  # leaves the rows whose leading part died: the kernel combinations
+    kernel = [{k - m: v for k, v in r.items()} for r in rows]
+    K = kernel_basis(M)
+    assert [dict(col) for col in K.columns] == [r for _, r in _reference_rref(kernel, n)]
+    C = coords_in_span(basis, M)
+    # the basis is in RREF, so a column's coordinates are its entries at the pivot rows
+    assert C.to_rows() == [M.to_rows()[col[0][0]] for col in basis.columns]
+    y = Matrix.column(QQ, data.draw(st.lists(_QUOTIENTS, min_size=n, max_size=n)))
+    b_any = Matrix.column(QQ, data.draw(st.lists(_QUOTIENTS, min_size=m, max_size=m)))
+    solutions = [solve(M, M * y), solve(M, b_any)]
+    assert solutions == [_oracle_solve_field(M, M * y), _oracle_solve_field(M, b_any)]
+    for X in [basis, K, C] + [x for x in solutions if x is not None]:
+        _assert_canonical(X)
 
 
 # -- elimination cores against the unbucketed reference ---------------------------
@@ -652,7 +725,7 @@ def _reduce_both(ring, rows, width):
         old = _oracle_reduce_rows_int(old_rows, width)
     else:
         old = _oracle_reduce_rows_field(old_rows, width, ring)
-    return old, old_rows, _reduced_echelon(ring, new_rows, width), new_rows
+    return old, old_rows, _reduce(ring, _echelon(ring, new_rows, width)), new_rows
 
 
 def _full_rref(pivots, leftovers, ncols):

@@ -1,7 +1,13 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import hochschild
+from hochschild.matrix import Matrix
 from hochschild.rings import GF, QQ, ZZ, RingError, ScalarRing, is_prime
 
 
@@ -57,10 +63,75 @@ def test_ring_equality_and_hash():
 
 
 def test_rational_canon_keeps_fractions_and_shares_constants():
-    for x in (Fraction(0), Fraction(-1, 2), Fraction(22, 7)):
+    # the unique Q form: a Fraction with denominator > 1, otherwise an int
+    for x in (Fraction(-1, 2), Fraction(22, 7)):
         assert QQ.canon(x) is x
-    assert QQ.canon(3) == Fraction(3) and type(QQ.canon(3)) is Fraction
+    for x, n in ((Fraction(0), 0), (Fraction(6, 2), 3), (3, 3), ("4/2", 2), ("-0", 0)):
+        assert QQ.canon(x) == n and type(QQ.canon(x)) is int
     assert QQ.canon("-2/4") == Fraction(-1, 2)
     assert QQ.zero is QQ.zero and QQ.one is QQ.one
-    assert (QQ.zero, QQ.one) == (Fraction(0), Fraction(1))
-    assert type(QQ.zero) is Fraction and type(QQ.one) is Fraction
+    assert (QQ.zero, QQ.one) == (0, 1)
+    assert type(QQ.zero) is int and type(QQ.one) is int
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)])
+def test_canon_refuses_floats(ring):
+    for x in (2.5, 0.1, 2.0, -0.0):
+        with pytest.raises(RingError):
+            ring.canon(x)
+    with pytest.raises(RingError):
+        Matrix.from_rows(ring, [[2.5]])
+
+
+def test_div_is_exact_and_canonical():
+    assert QQ.div(1, 3) == Fraction(1, 3) and QQ.div(-3, 6) == Fraction(-1, 2)
+    for a, b, q in ((6, 3, 2), (Fraction(3, 2), Fraction(3, 4), 2), (Fraction(1, 2), Fraction(-1, 2), -1), (0, 7, 0)):
+        assert QQ.div(a, b) == q and type(QQ.div(a, b)) is int
+    assert ZZ.div(6, -3) == -2 and GF(5).div(1, 2) == 3 and GF(5).div(4, 2) == 2
+    with pytest.raises(RingError):
+        ZZ.div(1, 2)
+    for ring in (ZZ, QQ, GF(5)):
+        with pytest.raises(RingError):
+            ring.div(1, 0)
+    with pytest.raises(RingError):
+        QQ.div(Fraction(1, 2), Fraction(0))
+
+
+@given(st.fractions(max_denominator=30), st.fractions(max_denominator=30))
+def test_rational_div_matches_fraction_division(a, b):
+    a, b = QQ.canon(a), QQ.canon(b)
+    if b == 0:
+        with pytest.raises(RingError):
+            QQ.div(a, b)
+        return
+    q = QQ.div(a, b)
+    assert q == Fraction(a) / Fraction(b)
+    assert type(q) is int or (type(q) is Fraction and q.denominator > 1)
+    assert q == QQ.canon(q) and type(q) is type(QQ.canon(q))
+
+
+# every module that computes with ring values; true division there would turn two ints into a float
+_SCALAR_MODULES = ("rings", "matrix", "algebra", "bar", "cohomology", "extensions", "projectivity", "koszul", "catalog")
+
+
+def _true_divisions(tree) -> list[int]:
+    """Lines of the `/` and `/=` operators in a module outside ScalarRing.div."""
+    exempt = {
+        id(node)
+        for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "ScalarRing"
+        for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "div"
+        for node in ast.walk(fn)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div) and id(node) not in exempt
+    )
+
+
+def test_only_scalar_ring_div_divides():
+    assert _true_divisions(ast.parse("x = a / b\ny /= 2\nz = a // b")) == [1, 2]
+    assert _true_divisions(ast.parse("class ScalarRing:\n    def div(self, a, b):\n        return a / b")) == []
+    root = Path(hochschild.__file__).parent
+    for name in _SCALAR_MODULES:
+        assert _true_divisions(ast.parse((root / f"{name}.py").read_text())) == [], name
