@@ -12,6 +12,7 @@ from .matrix import (
     KModuleInvariants,
     Matrix,
     SizeGuardError,
+    homology_invariants,
     kernel_basis,
     smith_normal_form,
     solve,

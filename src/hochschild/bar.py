@@ -34,7 +34,7 @@ from .algebra import (
     regular_bimodule,
     right_mult_matrix,
 )
-from .matrix import DEFAULT_GUARD, Matrix, check_guard, coords_in_span, kernel_basis
+from .matrix import DEFAULT_GUARD, Matrix, check_guard, column_span_basis, coords_in_span, kernel_basis
 
 
 def _letters(A: FiniteAlgebra, normalized: bool) -> range:
@@ -228,8 +228,6 @@ def _verify_first_syzygy_generators(A: FiniteAlgebra, om: SyzygyModule, ambient_
     Their left-multiplication orbit already spans the whole kernel (over Z:
     the whole kernel lattice), which is checked exactly here.
     """
-    from .matrix import column_span_basis
-
     gens = _derivation_images(A)
     orbit = gens
     for L in ambient_left:

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .algebra import AlgebraError, regular_bimodule, transport_bimodule, with_unital_basis
-from .cohomology import hh, hochschild_homology
+from .cohomology import center, derivations, hh, hochschild_homology, inner_derivations
 from .extensions import (
     cocycles_cohomologous,
     enumerate_extension_classes,
@@ -44,7 +44,7 @@ from .koszul import (
     hcdim_lower_bound,
     regular_sequence_check,
 )
-from .matrix import DEFAULT_GUARD, ContainmentError, ShapeError, SizeGuardError, quotient_generators
+from .matrix import DEFAULT_GUARD, ContainmentError, ShapeError, SizeGuardError
 from .projectivity import hcdim_scan, is_quasi_free, separability_idempotent
 from .rings import RingError
 
@@ -112,8 +112,6 @@ def cmd_hh(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .cohomology import center, derivations, inner_derivations
-
     A = load_algebra(args.algebra)
     M = regular_bimodule(A)
     guard = _guard_value(args)
@@ -122,7 +120,7 @@ def cmd_analyze(args) -> int:
     Der, Inn = derivations(A, M), inner_derivations(A, M)  # bases, so cols are ranks
     doc["der_dim"] = Der.cols
     doc["inn_dim"] = Inn.cols
-    doc["hh1"] = _invariants_doc(quotient_generators(Der, Inn)[0])
+    doc["hh1"] = _invariants_doc(hh(A, M, 1, normalized=False, guard=None, representatives=False).invariants)
     e = separability_idempotent(A)
     doc["separability"] = {"separable": e is not None}
     if e is not None:

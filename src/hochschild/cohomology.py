@@ -43,9 +43,9 @@ from .matrix import (
     check_guard,
     column_span_basis,
     homology,
+    homology_invariants,
     kernel_basis,
     quotient_generators,
-    subquotient_invariants,
 )
 
 
@@ -121,7 +121,7 @@ def hh(
     bn = coboundary_matrix(A, M, n, normalized, guard)
     B = coboundary_matrix(A, M, n - 1, normalized, guard) if n else Matrix.zeros(A.ring, bn.cols, 0)
     if not representatives:
-        return CohomologyReport(n, subquotient_invariants(kernel_basis(bn), B))
+        return CohomologyReport(n, homology_invariants(bn, B))
     invs, gens = homology(bn, B)
     if gens:  # zero-extend along I_m (x) J^(x)n, the identity for the raw complex
         E = reduce(Matrix.kron, [_letter_inclusion(A, normalized)] * n, Matrix.identity(A.ring, M.rank))
@@ -195,7 +195,7 @@ def hochschild_homology(
     width = len(_letters(A, normalized))
     check_guard(m * width**n, m * width ** (n + 1), guard)
     outgoing = _homology_boundary(A, M, n, normalized) if n else Matrix.zeros(A.ring, 0, m)
-    return subquotient_invariants(kernel_basis(outgoing), _homology_boundary(A, M, n + 1, normalized))
+    return homology_invariants(outgoing, _homology_boundary(A, M, n + 1, normalized))
 
 
 # ---------------------------------------------------------------------------
@@ -285,4 +285,4 @@ def relative_ext_resolution(
     check_guard(Nl.rank * d ** (n + 1) * Ml.rank, Nl.rank * d**n * Ml.rank, guard)
     dn = _relative_ext_coboundary(A, Ml, Nl, n)
     B = _relative_ext_coboundary(A, Ml, Nl, n - 1) if n else Matrix.zeros(A.ring, dn.cols, 0)
-    return subquotient_invariants(kernel_basis(dn), B)
+    return homology_invariants(dn, B)

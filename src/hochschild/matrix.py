@@ -22,6 +22,9 @@ Over Z, invariant factors come from the Hermite form of the column lattice:
 each pivot equal to 1 splits off a trivial summand, and the sparse Smith
 normal form runs only on the small residue of rows whose pivot exceeds 1.
 It tracks U^-1 next to U, so the generators of a quotient are columns of U^-1.
+The invariants of a complex of free modules need neither: ker(outgoing) is a
+saturated summand, so they come from rank(outgoing) and the elementary
+divisors of incoming (homology_invariants).
 
 Everything here is pure: no operation mutates its inputs, so concurrent
 use from multiple threads is safe.
@@ -910,3 +913,14 @@ def homology(outgoing: Matrix, incoming: Matrix) -> tuple[KModuleInvariants, lis
     Returns the invariants and generator columns, as quotient_generators does.
     """
     return quotient_generators(kernel_basis(outgoing), incoming)
+
+
+def homology_invariants(outgoing: Matrix, incoming: Matrix) -> KModuleInvariants:
+    """The invariants of homology(outgoing, incoming), without a kernel basis.
+
+    Requires free terms and outgoing * incoming == 0.  Then ker(outgoing) is a
+    saturated summand of rank cols - rank(outgoing) that holds im(incoming), so
+    the homology is coker(incoming) less rank(outgoing) free summands.
+    """
+    coker = cokernel_invariants(incoming)
+    return KModuleInvariants(coker.free_rank - rank(outgoing), coker.torsion)

@@ -19,8 +19,10 @@ from .algebra import (
     Bimodule,
     FiniteAlgebra,
     hom_bimodule,
+    left_mult_matrix,
     multiplication_matrix,
     regular_bimodule,
+    right_mult_matrix,
 )
 from .bar import (
     SyzygyModule,
@@ -30,6 +32,7 @@ from .bar import (
     _letters,
     bar_rank,
     chain_actions,
+    chain_bimodule,
     syzygy,
 )
 from .cohomology import coboundary_matrix, hh
@@ -62,8 +65,6 @@ def separability_idempotent(A: FiniteAlgebra) -> Matrix | None:
     existence is exactly relative projectivity of A itself (cohomological
     dimension zero).  Returns the coefficient column (length d^2) or None.
     """
-    from .algebra import left_mult_matrix, right_mult_matrix
-
     d = A.rank
     ring = A.ring
     I = Matrix.identity(ring, d)
@@ -261,8 +262,6 @@ def _probe_modules(A: FiniteAlgebra, guard: int | None):
     reg = regular_bimodule(A)
     probes.append(("A", reg))
     try:
-        from .bar import chain_bimodule
-
         probes.append(("Aenv", chain_bimodule(A, 0, False, guard)))
     except SizeGuardError:
         pass

@@ -23,6 +23,7 @@ from hochschild.matrix import (
     cokernel_invariants,
     column_span_basis,
     coords_in_span,
+    homology_invariants,
     invariants_from_diagonal,
     kernel_basis,
     quotient_generators,
@@ -405,6 +406,61 @@ def test_cokernel_invariants_match_full_smith_form(M):
     if k:
         oracle = sympy_snf(sympy.Matrix(M.to_rows()), domain=sympy.ZZ)
         assert invariants_from_diagonal([int(oracle[i, i]) for i in range(k)], M.rows) == expected
+
+
+def _unimodular_pair(rnd, n):
+    """A random unimodular integer matrix and its inverse, as dense rows."""
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    Pinv = [row[:] for row in P]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rnd.sample(range(n), 2)
+        q = rnd.choice([-2, -1, 1, 2])
+        for row in P:  # P <- P (I + q E_ij): column j += q * column i
+            row[j] += q * row[i]
+        Pinv[i] = [a - q * b for a, b in zip(Pinv[i], Pinv[j])]  # Pinv <- (I - q E_ij) Pinv
+    return P, Pinv
+
+
+def _dense(ring, rows, ncols):
+    return Matrix.from_rows(ring, rows) if rows else Matrix.zeros(ring, 0, ncols)
+
+
+@st.composite
+def free_complexes(draw):
+    """. --incoming--> R^c --outgoing--> . with a known homology.
+
+    incoming = P [diag(t); 0] Q for a divisibility chain t_1 | ... | t_r and
+    outgoing = L S P^-1, where S is e_(r+i) -> e_i for i < s, so it vanishes
+    on the first r coordinates.  Returns the pair and the closed form.
+    """
+    ring = draw(st.sampled_from((ZZ, QQ, F2, GF(3))))
+    c = draw(st.integers(0, 6))
+    r = draw(st.integers(0, c))
+    s = draw(st.integers(0, c - r))
+    k, m = r + draw(st.integers(0, 2)), s + draw(st.integers(0, 2))
+    ts = []
+    for _ in range(r):
+        ts.append((ts[-1] if ts else 1) * draw(st.sampled_from((1, 1, 2, 3))))
+    rnd = draw(st.randoms(use_true_random=False))
+    (P, Pinv), (Q, _), (L, _) = _unimodular_pair(rnd, c), _unimodular_pair(rnd, k), _unimodular_pair(rnd, m)
+    D = [[ts[i] if i == j < r else 0 for j in range(k)] for i in range(c)]
+    S = [[int(j == r + i < r + s) for j in range(c)] for i in range(m)]
+    incoming = _dense(ring, P, c) * _dense(ring, D, k) * _dense(ring, Q, k)
+    outgoing = _dense(ring, L, m) * _dense(ring, S, c) * _dense(ring, Pinv, c)
+    if ring.kind == "Z":
+        expected = KModuleInvariants(c - r - s, tuple(t for t in ts if t > 1))
+    else:
+        expected = KModuleInvariants(c - s - sum(1 for t in ts if ring.of_int(t)))
+    return outgoing, incoming, expected
+
+
+@PROPS
+@given(free_complexes())
+def test_homology_invariants_match_the_closed_form_and_the_kernel_route(case):
+    outgoing, incoming, expected = case
+    assert (outgoing * incoming).is_zero
+    assert homology_invariants(outgoing, incoming) == expected
+    assert subquotient_invariants(kernel_basis(outgoing), incoming) == expected
 
 
 @PROPS
