@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .algebra import AlgebraError, regular_bimodule, transport_bimodule, with_unital_basis
-from .cohomology import center, derivations, hh, hochschild_homology, inner_derivations
+from .cohomology import coboundary_matrix, hh, hochschild_homology
 from .extensions import (
     cocycles_cohomologous,
     enumerate_extension_classes,
@@ -44,7 +44,7 @@ from .koszul import (
     hcdim_lower_bound,
     regular_sequence_check,
 )
-from .matrix import DEFAULT_GUARD, ContainmentError, ShapeError, SizeGuardError
+from .matrix import DEFAULT_GUARD, ContainmentError, ShapeError, SizeGuardError, rank
 from .projectivity import hcdim_scan, is_quasi_free, separability_idempotent
 from .rings import RingError
 
@@ -115,11 +115,10 @@ def cmd_analyze(args) -> int:
     A = load_algebra(args.algebra)
     M = regular_bimodule(A)
     guard = _guard_value(args)
-    doc: dict = {"rank": A.rank, "scalars": ring_to_json(A.ring)}
-    doc["center_dim"] = center(A, M).cols
-    Der, Inn = derivations(A, M), inner_derivations(A, M)  # bases, so cols are ranks
-    doc["der_dim"] = Der.cols
-    doc["inn_dim"] = Inn.cols
+    b0, b1 = (coboundary_matrix(A, M, n, False, guard=None) for n in (0, 1))
+    inn = rank(b0)  # the center is ker b^0, Der is ker b^1 and Inn is im b^0 of the raw complex
+    doc: dict = {"rank": A.rank, "scalars": ring_to_json(A.ring), "center_dim": b0.cols - inn,
+                 "der_dim": b1.cols - rank(b1), "inn_dim": inn}
     doc["hh1"] = _invariants_doc(hh(A, M, 1, normalized=False, guard=None, representatives=False).invariants)
     e = separability_idempotent(A)
     doc["separability"] = {"separable": e is not None}

@@ -10,13 +10,13 @@ leading column, so a reduction takes time proportional to its fill plus its
 pivot width.  _echelon alone picks the core: F_p the field core, Z and Q the
 integer core (Q on rows cleared of denominators).  A Q value is an int when
 integral, so integer data stays on ints and a Fraction marks a true quotient.
-The cores pivot on the sparsest holder of a column (over Z and Q, among those
-of least |entry|) to keep the fill down.  Every caller but the Z solve reads
-a form that does not depend on that choice; the Z solve reads unreduced
-transforms, so it keeps the first row of smallest |entry|.  Pivot rows are
-reduced against each other only where they are read (normal forms, field
-solving, the Z cokernel); kernels and ranks skip that pass.  All arithmetic
-is exact; over Z every kernel is the full (hence saturated) integer kernel.
+The cores pivot on the holder of a column with the fewest stored entries (over
+Z and Q, among those of least |entry|) to keep the fill down.  Every caller
+reads a result that does not depend on that choice: a normal form, a rank,
+or a Z solution reduced modulo the kernel lattice.  Pivot rows are reduced
+against each other only where they are read (normal forms, field solving,
+the Z cokernel); kernels and ranks skip that pass.  All arithmetic is exact;
+over Z every kernel is the full (hence saturated) integer kernel.
 
 Over Z, invariant factors come from the Hermite form of the column lattice:
 each pivot equal to 1 splits off a trivial summand, and the sparse Smith
@@ -453,7 +453,7 @@ def _file_by_lead(buckets: dict, k: int, row: dict, pivot_width: int) -> None:
             buckets.setdefault(lead, []).append(k)
 
 
-def _reduce_rows_int(rows: list[dict], pivot_width: int, sparsest: bool = True) -> list[tuple[int, dict]]:
+def _reduce_rows_int(rows: list[dict], pivot_width: int) -> list[tuple[int, dict]]:
     """Integer row reduction to echelon form over the first pivot_width columns.
 
     Only unimodular operations are used (swaps, adding integer multiples of
@@ -462,36 +462,33 @@ def _reduce_rows_int(rows: list[dict], pivot_width: int, sparsest: bool = True) 
     reduced against each other (_back_substitute does that); the input list
     is left holding the other nonzero rows, in input order.  Rows are filed
     by leading column, so the work is proportional to the fill plus pivot_width.
-    The pivot at c has the smallest |entry| there, then if sparsest the fewest
-    stored entries, then the first input place.  The Z solve reads unreduced
-    transforms, which depend on that choice, so it keeps sparsest=False.
+    The pivot at c has the smallest |entry| there, then the fewest stored
+    entries, then the first input place.
     """
     buckets: dict[int, list[int]] = {}
     for k, r in enumerate(rows):
         _file_by_lead(buckets, k, r, pivot_width)
     pivots: list[tuple[int, dict]] = []
-    key = (lambda k: (abs(rows[k][c]), len(rows[k]), k)) if sparsest else (lambda k: abs(rows[k][c]))
     for c in range(pivot_width):
         holders = buckets.pop(c, None)
         if holders is None:
             continue
-        holders.sort()  # input order, which the stable sorts below keep among ties
         # repeatedly reduce by the entry of smallest magnitude until one remains
         while len(holders) > 1:
-            holders.sort(key=key)
-            piv = rows[holders[0]]
-            pv = piv[c]
+            top = min(holders, key=lambda k: (abs(rows[k][c]), len(rows[k]), k))
+            piv = rows[top]
+            holders.remove(top)
             rest = []
-            for k in holders[1:]:
+            for k in holders:
                 r = rows[k]
-                q = r[c] // pv
+                q = r[c] // piv[c]
                 if q:
                     _row_sub(r, piv, q, 0)
                 if c in r:
                     rest.append(k)
                 else:
                     _file_by_lead(buckets, k, r, pivot_width)
-            holders = [holders[0]] + rest
+            holders = [top] + rest
         piv = rows[holders[0]]
         if piv[c] < 0:
             for k in list(piv):
@@ -505,8 +502,7 @@ def _reduce_rows_field(rows: list[dict], pivot_width: int, p: int) -> list[tuple
     """Row reduction over F_p on the first pivot_width columns, as _reduce_rows_int:
     pivot rows are scaled to a leading 1 and the work is proportional to the
     fill plus pivot_width.  The pivot at column c is the holder with the fewest
-    stored entries, first in input order among ties; every caller reads a
-    result that does not depend on it (the Z solve, which would, is integral)."""
+    stored entries, first in input order among ties."""
     buckets: dict[int, list[int]] = {}
     for k, r in enumerate(rows):
         _file_by_lead(buckets, k, r, pivot_width)
@@ -541,8 +537,7 @@ def _back_substitute(pivots: list[tuple[int, dict]], ring: ScalarRing) -> None:
     The result does not depend on when the reduction runs: the Hermite form
     and the RREF are unique, and the leading parts have full row rank, so the
     unitriangular transform from the echelon rows is unique too, and with it
-    every column past the leading part (kernel combinations, solve
-    transforms, a right-hand side).
+    every column past the leading part (kernel combinations, a right-hand side).
     """
     integral = ring.kind == "Z"
     modp = ring.p if ring.kind == "Fp" else 0
@@ -561,12 +556,12 @@ def _back_substitute(pivots: list[tuple[int, dict]], ring: ScalarRing) -> None:
                             heappush(heap, k)
 
 
-def _echelon(ring: ScalarRing, rows: list[dict], width: int, sparsest: bool = True) -> list[tuple[int, dict]]:
+def _echelon(ring: ScalarRing, rows: list[dict], width: int) -> list[tuple[int, dict]]:
     """Echelon pivot rows over the first width columns, by the core of the ring.
 
     Over Q each row is first cleared of denominators, a positive unit, so the
     integer core sees the same rational row space, pivot columns and RREF.
-    sparsest goes to the integer core; the list keeps the rows led past width.
+    The list keeps the rows led past width.
     """
     if ring.kind == "Fp":
         return _reduce_rows_field(rows, width, ring.p)
@@ -577,7 +572,7 @@ def _echelon(ring: ScalarRing, rows: list[dict], width: int, sparsest: bool = Tr
                     d = lcm(*[v.denominator for v in r.values()])
                     rows[k] = {c: v.numerator * (d // v.denominator) for c, v in r.items()}
                     break
-    return _reduce_rows_int(rows, width, sparsest)
+    return _reduce_rows_int(rows, width)
 
 
 def _reduce(ring: ScalarRing, pivots: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
@@ -704,26 +699,31 @@ def coords_in_span(basis: Matrix, M: Matrix) -> Matrix:
 def solve(M: Matrix, b: Matrix) -> Matrix | None:
     """One solution x of M x = b over the ring, or None (absence is a normal outcome).
 
-    Over a field the echelon form of [M | b] decides first (a leftover row
-    means None), and only then is x read off its RREF with every free
-    variable 0; over Q the echelon rows are integer rows (see _echelon).  Over
-    Z the decision is integral: a rational-only solution yields None.
+    Over a field the echelon form of [M | b] decides first; only then is x read
+    off its RREF, every free variable 0 (over Q on integer rows, see _echelon).
+    Over Z a rational-only solution yields None, and x is the one with
+    0 <= x[c] < p at the lead p (row c) of each kernel_basis(M) column.
     """
     if b.rows != M.rows or b.cols != 1:
         raise ShapeError("right-hand side must be a column of matching height")
     M._same(b)
     ring, m, n = M.ring, M.rows, M.cols
     if ring.kind == "Z":
-        # Echelon rows of the transpose with their combinations of the columns of
-        # M: the leading parts are triangular, so b has unique coordinates in them,
-        # and x is the same combination of the combination parts.
-        pivots = [sorted(r.items()) for _, r in _echelon(ring, _combination_rows(M), m, sparsest=False)]
-        lead = tuple(tuple((k, v) for k, v in r if k < m) for r in pivots)
-        combo = tuple(tuple((k - m, v) for k, v in r if k >= m) for r in pivots)
-        try:
-            return _make(ring, n, len(combo), combo) * coords_in_span(_make(ring, m, len(lead), lead), b)
-        except ContainmentError:
-            return None
+        # Rows of the transpose carry their combinations of the columns of M past m.
+        # Clearing -b off the echelon leading parts leaves an x there; clearing x
+        # against an echelon basis of the rows left over (ker M) makes it canonical.
+        rows = _combination_rows(M)
+        t = {i: -v for i, v in b.columns[0]}
+        for width in (m, m + n):
+            for c, r in _echelon(ring, rows, width):
+                q, rem = divmod(t.get(c, 0), r[c])
+                if rem and c < m:
+                    return None
+                if q:
+                    _row_sub(t, r, q, 0)
+            if t and min(t) < m:
+                return None  # b is outside the column lattice
+        return _make(ring, n, 1, (tuple((k - m, v) for k, v in sorted(t.items())),))
     rows = _dict_rows(M)
     for i, v in b.columns[0]:
         rows[i][n] = v

@@ -654,7 +654,7 @@ def _oracle_reduce_rows_int(rows: list[dict], pivot_width: int, sparsest: bool =
 
     The pivot is the holder of smallest magnitude, then (if sparsest) of
     fewest entries, then first in input order; without sparsest, ties after
-    the first round keep the previous round's order (the rule of Z solve)."""
+    the first round keep the previous round's order (the first-row rule)."""
     position = {id(r): k for k, r in enumerate(rows)}
     pivots: list[tuple[int, dict]] = []
     live = rows
@@ -727,13 +727,16 @@ def _oracle_reduce_rows_field(rows: list[dict], pivot_width: int, ring, sparsest
 
 
 def _oracle_solve_z(M, b):
-    """Reference: solve over Z built on the reference integer core."""
+    """Reference: solve over Z built on the reference integer core, x then reduced
+    modulo the kernel lattice so that 0 <= x[c] < p at each Hermite pivot p of
+    ker M.  The first reduction takes the first-row tie rule, so x agrees with
+    solve only through that last step."""
     rows = []
     for j, col in enumerate(M.columns):
         row = dict(col)
         row[M.rows + j] = 1
         rows.append(row)
-    pivots = _oracle_reduce_rows_int(rows, M.rows, sparsest=False)  # the rule Z solve keeps
+    pivots = _oracle_reduce_rows_int(rows, M.rows, sparsest=False)
     residual = b.col_list(0)
     x = [0] * M.cols
     for c, r in pivots:
@@ -750,6 +753,11 @@ def _oracle_solve_z(M, b):
                 x[k - M.rows] += q * v
     if any(v != 0 for v in residual):
         return None
+    kernel = [{k - M.rows: v for k, v in r.items()} for r in rows]  # leading parts died
+    for c, r in _oracle_reduce_rows_int(kernel, M.cols):
+        q = x[c] // r[c]
+        for k, v in r.items():
+            x[k] -= q * v
     return Matrix.column(ZZ, x)
 
 
@@ -829,8 +837,18 @@ def test_cores_match_the_unbucketed_reference(case):
     assert new_left == [r for r in old_left if r]
 
 
+@st.composite
+def wide_integer_matrices(draw):
+    """Z matrices with more columns than rows: ker M is nonzero, so the x of solve
+    is unique only modulo it."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(m + 1, 7))
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    return Matrix.from_rows(ZZ, draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)))
+
+
 @PROPS
-@given(matrices(), st.data())
+@given(st.one_of(matrices(), wide_integer_matrices()), st.data())
 def test_integer_solve_matches_the_reference(M, data):
     # x itself must agree, not merely solve: the golden reports freeze it
     ring = M.ring
@@ -841,20 +859,20 @@ def test_integer_solve_matches_the_reference(M, data):
         assert solve(M, b) == oracle(M, b)
 
 
-def test_integer_solve_keeps_the_smallest_magnitude_rule():
-    # the sparsest-row rule would pivot on column 2 = (1, 0) and return (0, 0, 2)
+def test_integer_solve_returns_the_canonical_solution():
+    # ker M is spanned by (1, -1, -1), pivot 1 at column 0, so x[0] must be 0;
+    # the first-row rule alone would return (2, -2, 0)
     M = Matrix.from_rows(ZZ, [[1, 0, 1], [1, 1, 0]])
-    assert solve(M, Matrix.column(ZZ, [2, 0])) == Matrix.column(ZZ, [2, -2, 0])
+    assert solve(M, Matrix.column(ZZ, [2, 0])) == Matrix.column(ZZ, [0, 0, 2])
 
 
 def _install_first_row_cores(mp) -> list:
     """Swap both production cores for the unbucketed references under the
     first-row tie rule: the first holder over F_p, the first of smallest
-    magnitude over Z and Q (the rule Z solve keeps).  Returns a list that
-    gains an entry at every call."""
+    magnitude over Z and Q.  Returns a list that gains an entry at every call."""
     calls = []
 
-    def int_core(rows, width, sparsest=True):
+    def int_core(rows, width):
         calls.append(width)
         pivots = _oracle_reduce_rows_int(rows, width, sparsest=False)
         rows[:] = [r for r in rows if r]
@@ -879,10 +897,8 @@ def test_results_do_not_depend_on_the_tie_rule(M, data):
     b_any = Matrix.column(ring, data.draw(st.lists(_values(ring), min_size=M.rows, max_size=M.rows)))
 
     def results():
-        out = [kernel_basis(M), column_span_basis(M), rank(M), cokernel_invariants(M)]
-        if ring.kind != "Z":
-            out += [solve(M, M * y), solve(M, b_any)]
-        return out
+        return [kernel_basis(M), column_span_basis(M), rank(M), cokernel_invariants(M),
+                solve(M, M * y), solve(M, b_any)]
 
     new = results()
     with pytest.MonkeyPatch.context() as mp:
