@@ -21,11 +21,12 @@ from .matrix import (
     ContainmentError,
     KModuleInvariants,
     Matrix,
+    _column_matrix,
+    _kernel_generator_rows,
     check_guard,
     cokernel_invariants,
     column_span_basis,
     coords_in_span,
-    kernel_basis,
     subquotient_invariants,
 )
 from .rings import ZZ, ScalarRing
@@ -121,20 +122,17 @@ class RegularElementReport:
 
 
 def _induced_kernel_generators(X: Matrix, relations: Matrix) -> Matrix:
-    """Generators of {v : X v lies in the relation span} (the induced kernel)."""
-    stacked = X.hstack(relations) if relations.cols else X
-    K = kernel_basis(stacked)
-    top = X.cols  # the first X.cols coordinates of each kernel vector
-    triplets = ((i, j, v) for j, col in enumerate(K.columns) for i, v in col if i < top)
-    return Matrix.from_triplets(X.ring, top, K.cols, triplets)
+    """Generators of {v : X v lies in the relation span} (the induced kernel; over Z
+    that lattice, not its saturation), neither normalized nor independent: one
+    elimination of [X | relations] with only X's columns tagged."""
+    return _column_matrix(X.ring, X.cols, _kernel_generator_rows(X.hstack(relations), X.cols))
 
 
 def regular_element_check(M: PresentedModule, x) -> RegularElementReport:
     """x is regular on M when multiplication by x is injective and not surjective."""
     X = act(M.action, x)
     ker_gens = _induced_kernel_generators(X, M.relations)
-    amb = M.relations.hstack(ker_gens)
-    injective = subquotient_invariants(amb, M.relations).is_zero
+    injective = subquotient_invariants(M.relations.hstack(ker_gens), M.relations).is_zero
     coker = cokernel_invariants(M.relations.hstack(X))
     return RegularElementReport(injective, coker.is_zero, coker)
 
@@ -209,11 +207,10 @@ def homology_of_presented(
     incoming: Matrix, outgoing: Matrix, relations_mid: Matrix, relations_out: Matrix
 ) -> KModuleInvariants:
     """Homology at the middle of  F' --incoming--> F --outgoing--> F''  where
-    every term is generators-modulo-relations (relations map to relations)."""
-    cyc = _induced_kernel_generators(outgoing, relations_out)
-    Z = cyc.hstack(relations_mid)
-    B = incoming.hstack(relations_mid)
-    return subquotient_invariants(Z, B)
+    every term is generators-modulo-relations (relations map to relations).
+    Only invariants are read, so neither cycles nor boundaries are normalized."""
+    cycles = _induced_kernel_generators(outgoing, relations_out).hstack(relations_mid)
+    return subquotient_invariants(cycles, incoming.hstack(relations_mid))
 
 
 def _koszul_homology(relations: list[Matrix], blocks: list[list[Matrix]], guard: int | None) -> list[KModuleInvariants]:

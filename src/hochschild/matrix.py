@@ -12,11 +12,11 @@ integer core (Q on rows cleared of denominators).  A Q value is an int when
 integral, so integer data stays on ints and a Fraction marks a true quotient.
 The cores pivot on the holder of a column with the fewest stored entries (over
 Z and Q, among those of least |entry|) to keep the fill down.  Every caller
-reads a result that does not depend on that choice: a normal form, a rank,
-or a Z solution reduced modulo the kernel lattice.  Pivot rows are reduced
-against each other only where they are read (normal forms, field solving,
-the Z cokernel); kernels and ranks skip that pass.  All arithmetic is exact;
-over Z every kernel is the full (hence saturated) integer kernel.
+reads a result that does not depend on that choice: a normal form, a rank, a
+span, invariants, or a Z solution reduced modulo the kernel lattice.  Pivot rows
+are reduced against each other only where they are read (normal forms, field
+solving, the Z cokernel), not for ranks, kernel generators or invariants.  All
+arithmetic is exact; over Z every kernel is the full (saturated) integer kernel.
 
 Over Z, invariant factors come from the Hermite form of the column lattice:
 each pivot equal to 1 splits off a trivial summand, and the sparse Smith
@@ -607,10 +607,24 @@ def _dict_rows(M: Matrix) -> list[dict]:
     return rows
 
 
-def _combination_rows(M: Matrix) -> list[dict]:
-    """The columns of M as dict rows, row j carrying e_j past M.rows (its combination)."""
+def _combination_rows(M: Matrix, tagged: int) -> list[dict]:
+    """The columns of M as dict rows, row j < tagged carrying e_j past M.rows (its combination)."""
     m, one = M.rows, M.ring.one
-    return [dict(col + ((m + j, one),)) for j, col in enumerate(M.columns)]
+    return [dict(col + ((m + j, one),)) if j < tagged else dict(col) for j, col in enumerate(M.columns)]
+
+
+def _kernel_generator_rows(M: Matrix, tagged: int) -> list[dict]:
+    """The tags (keys < tagged), not normalized, of the rows of _combination_rows(M, tagged)
+    whose leading part dies in one elimination.  They span {v : M[:, :tagged] v in span
+    M[:, tagged:]}, over Z as a lattice: a combination with no leading part uses no pivot row."""
+    rows = _combination_rows(M, tagged)
+    _echelon(M.ring, rows, M.rows)
+    return [{c - M.rows: v for c, v in r.items()} for r in rows]
+
+
+def _column_matrix(ring: ScalarRing, width: int, vec_rows: list[dict]) -> Matrix:
+    """The matrix whose columns are the given dict rows (canonical values) of the given width."""
+    return _make(ring, width, len(vec_rows), tuple(tuple(sorted(r.items())) for r in vec_rows))
 
 
 def kernel_basis(M: Matrix) -> Matrix:
@@ -620,17 +634,12 @@ def kernel_basis(M: Matrix) -> Matrix:
     result is saturated.  Computed by reducing the transpose augmented with an
     identity block: rows whose leading part dies give the kernel combinations.
     """
-    rows = _combination_rows(M)
-    _echelon(M.ring, rows, M.rows)
-    kernel_rows = [{c - M.rows: v for c, v in r.items()} for r in rows]  # leading parts are zero
-    return _normal_form_columns(M.ring, kernel_rows, M.cols)
+    return _normal_form_columns(M.ring, _kernel_generator_rows(M, M.cols), M.cols)
 
 
 def _normal_form_columns(ring: ScalarRing, vec_rows: list[dict], width: int) -> Matrix:
-    """Canonicalize a set of vectors (dict rows of the given width) to echelon columns."""
-    pivots = _reduce(ring, _echelon(ring, [dict(r) for r in vec_rows if r], width))
-    cols = tuple(tuple(sorted(r.items())) for _, r in pivots)
-    return _make(ring, width, len(cols), cols)
+    """Canonicalize nonzero vectors (dict rows of the given width, consumed) to echelon columns."""
+    return _column_matrix(ring, width, [r for _, r in _reduce(ring, _echelon(ring, vec_rows, width))])
 
 
 def column_span_basis(M: Matrix) -> Matrix:
@@ -641,8 +650,8 @@ def column_span_basis(M: Matrix) -> Matrix:
 def coords_in_span(basis: Matrix, M: Matrix) -> Matrix:
     """Express each column of M in an echelon-column basis (exact, per ring).
 
-    The basis must come from kernel_basis / column_span_basis: the leading
-    (first) row lead_j of its column j increases with j.  Each target is
+    Any echelon basis will do: the leading (first) row lead_j of its column j
+    increases strictly with j, and over Z the leads are positive.  Each target is
     reduced row by row in increasing order: when its lowest remaining row
     is some lead_j, column j is subtracted (over Z only if the entry divides
     exactly); any other row left nonzero means the target escapes the span.
@@ -712,7 +721,7 @@ def solve(M: Matrix, b: Matrix) -> Matrix | None:
         # Rows of the transpose carry their combinations of the columns of M past m.
         # Clearing -b off the echelon leading parts leaves an x there; clearing x
         # against an echelon basis of the rows left over (ker M) makes it canonical.
-        rows = _combination_rows(M)
+        rows = _combination_rows(M, n)
         t = {i: -v for i, v in b.columns[0]}
         for width in (m, m + n):
             for c, r in _echelon(ring, rows, width):
@@ -872,13 +881,15 @@ def cokernel_invariants(M: Matrix) -> KModuleInvariants:
 def subquotient_invariants(Z: Matrix, B: Matrix) -> KModuleInvariants:
     """Invariants of (span of Z's columns) / (span of B's columns).
 
-    Columns may be arbitrary spanning sets.  Raises ContainmentError naming
-    the first offending column of B that escapes the span of Z.
+    Columns may be arbitrary spanning sets; B is read in the echelon rows of Z,
+    unreduced, as the invariants do not depend on the basis.  Raises
+    ContainmentError naming the first column of B that escapes the span of Z.
     """
     Z._same(B)
     if Z.rows != B.rows:
         raise ShapeError("ambient dimensions differ")
-    return cokernel_invariants(coords_in_span(column_span_basis(Z), B))
+    pivots = _echelon(Z.ring, [dict(c) for c in Z.columns if c], Z.rows)
+    return cokernel_invariants(coords_in_span(_column_matrix(Z.ring, Z.rows, [r for _, r in pivots]), B))
 
 
 def quotient_generators(Z: Matrix, B: Matrix) -> tuple[KModuleInvariants, list[Matrix]]:
@@ -888,10 +899,12 @@ def quotient_generators(Z: Matrix, B: Matrix) -> tuple[KModuleInvariants, list[M
     generators first, then torsion generators in increasing invariant-factor
     order (over a field: a basis of a complement of span(B) in span(Z)).
     """
-    Z._same(B)
-    basis = column_span_basis(Z)
-    r = basis.cols
-    ring = Z.ring
+    return _quotient_of_basis(column_span_basis(Z), B)
+
+
+def _quotient_of_basis(basis: Matrix, B: Matrix) -> tuple[KModuleInvariants, list[Matrix]]:
+    """quotient_generators on the canonical basis of the ambient span."""
+    r, ring = basis.cols, basis.ring
     C = coords_in_span(basis, B)
     if ring.kind == "Z":
         diag, _, Uinv, _ = _smith(_dict_rows(C), C.cols)
@@ -912,7 +925,7 @@ def homology(outgoing: Matrix, incoming: Matrix) -> tuple[KModuleInvariants, lis
 
     Returns the invariants and generator columns, as quotient_generators does.
     """
-    return quotient_generators(kernel_basis(outgoing), incoming)
+    return _quotient_of_basis(kernel_basis(outgoing), incoming)
 
 
 def homology_invariants(outgoing: Matrix, incoming: Matrix) -> KModuleInvariants:

@@ -4,6 +4,8 @@ from math import comb
 
 import pytest
 
+from hochschild import koszul as koszul_module
+from hochschild import matrix as matrix_module
 from hochschild.algebra import AlgebraError
 from hochschild.catalog import base_ring_algebra, dual_numbers, matrix_algebra2, split_pair
 from hochschild.koszul import (
@@ -276,3 +278,19 @@ def test_aggregate_adds_free_ranks_and_recombines_torsion():
     # a large prime: no factoring, so this returns at once
     p = 2**61 - 1
     assert _aggregate([K(0, (p,)), K(0, (2 * p,))]) == K(0, (p, 2 * p))
+
+
+def test_koszul_tor_reads_no_kernel_basis_or_span_basis(monkeypatch):
+    # presented homology takes kernel generators from one tagged elimination and
+    # reads invariants off echelon rows: no normal form of either span
+    A, M = base_ring_algebra(ZZ), _z_mod(4)
+    expected = graded_koszul_tor(3, ZZ, 5), finite_koszul_tor(A, [[6]], M)
+
+    def refuse(*args):
+        raise AssertionError("Koszul homology must not normalize a span")
+
+    assert not hasattr(koszul_module, "kernel_basis")
+    monkeypatch.setattr(matrix_module, "kernel_basis", refuse)
+    monkeypatch.setattr(matrix_module, "column_span_basis", refuse)
+    monkeypatch.setattr(koszul_module, "column_span_basis", refuse)
+    assert (graded_koszul_tor(3, ZZ, 5), finite_koszul_tor(A, [[6]], M)) == expected

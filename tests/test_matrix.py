@@ -3,13 +3,14 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hochschild import matrix as matrix_module
 from hochschild.algebra import regular_bimodule
 from hochschild.catalog import dual_numbers, truncated_poly, upper_triangular2
 from hochschild.cohomology import coboundary_matrix
+from hochschild.koszul import _induced_kernel_generators
 from hochschild.matrix import (
     _reduce_rows_int,
     _echelon,
@@ -889,13 +890,7 @@ def _install_first_row_cores(mp) -> list:
     return calls
 
 
-@PROPS
-@given(matrices(max_dim=7), st.data())
-def test_results_do_not_depend_on_the_tie_rule(M, data):
-    ring = M.ring
-    y = Matrix.column(ring, data.draw(st.lists(_values(ring), min_size=M.cols, max_size=M.cols)))
-    b_any = Matrix.column(ring, data.draw(st.lists(_values(ring), min_size=M.rows, max_size=M.rows)))
-
+def _assert_tie_rule_free(M, y, b_any):
     def results():
         return [kernel_basis(M), column_span_basis(M), rank(M), cokernel_invariants(M),
                 solve(M, M * y), solve(M, b_any)]
@@ -905,6 +900,28 @@ def test_results_do_not_depend_on_the_tie_rule(M, data):
         calls = _install_first_row_cores(mp)
         assert results() == new
     assert calls
+
+
+@PROPS
+@given(matrices(max_dim=7), st.data())
+def test_results_do_not_depend_on_the_tie_rule(M, data):
+    ring = M.ring
+    y = Matrix.column(ring, data.draw(st.lists(_values(ring), min_size=M.cols, max_size=M.cols)))
+    b_any = Matrix.column(ring, data.draw(st.lists(_values(ring), min_size=M.rows, max_size=M.rows)))
+    _assert_tie_rule_free(M, y, b_any)
+
+
+@pytest.mark.parametrize("rows, y", [
+    # at column 0 the sparsest rule takes the column (1, 0), the first-row rule (-1, 1)
+    ([[-1, 1, 0], [1, 0, 1]], [3, 3, 1]),
+    ([[1, 1, 0, 1], [0, -2, 2, -2]], [2, 0, -2, 1]),
+    ([[0, -2, 3, 0, 0], [-2, 0, -1, 0, -2], [-2, 1, 0, 1, 0]], [3, 1, -2, -1, -1]),
+])
+def test_results_do_not_depend_on_the_tie_rule_on_fixed_z_systems(rows, y):
+    # ker M != 0 and the two rules reach different x before the canonical pass
+    M = Matrix.from_rows(ZZ, rows)
+    assert kernel_basis(M).cols
+    _assert_tie_rule_free(M, Matrix.column(ZZ, y), Matrix.column(ZZ, [1] * M.rows))
 
 
 @pytest.mark.parametrize("ring", [GF(3), ZZ])
@@ -1123,3 +1140,65 @@ def test_smith_is_not_cubic():
     U, D, V = smith_normal_form(M)
     assert time.perf_counter() - start < 5.0
     assert U * M * V == D
+
+
+# -- presented homology: one tagged elimination, invariants off echelon rows ------------
+
+TAG_RINGS = (ZZ, QQ, F2, GF(3))
+
+
+@st.composite
+def induced_kernel_cases(draw):
+    """(X, R) with zero and repeated columns; R is often 2I, a lattice that is not saturated."""
+    ring = draw(st.sampled_from(TAG_RINGS))
+    m = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(ring.zero), _values(ring))
+
+    def block(n):
+        A = Matrix.from_cols(ring, draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n)), m)
+        repeats = draw(st.lists(st.integers(0, n - 1), max_size=2)) if n else []
+        return A.hstack(A.submatrix_cols(repeats)).hstack(Matrix.zeros(ring, m, draw(st.integers(0, 1))))
+
+    X = block(draw(st.integers(0, 4)))
+    R = draw(st.sampled_from([Matrix.identity(ring, m).scale(2), None]))
+    return X, block(draw(st.integers(0, 3))) if R is None else R
+
+
+@PROPS
+@given(induced_kernel_cases())
+@example((Matrix.from_rows(ZZ, [[1]]), Matrix.from_rows(ZZ, [[2]])))  # 2Z, not its saturation Z
+def test_induced_kernel_generators_span_the_projected_kernel(case):
+    # oracle: the full kernel of [X | R] cut down to its first X.cols coordinates
+    X, R = case
+    K = kernel_basis(X.hstack(R))
+    top = ((i, j, v) for j, col in enumerate(K.columns) for i, v in col if i < X.cols)
+    expected = column_span_basis(Matrix.from_triplets(X.ring, X.cols, K.cols, top))
+    gens = _induced_kernel_generators(X, R)
+    _assert_canonical(gens)
+    assert column_span_basis(gens) == expected
+
+
+@st.composite
+def redundant_subquotients(draw):
+    """Z a redundant generating set in no echelon order, B = Z*C with C of mostly even entries."""
+    ring = draw(st.sampled_from(TAG_RINGS))
+    m, k, t, n = (draw(st.integers(lo, 4)) for lo in (1, 0, 0, 0))
+    small = st.sampled_from([0, 0, 1, -1, 2]).map(ring.of_int)
+    even = st.sampled_from([0, 0, 2, -2, 4, 6, 3]).map(ring.of_int)
+
+    def block(rows, cols, values):
+        if not rows:
+            return Matrix.zeros(ring, 0, cols)
+        return Matrix.from_rows(ring, draw(st.lists(st.lists(values, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+
+    base = block(m, k, st.one_of(st.just(ring.zero), _values(ring)))
+    Z = base.hstack(base * block(k, t, small))
+    Z = Z.submatrix_cols(draw(st.permutations(range(Z.cols))))
+    return Z, Z * block(Z.cols, n, even)
+
+
+@PROPS
+@given(redundant_subquotients())
+def test_subquotient_invariants_match_the_canonical_route(case):
+    Z, B = case
+    assert subquotient_invariants(Z, B) == cokernel_invariants(coords_in_span(column_span_basis(Z), B))
