@@ -43,6 +43,7 @@ from .cohomology import (
     CohomologyReport,
     center,
     coboundary_matrix,
+    cocycle_witness,
     derivations,
     hh,
     hh1_report,
@@ -52,7 +53,6 @@ from .cohomology import (
 )
 from .extensions import (
     ExtensionPresentation,
-    TwoCochain,
     cocycles_cohomologous,
     crossed_product,
     enumerate_extension_classes,

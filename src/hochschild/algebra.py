@@ -440,44 +440,19 @@ def truncated_tensor_algebra(
         raise AlgebraError("positive-rank coefficients require the rank-1 base algebra k")
     ring = B.ring
     m = M.rank
-    ranks = [1] + [m**n for n in range(1, degree_cap + 1)]
-    total = sum(ranks)
+    total = sum(m**n for n in range(degree_cap + 1))
     if guard is not None and total**3 > guard:
         raise SizeGuardError(f"truncated tensor algebra of rank {total} exceeds the guard")
-    offsets = [0]
-    for r in ranks[:-1]:
-        offsets.append(offsets[-1] + r)
-    z, one = ring.zero, ring.one
-    mul = [z] * total**3
-
-    def put(i, j, k, v):
-        mul[(i * total + j) * total + k] = ring.canon(v)
-
-    for deg_a in range(degree_cap + 1):
-        for ia in range(ranks[deg_a]):
-            i = offsets[deg_a] + ia
-            for deg_b in range(degree_cap + 1):
-                for ib in range(ranks[deg_b]):
-                    j = offsets[deg_b] + ib
-                    deg = deg_a + deg_b
-                    if deg > degree_cap:
-                        continue  # truncated to zero
-                    if deg_a == 0:
-                        put(i, j, offsets[deg_b] + ib, one)
-                    elif deg_b == 0:
-                        put(i, j, offsets[deg_a] + ia, one)
-                    else:
-                        put(i, j, offsets[deg] + ia * ranks[deg_b] + ib, one)
-    names = [B.basis_names[0]]
-    for n in range(1, degree_cap + 1):
-        for t in range(m**n):
-            idx = []
-            tt = t
-            for _ in range(n):
-                idx.append(tt % m)
-                tt //= m
-            idx.reverse()
-            names.append("*".join(f"t{q}" for q in idx))
-    unit = [z] * total
-    unit[0] = one
+    # the basis is the words in t0..t(m-1) of length <= N, shortest first; a product is the
+    # concatenation while its length stays <= N, and zero beyond
+    words = [t for n in range(degree_cap + 1) for t in product(range(m), repeat=n)]
+    index = {t: k for k, t in enumerate(words)}
+    mul = [ring.zero] * total**3
+    for i, s in enumerate(words):
+        for j, t in enumerate(words):
+            if len(s) + len(t) <= degree_cap:
+                mul[(i * total + j) * total + index[s + t]] = ring.one
+    names = [B.basis_names[0]] + ["*".join(f"t{q}" for q in t) for t in words[1:]]
+    unit = [ring.zero] * total
+    unit[0] = ring.one
     return validate_algebra(ring, total, names, unit, mul)

@@ -276,25 +276,6 @@ def _derivation_images(A: FiniteAlgebra) -> Matrix:
     return Matrix.from_triplets(A.ring, d * d, d, triplets())
 
 
-def is_derivation(M: Bimodule, D: Matrix) -> tuple[bool, tuple[int, int] | None]:
-    """Leibniz check D(e_i e_j) = e_i D(e_j) + D(e_i) e_j; returns a witness pair.
-
-    The defect is b^1 D, whose (i, j) entry block is e_i D(e_j) - D(e_i e_j)
-    + D(e_i) e_j; the witness is the first failing pair in row-major order.
-    """
-    from .cohomology import coboundary_matrix
-
-    A = M.algebra
-    if (D.rows, D.cols) != (M.rank, A.rank):
-        raise AlgebraError("derivation candidate must be an (module rank) x (algebra rank) matrix")
-    d = A.rank
-    image = coboundary_matrix(A, M, 1, False, guard=None) * D.reshape(M.rank * d, 1)
-    if image.is_zero:
-        return True, None
-    s = min(row % d**2 for row, _ in image.columns[0])  # row p * d^2 + i d + j
-    return False, divmod(s, d)
-
-
 def derivation_factorization(M: Bimodule, D: Matrix, normalized: bool = False) -> Matrix:
     """The bimodule map f : Omega^1 -> M with f(d(a)) = D(a).
 
@@ -302,9 +283,11 @@ def derivation_factorization(M: Bimodule, D: Matrix, normalized: bool = False) -
     f = [L_0 D | ... | L_(d-1) D] applied to the syzygy basis; both the
     factorization identity and A-bilinearity are verified exactly.
     """
+    from .cohomology import Cochain, cocycle_witness
+
     A = M.algebra
-    ok, witness = is_derivation(M, D)
-    if not ok:
+    witness = cocycle_witness(Cochain(A, M, 1, D))  # b^1 D is the Leibniz defect
+    if witness is not None:
         raise AlgebraError(f"not a derivation: Leibniz fails at basis pair {witness}")
     om = syzygy(A, 1, normalized)
     F = reduce(Matrix.hstack, (L * D for L in M.left)) * om.basis

@@ -86,20 +86,13 @@ def cmd_hh(args) -> int:
         _emit(doc, args.output)
         return 0
     canonicalized = False
-    if args.unnormalized:
-        normalized = False
-    else:
-        if not A.has_unital_basis:
-            try:
-                A2, P = with_unital_basis(A)
-                M = transport_bimodule(M, A2, P)
-                A = A2
-                canonicalized = True
-                normalized = True
-            except AlgebraError:
-                normalized = False
-        else:
-            normalized = True
+    if not (args.unnormalized or A.has_unital_basis):  # canonicalize so that hh can normalize
+        try:
+            A2, P = with_unital_basis(A)
+            A, M, canonicalized = A2, transport_bimodule(M, A2, P), True
+        except AlgebraError:
+            pass
+    normalized = False if args.unnormalized else None  # None: hh normalizes on a unital basis
     report = hh(A, M, args.degree, normalized=normalized, guard=guard, representatives=args.representatives)
     doc = {"degree": args.degree, **_invariants_doc(report.invariants)}
     if canonicalized:

@@ -45,7 +45,6 @@ from .matrix import (
     homology,
     homology_invariants,
     kernel_basis,
-    quotient_generators,
 )
 
 
@@ -62,6 +61,9 @@ class Cochain:
         d = self.algebra.rank
         if (self.matrix.rows, self.matrix.cols) != (self.bimodule.rank, d**self.degree):
             raise AlgebraError("cochain matrix shape does not match its degree")
+
+    def as_vector(self) -> Matrix:
+        return self.matrix.reshape(self.matrix.rows * self.matrix.cols, 1)
 
 
 @dataclass(frozen=True)
@@ -129,10 +131,19 @@ def hh(
     return CohomologyReport(n, invs, tuple(Cochain(A, M, n, g) for g in gens))
 
 
-def is_cocycle(c: Cochain, guard: int | None = DEFAULT_GUARD) -> bool:
-    bn = coboundary_matrix(c.algebra, c.bimodule, c.degree, False, guard)
-    vec = c.matrix.reshape(c.matrix.rows * c.matrix.cols, 1)
-    return (bn * vec).is_zero
+def cocycle_witness(c: Cochain) -> tuple[int, ...] | None:
+    """None for a cocycle, else the first basis tuple (a_0, ..., a_n), row-major, where b^n c is nonzero.
+
+    Row q * d^(n+1) + t of b^n c is coordinate q of (b^n c)(e_t), for the
+    row-major index t of the tuple; the raw complex is always used.
+    """
+    A, n = c.algebra, c.degree
+    d = A.rank
+    image = coboundary_matrix(A, c.bimodule, n, False, guard=None) * c.as_vector()
+    if image.is_zero:
+        return None
+    t = min(row % d ** (n + 1) for row, _ in image.columns[0])
+    return tuple(t // d ** (n - i) % d for i in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +168,7 @@ def inner_derivations(A: FiniteAlgebra, M: Bimodule) -> Matrix:
 
 def hh1_report(A: FiniteAlgebra, M: Bimodule) -> CohomologyReport:
     """HH^1 = Der/Inn from the raw b^1 and b^0; hh(A, M, 1) defaults to the normalized complex."""
-    Der = derivations(A, M)
-    Inn = inner_derivations(A, M)
-    invs, gens = quotient_generators(Der, Inn)
-    reps = tuple(Cochain(A, M, 1, g.reshape(M.rank, A.rank)) for g in gens)
-    return CohomologyReport(1, invs, reps)
+    return hh(A, M, 1, normalized=False, guard=None)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .algebra import (
     multiplication_matrix,
     opposite,
 )
-from .cohomology import coboundary_matrix
+from .cohomology import Cochain, coboundary_matrix, cocycle_witness
 from .matrix import (
     DEFAULT_GUARD,
     Matrix,
@@ -40,52 +40,22 @@ from .matrix import (
 )
 
 
-@dataclass(frozen=True)
-class TwoCochain:
-    """A bilinear map A (x) A -> M as an m x d^2 matrix (row-major pairs)."""
-
-    algebra: FiniteAlgebra
-    bimodule: Bimodule
-    matrix: Matrix
-
-    def __post_init__(self):
-        d = self.algebra.rank
-        if (self.matrix.rows, self.matrix.cols) != (self.bimodule.rank, d * d):
-            raise AlgebraError("two-cochain matrix must be rank(M) x rank(A)^2")
-
-    def value(self, i: int, j: int) -> Matrix:
-        """B(e_i, e_j) as an M-coefficient column."""
-        return self.matrix.submatrix_cols((i * self.algebra.rank + j,))
-
-    def value_on(self, a, b) -> Matrix:
-        """B(a, b) for coefficient vectors a and b, as an M-coefficient column."""
-        return self.matrix * Matrix.column(self.algebra.ring, [ai * bj for ai in a for bj in b])
-
-    def as_vector(self) -> Matrix:
-        return self.matrix.reshape(self.matrix.rows * self.matrix.cols, 1)
+def zero_two_cochain(A: FiniteAlgebra, M: Bimodule) -> Cochain:
+    return Cochain(A, M, 2, Matrix.zeros(A.ring, M.rank, A.rank**2))
 
 
-def zero_two_cochain(A: FiniteAlgebra, M: Bimodule) -> TwoCochain:
-    return TwoCochain(A, M, Matrix.zeros(A.ring, M.rank, A.rank**2))
+def two_cochain_from_vector(A: FiniteAlgebra, M: Bimodule, vec) -> Cochain:
+    return Cochain(A, M, 2, Matrix.column(A.ring, vec).reshape(M.rank, A.rank**2))
 
 
-def two_cochain_from_vector(A: FiniteAlgebra, M: Bimodule, vec) -> TwoCochain:
-    return TwoCochain(A, M, Matrix.column(A.ring, vec).reshape(M.rank, A.rank**2))
-
-
-def is_two_cocycle(B: TwoCochain) -> tuple[bool, tuple[int, int, int] | None]:
+def is_two_cocycle(B: Cochain) -> tuple[bool, tuple[int, ...] | None]:
     """Check a B(a', a'') - B(aa', a'') + B(a, a'a'') - B(a, a')a'' = 0 on basis triples.
 
-    The left side is b^2 B; returns (verdict, witness), the witness being the
-    first violating triple in row-major order.
+    The left side is b^2 B; returns (verdict, witness), the witness being
+    cocycle_witness(B), the first violating triple in row-major order.
     """
-    A = B.algebra
-    d = A.rank
-    image = coboundary_matrix(A, B.bimodule, 2, False, guard=None) * B.as_vector()
-    if image.is_zero:
-        return True, None
-    s = min(row % d**3 for row, _ in image.columns[0])  # row q * d^3 + (i d + j) d + l
-    return False, (s // d**2, s // d % d, s % d)
+    witness = cocycle_witness(B)
+    return witness is None, witness
 
 
 @dataclass(frozen=True)
@@ -137,7 +107,7 @@ def validate_extension(E: ExtensionPresentation) -> ExtensionPresentation:
     return E
 
 
-def crossed_product(A: FiniteAlgebra, M: Bimodule, B: TwoCochain) -> FiniteAlgebra:
+def crossed_product(A: FiniteAlgebra, M: Bimodule, B: Cochain) -> FiniteAlgebra:
     """The twisted algebra on A + M: (a,m)(a',m') = (aa', am' + ma' + B(a,a')).
 
     Requires B to be a 2-cocycle, which is exactly associativity, so the
@@ -151,7 +121,7 @@ def crossed_product(A: FiniteAlgebra, M: Bimodule, B: TwoCochain) -> FiniteAlgeb
     return _crossed_product_unchecked(A, M, B)
 
 
-def _crossed_product_unchecked(A: FiniteAlgebra, M: Bimodule, B: TwoCochain) -> FiniteAlgebra:
+def _crossed_product_unchecked(A: FiniteAlgebra, M: Bimodule, B: Cochain) -> FiniteAlgebra:
     """The table of A + M twisted by an arbitrary cochain, with the unit (1, -B(1,1)).
 
     Nothing is validated: for a non-cocycle the table is simply not
@@ -175,12 +145,12 @@ def _crossed_product_unchecked(A: FiniteAlgebra, M: Bimodule, B: TwoCochain) -> 
             put(i, d + p, d, M.left[i].columns[p])
             put(d + p, i, d, M.right[i].columns[p])
     names = tuple(A.basis_names) + tuple(f"m{i}" for i in range(m))
-    m0 = B.value_on(list(A.unit), list(A.unit))
+    m0 = B.matrix * Matrix.column(A.ring, [u * v for u in A.unit for v in A.unit])
     unit = list(A.unit) + [A.ring.neg(v) for v in m0.col_list(0)]
     return FiniteAlgebra(A.ring, total, names, tuple(unit), tuple(mul))
 
 
-def crossed_product_presentation(A: FiniteAlgebra, M: Bimodule, B: TwoCochain) -> ExtensionPresentation:
+def crossed_product_presentation(A: FiniteAlgebra, M: Bimodule, B: Cochain) -> ExtensionPresentation:
     """The crossed product together with its canonical projection/inclusion/section."""
     total = crossed_product(A, M, B)
     ring = A.ring
@@ -196,7 +166,7 @@ def trivial_extension(A: FiniteAlgebra, M: Bimodule) -> ExtensionPresentation:
     return crossed_product_presentation(A, M, zero_two_cochain(A, M))
 
 
-def extension_class_from_section(E: ExtensionPresentation, section: Matrix | None = None) -> TwoCochain:
+def extension_class_from_section(E: ExtensionPresentation, section: Matrix | None = None) -> Cochain:
     """The cocycle B_s(a, a') = s(a) s(a') - s(aa') of a section s.
 
     Different sections of the same extension give cohomologous cocycles.
@@ -209,10 +179,10 @@ def extension_class_from_section(E: ExtensionPresentation, section: Matrix | Non
     cols = [solve(E.inclusion, defect.submatrix_cols((j,))) for j in range(defect.cols)]
     if any(x is None for x in cols):
         raise AlgebraError("section defect escapes the ideal")
-    return TwoCochain(A, M, reduce(Matrix.hstack, cols))
+    return Cochain(A, M, 2, reduce(Matrix.hstack, cols))
 
 
-def cocycles_cohomologous(B1: TwoCochain, B2: TwoCochain) -> Matrix | None:
+def cocycles_cohomologous(B1: Cochain, B2: Cochain) -> Matrix | None:
     """A 1-cochain z with b^1(z) = B1 - B2, or None when inequivalent.
 
     The certificate z yields the equivalence Phi(a, m) = (a, m + z(a)) of the
@@ -222,18 +192,17 @@ def cocycles_cohomologous(B1: TwoCochain, B2: TwoCochain) -> Matrix | None:
         raise AlgebraError("cocycles live over different data")
     A, M = B1.algebra, B1.bimodule
     b1 = coboundary_matrix(A, M, 1, normalized=False, guard=None)
-    diff = B1.matrix - B2.matrix
-    x = solve(b1, diff.reshape(diff.rows * diff.cols, 1))
+    x = solve(b1, B1.as_vector() - B2.as_vector())
     if x is None:
         return None
     return x.reshape(M.rank, A.rank)
 
 
-def coboundary_of(A: FiniteAlgebra, M: Bimodule, zeta: Matrix) -> TwoCochain:
-    """b^1(zeta) as a TwoCochain, for a 1-cochain zeta (m x d matrix)."""
+def coboundary_of(A: FiniteAlgebra, M: Bimodule, zeta: Matrix) -> Cochain:
+    """b^1(zeta) as a 2-cochain, for a 1-cochain zeta (m x d matrix)."""
     b1 = coboundary_matrix(A, M, 1, normalized=False, guard=None)
     vec = b1 * zeta.reshape(zeta.rows * zeta.cols, 1)
-    return TwoCochain(A, M, vec.reshape(M.rank, A.rank**2))
+    return Cochain(A, M, 2, vec.reshape(M.rank, A.rank**2))
 
 
 def lift_exists(E: ExtensionPresentation) -> Matrix | None:
@@ -257,7 +226,7 @@ def lift_exists(E: ExtensionPresentation) -> Matrix | None:
 
 def enumerate_extension_classes(
     A: FiniteAlgebra, M: Bimodule, guard_exponent: int = 2**20, guard: int | None = DEFAULT_GUARD
-) -> list[TwoCochain]:
+) -> list[Cochain]:
     """All square-zero extension classes of A by M over a finite prime field.
 
     Enumerates the 2-cocycles as the F_p-combinations of a basis of ker b^2
@@ -281,7 +250,7 @@ def enumerate_extension_classes(
     image = column_span_basis(b1)
     # echelon reduction data: leading row of each image column
     leads = [col[0][0] for col in image.columns]
-    reps: dict[tuple, TwoCochain] = {}
+    reps: dict[tuple, Cochain] = {}
     for coeffs in product(range(p), repeat=len(cocycles)):
         vec = [0] * dim
         for c, z in zip(coeffs, cocycles):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .algebra import regular_bimodule
 from .catalog import split_product, standard_corpus
-from .extensions import TwoCochain
+from .cohomology import Cochain
 from .io_json import algebra_to_json, bimodule_to_json, cochain_to_json, dumps
 from .matrix import Matrix
 from .rings import GF, QQ, ZZ
@@ -33,7 +33,7 @@ def corpus_documents() -> dict[str, dict]:
     # the nontrivial class: B(x, x) = 1, all other basis pairs zero
     ring = dual_f2.ring
     # value coordinate "1" on the pair (x, x)
-    nontrivial = TwoCochain(dual_f2, reg, Matrix.from_triplets(ring, 2, 4, [(0, 3, ring.one)]))
+    nontrivial = Cochain(dual_f2, reg, 2, Matrix.from_triplets(ring, 2, 4, [(0, 3, ring.one)]))
     docs["cocycle_dual_f2_xx.json"] = cochain_to_json(
         nontrivial, algebra_ref="dual_f2.json", bimodule_ref="dual_f2_regular.json"
     )

@@ -16,7 +16,8 @@ from .algebra import (
     validate_algebra,
     validate_bimodule,
 )
-from .extensions import ExtensionPresentation, TwoCochain, crossed_product_presentation, validate_extension
+from .cohomology import Cochain
+from .extensions import ExtensionPresentation, crossed_product_presentation, validate_extension
 from .koszul import PresentedModule, free_module, presented_module
 from .matrix import Matrix
 from .rings import GF, QQ, ZZ, ScalarRing
@@ -172,7 +173,7 @@ def presented_module_from_json(doc, base_dir: Path | None = None) -> PresentedMo
 # -- cochains and extensions ----------------------------------------------------
 
 
-def cochain_to_json(B: TwoCochain, algebra_ref=None, bimodule_ref=None) -> dict:
+def cochain_to_json(B: Cochain, algebra_ref=None, bimodule_ref=None) -> dict:
     return {
         "algebra": algebra_ref if algebra_ref is not None else algebra_to_json(B.algebra),
         "bimodule": bimodule_ref if bimodule_ref is not None else bimodule_to_json(B.bimodule),
@@ -189,13 +190,13 @@ def _resolve_bimodule(doc, base_dir: Path | None) -> Bimodule:
     return bimodule_from_json(doc, base_dir)
 
 
-def cochain_from_json(doc, base_dir: Path | None = None) -> TwoCochain:
+def cochain_from_json(doc, base_dir: Path | None = None) -> Cochain:
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise SchemaError("cochain", "expected an object with a matrix field")
     A = _resolve_algebra(doc.get("algebra"), base_dir)
     M = _resolve_bimodule(doc.get("bimodule"), base_dir)
     mat = _matrix_from_json(A.ring, doc["matrix"], M.rank, A.rank**2, "cochain.matrix")
-    return TwoCochain(A, M, mat)
+    return Cochain(A, M, 2, mat)
 
 
 def extension_from_json(doc, base_dir: Path | None = None) -> ExtensionPresentation:
@@ -206,7 +207,7 @@ def extension_from_json(doc, base_dir: Path | None = None) -> ExtensionPresentat
     if "cocycle" in doc:
         mat = _matrix_from_json(A.ring, doc["cocycle"], M.rank, A.rank**2, "extension.cocycle")
         try:
-            return crossed_product_presentation(A, M, TwoCochain(A, M, mat))
+            return crossed_product_presentation(A, M, Cochain(A, M, 2, mat))
         except ValueError as exc:
             raise SchemaError("extension.validate", str(exc)) from None
     missing = {"total", "projection", "inclusion", "section"} - set(doc)
@@ -251,7 +252,7 @@ def load_bimodule(path) -> Bimodule:
     return bimodule_from_json(_load_doc(path), base_dir=Path(path).parent)
 
 
-def load_cochain(path) -> TwoCochain:
+def load_cochain(path) -> Cochain:
     return cochain_from_json(_load_doc(path), base_dir=Path(path).parent)
 
 

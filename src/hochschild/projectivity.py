@@ -19,10 +19,8 @@ from .algebra import (
     Bimodule,
     FiniteAlgebra,
     hom_bimodule,
-    left_mult_matrix,
     multiplication_matrix,
     regular_bimodule,
-    right_mult_matrix,
 )
 from .bar import (
     SyzygyModule,
@@ -59,23 +57,15 @@ class ProjectivityCertificate:
 
 
 def separability_idempotent(A: FiniteAlgebra) -> Matrix | None:
-    """An element e of A (x) A with mu(e) = 1 and (a (x) 1) e = (1 (x) a) e.
+    """An element e of A (x) A with mu(e) = 1 and a e = e a, so e in ker b^0 of C^*(A, A (x) A).
 
     Such an element splits the multiplication map bimodule-linearly, so its
     existence is exactly relative projectivity of A itself (cohomological
     dimension zero).  Returns the coefficient column (length d^2) or None.
     """
-    d = A.rank
-    ring = A.ring
-    I = Matrix.identity(ring, d)
-    system = multiplication_matrix(A)
-    rhs_entries = list(A.unit)
-    for i in range(d):
-        block = left_mult_matrix(A, i).kron(I) - I.kron(right_mult_matrix(A, i))
-        system = system.vstack(block)
-        rhs_entries.extend([ring.zero] * (d * d))
-    rhs = Matrix.column(ring, rhs_entries)
-    return solve(system, rhs)
+    b0 = coboundary_matrix(A, chain_bimodule(A, 0, guard=None), 0, guard=None)  # e -> (a e - e a)_a
+    rhs = Matrix.column(A.ring, list(A.unit) + [A.ring.zero] * b0.rows)
+    return solve(multiplication_matrix(A).vstack(b0), rhs)
 
 
 def _section_is_valid(A: FiniteAlgebra, om: SyzygyModule, S: Matrix) -> bool:

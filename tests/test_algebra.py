@@ -315,6 +315,24 @@ def test_truncated_tensor_algebra_two_letters():
     assert T.rank == 7  # 1 + 2 + 4
 
 
+def test_truncated_tensor_algebra_three_letters_cap_two():
+    # oracle: read each basis name as a word; a product is the concatenated
+    # word while it has length <= 2, and zero beyond
+    k = base_ring_algebra(ZZ)
+    I3 = Matrix.identity(ZZ, 3)
+    T = truncated_tensor_algebra(k, Bimodule(k, 3, (I3,), (I3,)), 2)
+    assert T.rank == 13  # 1 + 3 + 9
+    assert T.basis_names[:5] == ("1", "t0", "t1", "t2", "t0*t0") and T.basis_names[-1] == "t2*t2"
+    assert T.unit == (1,) + (0,) * 12
+    words = [() if name == "1" else tuple(name.split("*")) for name in T.basis_names]
+    for i, s in enumerate(words):
+        for j, t in enumerate(words):
+            want = [0] * 13
+            if len(s + t) <= 2:
+                want[words.index(s + t)] = 1
+            assert T.product_column(i, j) == want, (s, t)
+
+
 def test_truncated_tensor_algebra_zero_module_returns_base():
     A = split_pair(QQ)
     assert truncated_tensor_algebra(A, zero_bimodule(A), 3) is A

@@ -8,7 +8,6 @@ from hochschild.catalog import base_ring_algebra, dual_numbers, split_pair, trun
 from hochschild.cohomology import coboundary_matrix, hh
 from hochschild.extensions import (
     ExtensionPresentation,
-    TwoCochain,
     _crossed_product_unchecked,
     coboundary_of,
     cocycles_cohomologous,

@@ -8,12 +8,16 @@ inclusion, section, action matrix, structure constant or derivation and
 requires the library to give the same result, witness and error text.
 The center, Leibniz and inner-derivation systems are hand-written
 equations for what `center`, `derivations` and `inner_derivations` read
-off b^0 and b^1.
+off b^0 and b^1; the separability system and the Der / Inn quotient are
+the routes that `separability_idempotent` and `hh1_report` replaced with
+b^0 and `hh`.  `cocycle_witness` is checked against the coboundary
+formula evaluated one basis tuple at a time.
 """
 
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -21,13 +25,26 @@ from hochschild.algebra import (
     AlgebraError,
     FiniteAlgebra,
     enveloping,
+    hom_bimodule,
+    left_mult_matrix,
+    multiplication_matrix,
     regular_bimodule,
+    right_mult_matrix,
     validate_algebra,
     with_unital_basis,
     zero_bimodule,
 )
-from hochschild.bar import chain_bimodule, is_derivation
-from hochschild.cohomology import center, coboundary_matrix, derivations, inner_derivations
+from hochschild.bar import chain_bimodule
+from hochschild.catalog import matrix_algebra2, split_product, upper_triangular2
+from hochschild.cohomology import (
+    Cochain,
+    center,
+    coboundary_matrix,
+    cocycle_witness,
+    derivations,
+    hh1_report,
+    inner_derivations,
+)
 from hochschild.extensions import (
     ExtensionPresentation,
     crossed_product,
@@ -36,7 +53,9 @@ from hochschild.extensions import (
     two_cochain_from_vector,
     validate_extension,
 )
-from hochschild.matrix import Matrix, column_span_basis, coords_in_span, kernel_basis, rank, solve
+from hochschild.matrix import Matrix, column_span_basis, coords_in_span, kernel_basis, quotient_generators, rank, solve
+from hochschild.projectivity import separability_idempotent
+from hochschild.rings import GF, QQ, ZZ
 
 SEED = 20261018
 
@@ -97,7 +116,7 @@ def _oracle_crossed_product(A, M, B):
         for j in range(d):
             for k, c in enumerate(A.product_column(i, j)):
                 put(i, j, k, c)
-            val = B.value(i, j)
+            val = B.matrix.submatrix_cols((i * d + j,))
             for p in range(m):
                 put(i, j, d + p, val[p, 0])
     for i in range(d):
@@ -111,8 +130,8 @@ def _oracle_crossed_product(A, M, B):
     unit_rows, rhs_rows = [], []
     for i in range(d):
         e_i = [ring.one if t == i else ring.zero for t in range(d)]
-        b_right = B.value_on(list(A.unit), e_i)
-        b_left = B.value_on(e_i, list(A.unit))
+        b_right = B.matrix * Matrix.column(ring, [u * v for u in A.unit for v in e_i])
+        b_left = B.matrix * Matrix.column(ring, [u * v for u in e_i for v in A.unit])
         for r in range(m):
             unit_rows.append(M.right[i].transpose().col_list(r))
             rhs_rows.append(ring.neg(b_right[r, 0]))
@@ -141,6 +160,47 @@ def _oracle_is_derivation(M, D):
             if lhs != rhs:
                 return False, (i, j)
     return True, None
+
+
+def _oracle_cocycle_witness(c):
+    """The first basis tuple (a_0, ..., a_n), row-major, where the coboundary formula is nonzero.
+
+    (b c)(a_0..a_n) = a_0 c(a_1..a_n) + sum_i (-1)^(i+1) c(.., a_i a_(i+1), ..)
+    + (-1)^(n+1) c(a_0..a_(n-1)) a_n, with c read one column at a time.
+    """
+    A, M, n = c.algebra, c.bimodule, c.degree
+    ring, d = A.ring, A.rank
+
+    def value(t):
+        return c.matrix.submatrix_cols((sum(x * d ** (n - 1 - k) for k, x in enumerate(t)),))
+
+    for t in product(range(d), repeat=n + 1):
+        total = M.left[t[0]] * value(t[1:])
+        for i in range(n):
+            for k, coef in enumerate(A.product_column(t[i], t[i + 1])):
+                if coef != ring.zero:
+                    total = total + value(t[:i] + (k,) + t[i + 2 :]).scale(coef if i % 2 else ring.neg(coef))
+        last = M.right[t[n]] * value(t[:n])
+        total = total + (last if n % 2 else -last)
+        if not total.is_zero:
+            return t
+    return None
+
+
+def _oracle_separability_system(A):
+    """mu(e) = 1 stacked over the blocks L_i (x) I - I (x) R_i, the equations e_i e - e e_i = 0."""
+    d, ring = A.rank, A.ring
+    I = Matrix.identity(ring, d)
+    system = multiplication_matrix(A)
+    for i in range(d):
+        system = system.vstack(left_mult_matrix(A, i).kron(I) - I.kron(right_mult_matrix(A, i)))
+    return system, Matrix.column(ring, list(A.unit) + [ring.zero] * d**3)
+
+
+def _oracle_hh1(A, M):
+    """HH^1 as Der modulo Inn through quotient_generators, representatives reshaped to m x d."""
+    invs, gens = quotient_generators(derivations(A, M), inner_derivations(A, M))
+    return invs, [g.reshape(M.rank, A.rank) for g in gens]
 
 
 def _oracle_center_system(A, M):
@@ -419,6 +479,11 @@ def test_crossed_product_unit_matches_solved_unit(small_corpus):
     assert checked >= 80
 
 
+def _is_derivation(M, D):
+    witness = cocycle_witness(Cochain(M.algebra, M, 1, D))
+    return witness is None, witness
+
+
 def test_is_derivation_matches_loop_oracle(small_corpus):
     rng = random.Random(SEED + 3)
     verdicts = set()
@@ -430,11 +495,11 @@ def test_is_derivation_matches_loop_oracle(small_corpus):
             D = (spanning * coeffs).reshape(M.rank, A.rank)
             for candidate in (D, _perturb_matrix(rng, D), _perturb_matrix(rng, _perturb_matrix(rng, D))):
                 want = _oracle_is_derivation(M, candidate)
-                assert is_derivation(M, candidate) == want, name
+                assert _is_derivation(M, candidate) == want, name
                 verdicts.add(want[0])
             # a perturbed action changes which pair fails first
             N = _perturb_action(rng, M, rng.choice(("left", "right")))
-            assert is_derivation(N, D) == _oracle_is_derivation(N, D), name
+            assert _is_derivation(N, D) == _oracle_is_derivation(N, D), name
     assert verdicts == {True, False}
 
 
@@ -447,6 +512,72 @@ def test_low_degree_readings_match_hand_written_systems(corpus, small_corpus):
         assert center(A, M) == kernel_basis(_oracle_center_system(A, M)), (name, M.rank)
         assert derivations(A, M) == kernel_basis(_oracle_leibniz_system(A, M)), (name, M.rank)
         assert inner_derivations(A, M) == column_span_basis(_oracle_inner_derivation_generators(A, M)), (name, M.rank)
+
+
+def _with_unital_variants(algebras):
+    out = dict(algebras)
+    for name, A in algebras.items():
+        if not A.has_unital_basis:
+            out[f"{name}/unital"] = with_unital_basis(A)[0]
+    return out
+
+
+def test_cocycle_witness_matches_loop_oracle(small_corpus):
+    # degrees 0-3 over Z, Q and F_2: random cochains, cocycles, and cocycles with one entry moved
+    rng = random.Random(SEED + 5)
+    witnesses = []
+    for name, A in sorted(small_corpus.items()):
+        M = regular_bimodule(A)
+        for n in range(4 if A.rank <= 3 else 3):
+            Z = kernel_basis(coboundary_matrix(A, M, n, guard=None))
+            cocycle = Z * Matrix.column(A.ring, [rng.randint(-2, 2) for _ in range(Z.cols)])
+            size = M.rank * A.rank**n
+            single = Matrix.from_triplets(A.ring, size, 1, [(rng.randrange(size), 0, 1)])
+            for vec in (
+                Matrix.column(A.ring, [rng.randint(-2, 2) for _ in range(size)]),
+                cocycle,
+                _perturb_matrix(rng, cocycle),
+                cocycle + single,
+            ):
+                c = Cochain(A, M, n, vec.reshape(M.rank, A.rank**n))
+                want = _oracle_cocycle_witness(c)
+                assert cocycle_witness(c) == want, (name, n)
+                witnesses.append(want)
+    assert None in witnesses
+    assert {len(w) for w in witnesses if w} == {1, 2, 3, 4}
+    assert any(w != w[::-1] for w in witnesses if w)  # a reversed digit order would be caught
+
+
+def _separability_algebras(corpus):
+    algebras = dict(corpus)
+    for ring in (ZZ, QQ, GF(2), GF(3)):
+        tag = f"{ring.kind}{ring.p or ''}"
+        for n in (2, 3, 6):
+            algebras[f"k^{n}/{tag}"] = split_product(ring, n)
+        algebras[f"m2/{tag}"] = matrix_algebra2(ring)
+        algebras[f"ut2/{tag}"] = upper_triangular2(ring)
+    return _with_unital_variants(algebras)
+
+
+def test_separability_idempotent_matches_hand_stacked_system(corpus):
+    algebras = _separability_algebras(corpus)
+    verdicts = []
+    for name, A in sorted(algebras.items()):
+        e = separability_idempotent(A)
+        assert e == solve(*_oracle_separability_system(A)), name
+        verdicts.append(e is not None)
+    assert len(set(algebras.values())) == 48  # 54 names: zxz, m2_q, ut2_q and their variants recur
+    assert True in verdicts and False in verdicts
+
+
+def test_hh1_report_matches_der_modulo_inn(corpus):
+    for name, A in sorted(_with_unital_variants(corpus).items()):
+        reg = regular_bimodule(A)
+        for M in (reg, hom_bimodule(reg.left_module(), reg.left_module())):
+            report = hh1_report(A, M)
+            invs, reps = _oracle_hh1(A, M)
+            assert report.invariants == invs, (name, M.rank)
+            assert [c.matrix for c in report.representatives] == reps, (name, M.rank)
 
 
 def _basis_change_battery(small_corpus, trials):
