@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 
-from .matrix import Matrix, SizeGuardError, kernel_basis, solve
+from .matrix import Matrix, SizeGuardError, solve
 from .rings import ScalarRing
 
 
@@ -309,22 +309,6 @@ def hom_bimodule(N: LeftModule, M: LeftModule) -> Bimodule:
     return validate_bimodule(A, N.rank * M.rank, left, right)
 
 
-def intertwiners(N: LeftModule, M: LeftModule) -> Matrix:
-    """Basis of Hom_A(N, M): all F with action_M(a) F = F action_N(a)."""
-    if N.algebra != M.algebra:
-        raise AlgebraError("both modules must live over the same algebra")
-    A = N.algebra
-    IN = Matrix.identity(A.ring, N.rank)
-    IM = Matrix.identity(A.ring, M.rank)
-    blocks = []
-    for i in range(A.rank):
-        blocks.append(M.action[i].kron(IN) - IM.kron(N.action[i].transpose()))
-    stacked = blocks[0]
-    for b in blocks[1:]:
-        stacked = stacked.vstack(b)
-    return kernel_basis(stacked)
-
-
 # ---------------------------------------------------------------------------
 # bimodules as modules over the enveloping algebra
 # ---------------------------------------------------------------------------
@@ -339,16 +323,6 @@ def ae_from_bimodule(M: Bimodule) -> LeftModule:
         for j in range(A.rank):
             action.append(M.left[i] * M.right[j])
     return LeftModule(env, M.rank, tuple(action))
-
-
-def ae_right_action(M: Bimodule) -> tuple[Matrix, ...]:
-    """The induced right action of enveloping(A): m . (a (x) b) = (b (x) a) . m."""
-    A = M.algebra
-    out = []
-    for i in range(A.rank):
-        for j in range(A.rank):
-            out.append(M.left[j] * M.right[i])
-    return tuple(out)
 
 
 def bimodule_from_ae(A: FiniteAlgebra, env_module: LeftModule) -> Bimodule:

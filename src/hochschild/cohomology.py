@@ -35,7 +35,7 @@ from .algebra import (
     LeftModule,
     hom_bimodule,
 )
-from .bar import _boundary_triplets, _letter_inclusion, _letters, _require_unital, _tensor_tuples
+from .bar import _boundary_triplets, _letter_inclusion, _letters, _require_unital
 from .matrix import (
     DEFAULT_GUARD,
     KModuleInvariants,
@@ -230,66 +230,3 @@ def relative_ext(
     Ml, Nl = _as_left_module(M), _as_left_module(N)
     H = hom_bimodule(Ml, Nl)
     return hh(A, H, n, normalized=normalized, guard=guard, representatives=False).invariants
-
-
-@lru_cache(maxsize=None)
-def _relative_ext_coboundary(A: FiniteAlgebra, M: LeftModule, N: LeftModule, n: int) -> Matrix:
-    """Coboundary of the split-resolution route: maps A^(x)n (x) M -> N.
-
-    Column index is p * (d^n * mM) + t * mM + u for value coordinate p,
-    tensor index t and module index u.
-    """
-    d = A.rank
-    mM, mN = M.rank, N.rank
-    z = A.ring.zero
-    src = _tensor_tuples(A, n, False)
-    dst = _tensor_tuples(A, n + 1, False)
-    src_w = len(src) * mM
-    dst_w = len(dst) * mM
-    dst_index = {t: i for i, t in enumerate(dst)}
-    last = 1 if (n + 1) % 2 == 0 else -1  # (-1)^(n+1)
-    # rows of the M-actions: LM[u, w] for fixed u
-    m_rows = [LM.transpose().columns for LM in M.action]
-
-    def triplets():
-        for ti, t in enumerate(src):
-            for u in range(mM):
-                for p in range(mN):
-                    col = p * src_w + ti * mM + u
-                    # a1 . f(a2,...,u)
-                    for a in range(d):
-                        s = dst_index[(a,) + t]
-                        for q, v in N.action[a].columns[p]:
-                            yield q * dst_w + s * mM + u, col, v
-                    # merges, signs (-1)^i for i = 1..n
-                    for i in range(1, n + 1):
-                        sign = -1 if i % 2 == 1 else 1
-                        for a in range(d):
-                            for b in range(d):
-                                c = A.c(a, b, t[i - 1])
-                                if c == z:
-                                    continue
-                                s = dst_index[t[: i - 1] + (a, b) + t[i:]]
-                                yield p * dst_w + s * mM + u, col, c if sign > 0 else -c
-                    # (-1)^(n+1) f(a1,...,an, a(n+1) . u)
-                    for a in range(d):
-                        s = dst_index[t + (a,)]
-                        for w, v in m_rows[a][u]:
-                            yield p * dst_w + s * mM + w, col, v if last > 0 else -v
-
-    return Matrix.from_triplets(A.ring, mN * dst_w, mN * src_w, triplets())
-
-
-def relative_ext_resolution(
-    A: FiniteAlgebra, M, N, n: int, guard: int | None = DEFAULT_GUARD
-) -> KModuleInvariants:
-    """Relative Ext^n computed from the split resolution of M directly.
-
-    Independent of the Hom-bimodule route; the two must agree.
-    """
-    Ml, Nl = _as_left_module(M), _as_left_module(N)
-    d = A.rank
-    check_guard(Nl.rank * d ** (n + 1) * Ml.rank, Nl.rank * d**n * Ml.rank, guard)
-    dn = _relative_ext_coboundary(A, Ml, Nl, n)
-    B = _relative_ext_coboundary(A, Ml, Nl, n - 1) if n else Matrix.zeros(A.ring, dn.cols, 0)
-    return homology_invariants(dn, B)

@@ -32,6 +32,11 @@ class SchemaError(ValueError):
         super().__init__(f"{stage}: {witness}")
 
 
+def _is_count(x) -> bool:
+    """An int that JSON wrote as a number: true and false are not counts."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def ring_to_json(ring: ScalarRing):
     if ring.kind == "Fp":
         return {"Fp": ring.p}
@@ -44,8 +49,10 @@ def ring_from_json(doc) -> ScalarRing:
     if doc == "Q":
         return QQ
     if isinstance(doc, dict) and set(doc) == {"Fp"}:
+        if not _is_count(doc["Fp"]):
+            raise SchemaError("scalars", f"Fp takes an integer prime, got {doc['Fp']!r}")
         try:
-            return GF(int(doc["Fp"]))
+            return GF(doc["Fp"])
         except ValueError as exc:
             raise SchemaError("scalars", str(exc)) from None
     raise SchemaError("scalars", f"unrecognized scalar ring {doc!r}")
@@ -61,7 +68,7 @@ def _parse_scalar(ring: ScalarRing, s, where: str):
 
 
 def _matrix_from_json(ring: ScalarRing, doc, rows: int, cols: int, where: str) -> Matrix:
-    if not isinstance(doc, list) or len(doc) != rows or any(len(r) != cols for r in doc):
+    if not isinstance(doc, list) or len(doc) != rows or any(not isinstance(r, list) or len(r) != cols for r in doc):
         raise SchemaError(where, f"expected a {rows}x{cols} nested list of strings")
     return Matrix.from_rows(ring, [[_parse_scalar(ring, x, where) for x in r] for r in doc])
 
@@ -91,14 +98,15 @@ def algebra_from_json(doc) -> FiniteAlgebra:
         raise SchemaError("algebra", f"missing fields {sorted(missing)}")
     ring = ring_from_json(doc["scalars"])
     d = doc["rank"]
-    if not isinstance(d, int) or d < 1:
+    if not _is_count(d) or d < 1:
         raise SchemaError("algebra", "rank must be a positive integer")
-    if len(doc["basis"]) != d:
-        raise SchemaError("algebra", f"expected {d} basis names")
-    if len(doc["unit"]) != d:
-        raise SchemaError("algebra", f"expected {d} unit coordinates")
-    if len(doc["mul"]) != d**3:
-        raise SchemaError("algebra", f"expected {d ** 3} structure constants (flat, row-major)")
+    for key, n, what in (
+        ("basis", d, "basis names"),
+        ("unit", d, "unit coordinates"),
+        ("mul", d**3, "structure constants (flat, row-major)"),
+    ):
+        if not isinstance(doc[key], list) or len(doc[key]) != n:
+            raise SchemaError("algebra", f"expected a list of {n} {what}")
     unit = [_parse_scalar(ring, u, "algebra.unit") for u in doc["unit"]]
     mul = [_parse_scalar(ring, c, "algebra.mul") for c in doc["mul"]]
     try:
@@ -136,10 +144,10 @@ def bimodule_from_json(doc, base_dir: Path | None = None) -> Bimodule:
         raise SchemaError("bimodule", f"missing fields {sorted(missing)}")
     A = _resolve_algebra(doc["algebra"], base_dir)
     m = doc["rank"]
-    if not isinstance(m, int) or m < 0:
+    if not _is_count(m) or m < 0:
         raise SchemaError("bimodule", "rank must be a nonnegative integer")
-    if len(doc["left"]) != A.rank or len(doc["right"]) != A.rank:
-        raise SchemaError("bimodule", f"expected {A.rank} left and right action matrices")
+    if any(not isinstance(doc[key], list) or len(doc[key]) != A.rank for key in ("left", "right")):
+        raise SchemaError("bimodule", f"expected lists of {A.rank} left and right action matrices")
     left = [_matrix_from_json(A.ring, L, m, m, "bimodule.left") for L in doc["left"]]
     right = [_matrix_from_json(A.ring, R, m, m, "bimodule.right") for R in doc["right"]]
     try:
@@ -157,13 +165,14 @@ def presented_module_from_json(doc, base_dir: Path | None = None) -> PresentedMo
     A = _resolve_algebra(doc.get("algebra"), base_dir)
     if doc.get("self", False) or "generators" not in doc:
         return free_module(A)
-    g = doc["generators"]
-    rel_doc = doc.get("relations", [])
-    ncols = len(rel_doc[0]) if rel_doc else 0
+    g, rel_doc, action_doc = doc["generators"], doc.get("relations", []), doc.get("action", [])
+    if not _is_count(g) or g < 0:
+        raise SchemaError("module", "generators must be a nonnegative integer")
+    if not isinstance(rel_doc, list) or not isinstance(action_doc, list) or len(action_doc) != A.rank:
+        raise SchemaError("module", f"expected a list of relations and a list of {A.rank} action matrices")
+    ncols = len(rel_doc[0]) if rel_doc and isinstance(rel_doc[0], list) else 0
     relations = _matrix_from_json(A.ring, rel_doc, g, ncols, "module.relations") if rel_doc else Matrix.zeros(A.ring, g, 0)
-    action = [_matrix_from_json(A.ring, T, g, g, "module.action") for T in doc.get("action", [])]
-    if len(action) != A.rank:
-        raise SchemaError("module", f"expected {A.rank} action matrices")
+    action = [_matrix_from_json(A.ring, T, g, g, "module.action") for T in action_doc]
     try:
         return presented_module(A, g, relations, action)
     except ValueError as exc:

@@ -56,12 +56,15 @@ class ProjectivityCertificate:
         return self.verdict == "projective"
 
 
+@lru_cache(maxsize=None)
 def separability_idempotent(A: FiniteAlgebra) -> Matrix | None:
     """An element e of A (x) A with mu(e) = 1 and a e = e a, so e in ker b^0 of C^*(A, A (x) A).
 
     Such an element splits the multiplication map bimodule-linearly, so its
     existence is exactly relative projectivity of A itself (cohomological
     dimension zero).  Returns the coefficient column (length d^2) or None.
+    Memoized like the syzygy levels, which each read it, so one report
+    solves for it once.
     """
     b0 = coboundary_matrix(A, chain_bimodule(A, 0, guard=None), 0, guard=None)  # e -> (a e - e a)_a
     rhs = Matrix.column(A.ring, list(A.unit) + [A.ring.zero] * b0.rows)

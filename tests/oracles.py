@@ -1,0 +1,122 @@
+"""Independent routes that the tests compare the shipped ones against.
+
+Each oracle shares no assembly code with the route it checks:
+
+* relative_ext_resolution reads relative Ext^n(M, N) off the split
+  resolution A^(x)n (x) M of M, with its own coboundary builder, where
+  the package reads it as HH^n(A, Hom_k(M, N));
+* intertwiners stacks the equations action_M(a) F = F action_N(a) by
+  hand, where the package reads Hom_A(N, M) as center(A, hom_bimodule(N, M));
+* ae_right_action is the right action of the enveloping algebra induced
+  on a bimodule.
+
+Not collected by pytest (the name does not start with test_); test
+modules import it by name.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+from hochschild.algebra import AlgebraError, Bimodule, FiniteAlgebra, LeftModule
+from hochschild.bar import _tensor_tuples
+from hochschild.cohomology import _as_left_module
+from hochschild.matrix import DEFAULT_GUARD, KModuleInvariants, Matrix, check_guard, homology_invariants, kernel_basis
+
+# ---------------------------------------------------------------------------
+# relative Ext from the split resolution of M
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _relative_ext_coboundary(A: FiniteAlgebra, M: LeftModule, N: LeftModule, n: int) -> Matrix:
+    """Coboundary of the split-resolution route: maps A^(x)n (x) M -> N.
+
+    Column index is p * (d^n * mM) + t * mM + u for value coordinate p,
+    tensor index t and module index u.
+    """
+    d = A.rank
+    mM, mN = M.rank, N.rank
+    z = A.ring.zero
+    src = _tensor_tuples(A, n, False)
+    dst = _tensor_tuples(A, n + 1, False)
+    src_w = len(src) * mM
+    dst_w = len(dst) * mM
+    dst_index = {t: i for i, t in enumerate(dst)}
+    last = 1 if (n + 1) % 2 == 0 else -1  # (-1)^(n+1)
+    # rows of the M-actions: LM[u, w] for fixed u
+    m_rows = [LM.transpose().columns for LM in M.action]
+
+    def triplets():
+        for ti, t in enumerate(src):
+            for u in range(mM):
+                for p in range(mN):
+                    col = p * src_w + ti * mM + u
+                    # a1 . f(a2,...,u)
+                    for a in range(d):
+                        s = dst_index[(a,) + t]
+                        for q, v in N.action[a].columns[p]:
+                            yield q * dst_w + s * mM + u, col, v
+                    # merges, signs (-1)^i for i = 1..n
+                    for i in range(1, n + 1):
+                        sign = -1 if i % 2 == 1 else 1
+                        for a in range(d):
+                            for b in range(d):
+                                c = A.c(a, b, t[i - 1])
+                                if c == z:
+                                    continue
+                                s = dst_index[t[: i - 1] + (a, b) + t[i:]]
+                                yield p * dst_w + s * mM + u, col, c if sign > 0 else -c
+                    # (-1)^(n+1) f(a1,...,an, a(n+1) . u)
+                    for a in range(d):
+                        s = dst_index[t + (a,)]
+                        for w, v in m_rows[a][u]:
+                            yield p * dst_w + s * mM + w, col, v if last > 0 else -v
+
+    return Matrix.from_triplets(A.ring, mN * dst_w, mN * src_w, triplets())
+
+
+def relative_ext_resolution(
+    A: FiniteAlgebra, M, N, n: int, guard: int | None = DEFAULT_GUARD
+) -> KModuleInvariants:
+    """Relative Ext^n computed from the split resolution of M directly.
+
+    Independent of the Hom-bimodule route; the two must agree.
+    """
+    Ml, Nl = _as_left_module(M), _as_left_module(N)
+    d = A.rank
+    check_guard(Nl.rank * d ** (n + 1) * Ml.rank, Nl.rank * d**n * Ml.rank, guard)
+    dn = _relative_ext_coboundary(A, Ml, Nl, n)
+    B = _relative_ext_coboundary(A, Ml, Nl, n - 1) if n else Matrix.zeros(A.ring, dn.cols, 0)
+    return homology_invariants(dn, B)
+
+
+# ---------------------------------------------------------------------------
+# Hom_A and the enveloping algebra
+# ---------------------------------------------------------------------------
+
+
+def intertwiners(N: LeftModule, M: LeftModule) -> Matrix:
+    """Basis of Hom_A(N, M): all F with action_M(a) F = F action_N(a)."""
+    if N.algebra != M.algebra:
+        raise AlgebraError("both modules must live over the same algebra")
+    A = N.algebra
+    IN = Matrix.identity(A.ring, N.rank)
+    IM = Matrix.identity(A.ring, M.rank)
+    blocks = []
+    for i in range(A.rank):
+        blocks.append(M.action[i].kron(IN) - IM.kron(N.action[i].transpose()))
+    stacked = blocks[0]
+    for b in blocks[1:]:
+        stacked = stacked.vstack(b)
+    return kernel_basis(stacked)
+
+
+def ae_right_action(M: Bimodule) -> tuple[Matrix, ...]:
+    """The induced right action of enveloping(A): m . (a (x) b) = (b (x) a) . m."""
+    A = M.algebra
+    out = []
+    for i in range(A.rank):
+        for j in range(A.rank):
+            out.append(M.left[j] * M.right[i])
+    return tuple(out)

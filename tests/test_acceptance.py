@@ -36,7 +36,6 @@ from hochschild.cohomology import (
     hh,
     hh1_report,
     relative_ext,
-    relative_ext_resolution,
 )
 from hochschild.extensions import (
     _crossed_product_unchecked,
@@ -68,8 +67,9 @@ from hochschild.matrix import (
     subquotient_invariants,
 )
 from hochschild.projectivity import is_quasi_free, omega_is_projective, separability_idempotent
-from hochschild.algebra import AlgebraError, intertwiners, enveloping
+from hochschild.algebra import AlgebraError, enveloping
 from hochschild.rings import GF, QQ, ZZ
+from oracles import intertwiners, relative_ext_resolution
 
 F2 = GF(2)
 CORPUS = standard_corpus({"Z": ZZ, "Q": QQ, "F2": F2})

@@ -6,11 +6,9 @@ from hochschild.algebra import (
     LeftModule,
     act,
     ae_from_bimodule,
-    ae_right_action,
     bimodule_from_ae,
     enveloping,
     hom_bimodule,
-    intertwiners,
     multiplication_matrix,
     opposite,
     regular_bimodule,
@@ -33,6 +31,7 @@ from hochschild.catalog import (
 )
 from hochschild.matrix import Matrix, rank
 from hochschild.rings import GF, QQ, ZZ
+from oracles import ae_right_action, intertwiners
 
 F2 = GF(2)
 
@@ -244,15 +243,23 @@ def test_hom_bimodule_x_action_squares_to_zero():
     assert x_left == expected
 
 
-def test_hom_center_equals_intertwiners():
+def test_hom_center_equals_intertwiners(corpus):
+    # every pair of the regular module and, where the basis is unital, the
+    # trivial module (e_0 = 1 acts by 1, every other basis vector by 0)
     from hochschild.cohomology import center
 
-    for A in (dual_numbers(QQ), upper_triangular2(QQ), split_pair(ZZ)):
-        N = regular_bimodule(A).left_module()
-        H = hom_bimodule(N, N)
-        c = center(A, H)
-        inter = intertwiners(N, N)
-        assert c == inter  # same canonical echelon basis of the same space
+    pairs = 0
+    for name, A in corpus.items():
+        modules = [regular_bimodule(A).left_module()]
+        if A.has_unital_basis:
+            one, zero = Matrix.identity(A.ring, 1), Matrix.zeros(A.ring, 1, 1)
+            modules.append(validate_left_module(A, 1, [one] + [zero] * (A.rank - 1)))
+        for N in modules:
+            for M in modules:
+                # same canonical echelon basis of the same space
+                assert center(A, hom_bimodule(N, M)) == intertwiners(N, M), (name, N.rank, M.rank)
+                pairs += 1
+    assert pairs == 35
 
 
 def test_left_module_validation():

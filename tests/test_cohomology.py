@@ -2,7 +2,6 @@ import pytest
 
 from hochschild.algebra import (
     hom_bimodule,
-    intertwiners,
     regular_bimodule,
     validate_left_module,
     with_unital_basis,
@@ -20,7 +19,6 @@ from hochschild.catalog import (
 )
 from hochschild.cohomology import (
     _homology_boundary,
-    _relative_ext_coboundary,
     center,
     coboundary_matrix,
     cocycle_witness,
@@ -30,7 +28,6 @@ from hochschild.cohomology import (
     hochschild_homology,
     inner_derivations,
     relative_ext,
-    relative_ext_resolution,
 )
 from hochschild.matrix import (
     DEFAULT_GUARD,
@@ -44,6 +41,7 @@ from hochschild.matrix import (
     subquotient_invariants,
 )
 from hochschild.rings import GF, QQ, ZZ
+from oracles import _relative_ext_coboundary, intertwiners, relative_ext_resolution
 
 F2 = GF(2)
 F3 = GF(3)

@@ -7,9 +7,11 @@ from hochschild.catalog import (
     dual_numbers,
     matrix_algebra2,
     split_pair,
+    standard_corpus,
+    truncated_poly,
     upper_triangular2,
 )
-from hochschild.cohomology import hh
+from hochschild.cohomology import hh, hochschild_homology
 from hochschild.koszul import finite_koszul_tor, free_module
 from hochschild.matrix import KModuleInvariants, Matrix
 from hochschild.projectivity import omega_is_projective, separability_idempotent
@@ -91,3 +93,42 @@ def test_concurrent_use_is_deterministic():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(job, range(16)))
     assert all(r == KModuleInvariants(1, (2,)) for r in results)
+
+
+def _z_family(ring):
+    """Z[x]/(x^4), Z[x]/(x^6) and the Z algebras of the corpus, on the same basis over ring."""
+    corpus = standard_corpus({"Z": ring, "Q": QQ, "F2": F2})
+    z_names = [k for k, A in standard_corpus({"Z": ZZ, "Q": QQ, "F2": F2}).items() if A.ring == ZZ]
+    return {"x^4": truncated_poly(ring, 4), "x^6": truncated_poly(ring, 6), **{k: corpus[k] for k in z_names}}
+
+
+def test_universal_coefficients_tie_z_torsion_to_the_field_cores():
+    # The complexes of hh and hochschild_homology have free terms, and the same
+    # structure constants over F_p give C (x) F_p.  With H^n over Z equal to
+    # Z^(r_n) plus the factors t_n: dim HH^n over F_p = r_n + #{p | t_n} + #{p | t_(n+1)},
+    # dim HH_n over F_p = r_n + #{p | t_n} + #{p | t_(n-1)}, and dim over Q = r_n
+    # (Weibel 1994, Thm 3.6.2).  The field cores share no Hermite or Smith code
+    # with the Z route, so dropped or misplaced Z torsion shows here.
+    top = 3
+    fields = (QQ, GF(2), GF(3), GF(5))
+    families = {ring: _z_family(ring) for ring in fields}
+    torsion_seen = set()
+    for name, A in _z_family(ZZ).items():
+        M = regular_bimodule(A)
+        co = [hh(A, M, n, guard=None, representatives=False).invariants for n in range(top + 2)]
+        ho = [KModuleInvariants(0)] + [hochschild_homology(A, M, n, guard=None) for n in range(top + 1)]
+        torsion_seen.update(t for inv in co + ho for t in inv.torsion)
+        for ring in fields:
+            B = families[ring][name]
+            N = regular_bimodule(B)
+
+            def divisible(inv):
+                return sum(1 for t in inv.torsion if ring.kind == "Fp" and t % ring.p == 0)
+
+            for n in range(top + 1):
+                got = hh(B, N, n, guard=None, representatives=False).invariants
+                assert got == KModuleInvariants(co[n].free_rank + divisible(co[n]) + divisible(co[n + 1])), (name, ring, n)
+                got = hochschild_homology(B, N, n, guard=None)
+                h = ho[n + 1]  # ho[0] stands in for degree -1
+                assert got == KModuleInvariants(h.free_rank + divisible(h) + divisible(ho[n])), (name, ring, "HH_", n)
+    assert {2, 3, 4, 6} <= torsion_seen  # the oracle saw torsion at both primes

@@ -233,6 +233,10 @@ def test_cli_koszul_unreadable_instance_exit_2(capsys, tmp_path, content):
         ({"algebra": "scalar_z.json", "sequence": [5]}, "koszul"),
         ({"algebra": "scalar_z.json", "module": 5}, "koszul"),
         ({"algebra": "scalar_z.json", "sequence": [[2]]}, "koszul.sequence"),
+        ({"algebra": "scalar_z.json", "module": {"generators": True}}, "module"),
+        ({"algebra": "scalar_z.json", "module": {"generators": 1, "relations": 5, "action": [[["1"]]]}}, "module"),
+        ({"algebra": "scalar_z.json", "module": {"generators": 1, "relations": [5], "action": [[["1"]]]}}, "module.relations"),
+        ({"algebra": "scalar_z.json", "module": {"generators": 1, "action": 5}}, "module"),
     ],
 )
 def test_cli_koszul_malformed_instance_exit_2(capsys, tmp_path, instance, stage):
@@ -241,6 +245,47 @@ def test_cli_koszul_malformed_instance_exit_2(capsys, tmp_path, instance, stage)
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(instance))
     code, doc = run_cli(capsys, "koszul", "--finite", str(path))
+    assert code == 2
+    assert doc["error"]["stage"] == stage
+
+
+_ONE = {"scalars": "Q", "rank": 1, "basis": ["1"], "unit": ["1"], "mul": ["1"]}
+
+
+@pytest.mark.parametrize(
+    "algebra, stage",
+    [
+        (dict(_ONE, basis=5), "algebra"),
+        (dict(_ONE, unit="1"), "algebra"),
+        (dict(_ONE, mul=5), "algebra"),
+        (dict(_ONE, rank=True), "algebra"),
+        (dict(_ONE, scalars={"Fp": []}), "scalars"),
+        (dict(_ONE, scalars={"Fp": 2.5}), "scalars"),
+        (dict(_ONE, scalars={"Fp": True}), "scalars"),
+    ],
+)
+def test_cli_malformed_algebra_exit_2(capsys, tmp_path, algebra, stage):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(algebra))
+    code, doc = run_cli(capsys, "hh", str(path), "--degree", "0")
+    assert code == 2
+    assert doc["error"]["stage"] == stage
+
+
+@pytest.mark.parametrize(
+    "fields, stage",
+    [
+        ({"left": [[5, 5], [5, 5]]}, "bimodule.left"),
+        ({"left": 5}, "bimodule"),
+        ({"right": 5}, "bimodule"),
+        ({"rank": True}, "bimodule"),
+    ],
+)
+def test_cli_malformed_bimodule_exit_2(capsys, tmp_path, fields, stage):
+    bimodule = dict(json.loads((FIXDIR / "dual_f2_regular.json").read_text()), algebra=fx("dual_f2.json"), **fields)
+    path = tmp_path / "bimodule.json"
+    path.write_text(json.dumps(bimodule))
+    code, doc = run_cli(capsys, "hh", fx("dual_f2.json"), "--bimodule", str(path), "--degree", "0")
     assert code == 2
     assert doc["error"]["stage"] == stage
 

@@ -340,3 +340,21 @@ def test_analyze_decides_level_one_once(monkeypatch):
         assert cli.main(["analyze", dual_q, "--cap", "2"]) == 0
     assert decided.count(1) == 1
     assert sorted(decided) == [0, 1, 2]
+
+
+def test_analyze_solves_the_separability_idempotent_once():
+    # cmd_analyze and every syzygy level read one memoized idempotent
+    import contextlib
+    import io
+    from importlib import resources
+
+    from hochschild import cli, projectivity
+
+    projectivity._omega_is_projective.cache_clear()
+    separability_idempotent.cache_clear()
+    dual_q = str(resources.files("hochschild") / "fixtures" / "dual_q.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["analyze", dual_q, "--cap", "2"]) == 0
+    info = separability_idempotent.cache_info()
+    assert info.misses == 1
+    assert info.hits >= 1
