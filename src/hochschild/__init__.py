@@ -27,7 +27,7 @@ from .algebra import (
     enveloping,
     hom_bimodule,
     opposite,
-    truncated_tensor_algebra,
+    tensor_product,
     validate_algebra,
 )
 from .bar import (

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 
-from .matrix import Matrix, SizeGuardError, solve
+from .matrix import Matrix, solve
 from .rings import ScalarRing
 
 
@@ -132,8 +132,7 @@ def validate_algebra(
     mul_t = tuple(ring.canon(x) for x in mul)
     A = FiniteAlgebra(ring, d, names, unit_t, mul_t)
     z = ring.zero
-    # the nonzero (k, c) pairs of every e_i e_j, listed once
-    nz = [[[(k, v) for k, v in enumerate(A.product_column(i, j)) if v] for j in range(d)] for i in range(d)]
+    nz = _product_terms(A)
 
     def total(terms) -> dict:  # sum of (t, value) terms, as a dict without zeros
         acc = {}
@@ -157,6 +156,12 @@ def validate_algebra(
     return A
 
 
+def _product_terms(A: FiniteAlgebra) -> list:
+    """The nonzero (k, c) pairs of every e_i e_j, as nz[i][j]."""
+    d = A.rank
+    return [[[(k, v) for k, v in enumerate(A.product_column(i, j)) if v] for j in range(d)] for i in range(d)]
+
+
 def _make_unchecked(ring, rank, basis_names, unit, mul) -> FiniteAlgebra:
     return FiniteAlgebra(ring, rank, tuple(basis_names), tuple(unit), tuple(mul))
 
@@ -164,33 +169,35 @@ def _make_unchecked(ring, rank, basis_names, unit, mul) -> FiniteAlgebra:
 def opposite(A: FiniteAlgebra) -> FiniteAlgebra:
     """Same module, reversed multiplication: c_op[i][j][k] = c[j][i][k]."""
     d = A.rank
-    mul = [A.ring.zero] * d**3
-    for i in range(d):
-        for j in range(d):
-            base = (i * d + j) * d
-            src = (j * d + i) * d
-            for k in range(d):
-                mul[base + k] = A.mul[src + k]
+    mul = [A.c(j, i, k) for i, j, k in product(range(d), repeat=3)]
     return _make_unchecked(A.ring, d, A.basis_names, A.unit, mul)
 
 
-def enveloping(A: FiniteAlgebra) -> FiniteAlgebra:
-    """A (x) A^op, of rank d^2; basis pairs (i, j) in row-major order.
+def tensor_product(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
+    """A (x) B, of rank d_A d_B; basis pairs (i, j) in row-major order, named "a(x)b".
 
-    (e_i (x) e_j)(e_p (x) e_q) = e_i e_p (x) e_q e_j, which is column
-    ((i d + p) d + j) d + q of mu (x) mu^op.
+    (e_i (x) f_j)(e_p (x) f_q) = e_i e_p (x) f_j f_q and the unit is 1 (x) 1.  The
+    tables are taken as given, not validated.
     """
-    d = A.rank
-    D = d * d
-    mu = multiplication_matrix(A).kron(multiplication_matrix(opposite(A)))
-    mul = [A.ring.zero] * D**3
-    for i, j, p, q in product(range(d), repeat=4):
-        base = ((i * d + j) * D + p * d + q) * D
-        for r, v in mu.columns[((i * d + p) * d + j) * d + q]:
-            mul[base + r] = v
-    u = A.unit_column()
-    names = tuple(f"{a}(x){b}" for a in A.basis_names for b in A.basis_names)
-    return _make_unchecked(A.ring, D, names, u.kron(u).col_list(0), mul)
+    if A.ring != B.ring:
+        raise AlgebraError("both factors must live over the same ring")
+    ring, d, e = A.ring, A.rank, B.rank
+    D = d * e
+    left, right = _product_terms(A), _product_terms(B)
+    mul = [ring.zero] * D**3
+    for i, j, p, q in product(range(d), range(e), range(d), range(e)):
+        base = ((i * e + j) * D + p * e + q) * D
+        for r, a in left[i][p]:
+            for s, b in right[j][q]:
+                mul[base + r * e + s] = ring.canon(a * b)
+    unit = [ring.canon(a * b) for a in A.unit for b in B.unit]
+    names = tuple(f"{a}(x){b}" for a in A.basis_names for b in B.basis_names)
+    return _make_unchecked(ring, D, names, unit, mul)
+
+
+def enveloping(A: FiniteAlgebra) -> FiniteAlgebra:
+    """A (x) A^op: (e_i (x) e_j)(e_p (x) e_q) = e_i e_p (x) e_q e_j."""
+    return tensor_product(A, opposite(A))
 
 
 # ---------------------------------------------------------------------------
@@ -387,46 +394,3 @@ def transport_bimodule(M: Bimodule, B: FiniteAlgebra, P: Matrix) -> Bimodule:
     """Re-index a bimodule along a basis change P of its algebra."""
     cols = [P.col_list(i) for i in range(B.rank)]
     return Bimodule(B, M.rank, tuple(act(M.left, c) for c in cols), tuple(act(M.right, c) for c in cols))
-
-
-# ---------------------------------------------------------------------------
-# truncated tensor algebra (test-fixture generator)
-# ---------------------------------------------------------------------------
-
-
-def truncated_tensor_algebra(
-    B: FiniteAlgebra, M: Bimodule, degree_cap: int, guard: int | None = None
-) -> FiniteAlgebra:
-    """B + M + M^(x)2 + ... + M^(x)N with concatenation product, cut at degree N.
-
-    Products landing beyond the cap are set to zero; the result is validated.
-    With M = 0 this returns B unchanged.  For M of positive rank the base B
-    must have rank 1 (tensor powers are then plain k-tensor powers); general
-    base algebras would need presented quotient modules, out of desk scope.
-    """
-    if degree_cap < 1:
-        raise AlgebraError("degree cap must be at least 1")
-    if M.algebra != B:
-        raise AlgebraError("the bimodule must live over the base algebra")
-    if M.rank == 0:
-        return B
-    if B.rank != 1 or not B.has_unital_basis:
-        raise AlgebraError("positive-rank coefficients require the rank-1 base algebra k")
-    ring = B.ring
-    m = M.rank
-    total = sum(m**n for n in range(degree_cap + 1))
-    if guard is not None and total**3 > guard:
-        raise SizeGuardError(f"truncated tensor algebra of rank {total} exceeds the guard")
-    # the basis is the words in t0..t(m-1) of length <= N, shortest first; a product is the
-    # concatenation while its length stays <= N, and zero beyond
-    words = [t for n in range(degree_cap + 1) for t in product(range(m), repeat=n)]
-    index = {t: k for k, t in enumerate(words)}
-    mul = [ring.zero] * total**3
-    for i, s in enumerate(words):
-        for j, t in enumerate(words):
-            if len(s) + len(t) <= degree_cap:
-                mul[(i * total + j) * total + index[s + t]] = ring.one
-    names = [B.basis_names[0]] + ["*".join(f"t{q}" for q in t) for t in words[1:]]
-    unit = [ring.zero] * total
-    unit[0] = ring.one
-    return validate_algebra(ring, total, names, unit, mul)

@@ -107,6 +107,8 @@ def algebra_from_json(doc) -> FiniteAlgebra:
     ):
         if not isinstance(doc[key], list) or len(doc[key]) != n:
             raise SchemaError("algebra", f"expected a list of {n} {what}")
+    if not all(isinstance(name, str) for name in doc["basis"]):
+        raise SchemaError("algebra", "basis names must be strings")
     unit = [_parse_scalar(ring, u, "algebra.unit") for u in doc["unit"]]
     mul = [_parse_scalar(ring, c, "algebra.mul") for c in doc["mul"]]
     try:
@@ -163,7 +165,10 @@ def presented_module_from_json(doc, base_dir: Path | None = None) -> PresentedMo
     if not isinstance(doc, dict):
         raise SchemaError("module", "expected an object")
     A = _resolve_algebra(doc.get("algebra"), base_dir)
-    if doc.get("self", False) or "generators" not in doc:
+    free = doc.get("self", False)
+    if not isinstance(free, bool):
+        raise SchemaError("module", f'"self" must be true or false, got {free!r}')
+    if free or "generators" not in doc:
         return free_module(A)
     g, rel_doc, action_doc = doc["generators"], doc.get("relations", []), doc.get("action", [])
     if not _is_count(g) or g < 0:

@@ -1,8 +1,9 @@
+from itertools import product
+
 import pytest
 
 from hochschild.algebra import (
     AlgebraError,
-    Bimodule,
     LeftModule,
     act,
     ae_from_bimodule,
@@ -12,8 +13,8 @@ from hochschild.algebra import (
     multiplication_matrix,
     opposite,
     regular_bimodule,
+    tensor_product,
     transport_bimodule,
-    truncated_tensor_algebra,
     validate_algebra,
     validate_bimodule,
     validate_left_module,
@@ -24,7 +25,8 @@ from hochschild.bar import chain_bimodule
 from hochschild.catalog import (
     base_ring_algebra,
     dual_numbers,
-    matrix_algebra2,
+    matrix_algebra,
+    path_algebra,
     split_pair,
     truncated_poly,
     upper_triangular2,
@@ -272,7 +274,7 @@ def test_left_module_validation():
 # -- basis canonicalization ---------------------------------------------------------
 
 def test_with_unital_basis_on_matrix_algebra():
-    A = matrix_algebra2(QQ)
+    A = matrix_algebra(QQ, 2)
     B, P = with_unital_basis(A)
     assert B.has_unital_basis
     assert B.unit == (QQ.one, QQ.zero, QQ.zero, QQ.zero)
@@ -296,38 +298,37 @@ def test_with_unital_basis_over_z_requires_unimodular_coordinate():
 
 
 def test_transport_bimodule_keeps_axioms():
-    A = matrix_algebra2(QQ)
+    A = matrix_algebra(QQ, 2)
     M = regular_bimodule(A)
     B, P = with_unital_basis(A)
     M2 = transport_bimodule(M, B, P)
     validate_bimodule(B, M2.rank, M2.left, M2.right)
 
 
-# -- truncated tensor algebra ----------------------------------------------------------
+# -- truncated tensor algebra: the free algebra on m letters cut at length N ---------
+
+def _letters_cut(ring, m, N):
+    """k<t0, ..., t(m-1)> modulo every word of length N + 1, as a one-vertex path algebra."""
+    loops = [(f"t{q}", 0, 0) for q in range(m)]
+    return path_algebra(ring, ["1"], loops, product(range(m), repeat=N + 1))
+
 
 def test_truncated_tensor_algebra_one_variable():
-    k = base_ring_algebra(QQ)
-    M = Bimodule(k, 1, (Matrix.identity(QQ, 1),), (Matrix.identity(QQ, 1),))
-    T = truncated_tensor_algebra(k, M, 3)
+    T = _letters_cut(QQ, 1, 3)
     poly = truncated_poly(QQ, 4)
     assert T.rank == 4
     assert T.mul == poly.mul  # k[t]/(t^4) on the same basis
 
 
 def test_truncated_tensor_algebra_two_letters():
-    k = base_ring_algebra(QQ)
-    I2 = Matrix.identity(QQ, 2)
-    M = Bimodule(k, 2, (I2,), (I2,))
-    T = truncated_tensor_algebra(k, M, 2)
+    T = _letters_cut(QQ, 2, 2)
     assert T.rank == 7  # 1 + 2 + 4
 
 
 def test_truncated_tensor_algebra_three_letters_cap_two():
     # oracle: read each basis name as a word; a product is the concatenated
     # word while it has length <= 2, and zero beyond
-    k = base_ring_algebra(ZZ)
-    I3 = Matrix.identity(ZZ, 3)
-    T = truncated_tensor_algebra(k, Bimodule(k, 3, (I3,), (I3,)), 2)
+    T = _letters_cut(ZZ, 3, 2)
     assert T.rank == 13  # 1 + 3 + 9
     assert T.basis_names[:5] == ("1", "t0", "t1", "t2", "t0*t0") and T.basis_names[-1] == "t2*t2"
     assert T.unit == (1,) + (0,) * 12
@@ -340,9 +341,33 @@ def test_truncated_tensor_algebra_three_letters_cap_two():
             assert T.product_column(i, j) == want, (s, t)
 
 
-def test_truncated_tensor_algebra_zero_module_returns_base():
-    A = split_pair(QQ)
-    assert truncated_tensor_algebra(A, zero_bimodule(A), 3) is A
+def test_path_algebra_refuses_an_infinite_rank():
+    with pytest.raises(AlgebraError, match="infinite rank"):
+        path_algebra(QQ, ["1"], [("x", 0, 0)], [])  # k[x]
+    with pytest.raises(AlgebraError, match="infinite rank"):
+        path_algebra(QQ, ["1", "2"], [("a", 0, 1), ("b", 1, 0)], [])  # a 2-cycle
+    with pytest.raises(AlgebraError, match="infinite rank"):
+        path_algebra(QQ, ["1"], [("x", 0, 0), ("y", 0, 0)], [[0, 0]])  # y^n survives
+    # with ab = 0 the 2-cycle leaves e1, a, e2, b, b*a
+    A = path_algebra(QQ, ["1", "2"], [("a", 0, 1), ("b", 1, 0)], [[0, 1]])
+    assert A.basis_names == ("1", "a", "2", "b", "b*a") and A.unit == (1, 0, 1, 0, 0)
+
+
+def test_tensor_product_multiplies_factorwise():
+    # k[x]/(x^2) (x) k[y]/(y^3) is k[x, y]/(x^2, y^3) on the monomials x^i y^j
+    A, B = dual_numbers(ZZ), truncated_poly(ZZ, 3)
+    T = tensor_product(A, B)
+    assert T.basis_names == ("1(x)1", "1(x)x", "1(x)x^2", "x(x)1", "x(x)x", "x(x)x^2")
+    exps = [(i, j) for i in range(2) for j in range(3)]
+    for s, (i, j) in enumerate(exps):
+        for t, (p, q) in enumerate(exps):
+            want = [0] * 6
+            if i + p < 2 and j + q < 3:
+                want[exps.index((i + p, j + q))] = 1
+            assert T.product_column(s, t) == want
+    assert T.unit == (1, 0, 0, 0, 0, 0)
+    with pytest.raises(AlgebraError):
+        tensor_product(A, dual_numbers(QQ))
 
 
 def test_multiplication_matrix_shape(corpus):

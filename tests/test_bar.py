@@ -15,7 +15,7 @@ from hochschild.bar import (
 from hochschild.catalog import (
     base_ring_algebra,
     dual_numbers,
-    matrix_algebra2,
+    matrix_algebra,
     split_pair,
     split_product,
     standard_corpus,
@@ -41,7 +41,7 @@ def test_rank_one_algebra_differentials_alternate():
 def test_level_zero_is_multiplication_table():
     from hochschild.algebra import multiplication_matrix
 
-    for A in (dual_numbers(ZZ), split_pair(QQ), matrix_algebra2(QQ)):
+    for A in (dual_numbers(ZZ), split_pair(QQ), matrix_algebra(QQ, 2)):
         assert bar_differential(A, 0) == multiplication_matrix(A)
 
 
@@ -122,7 +122,7 @@ def test_normalized_rank_formula():
     A = dual_numbers(QQ)
     for n in range(4):
         assert bar_rank(A, n, normalized=True) == 4  # 2 * 1^n * 2
-    B = matrix_algebra2(QQ)
+    B = matrix_algebra(QQ, 2)
     Bu, _ = with_unital_basis(B)
     assert bar_rank(Bu, 2, normalized=True) == 4 * 3 * 3 * 4  # d (d-1)^2 d
 
@@ -161,7 +161,7 @@ def test_normalized_differentials_compose_to_zero(small_corpus):
 
 
 def test_normalized_requires_unital_basis():
-    A = matrix_algebra2(QQ)
+    A = matrix_algebra(QQ, 2)
     with pytest.raises(AlgebraError):
         bar_differential(A, 1, normalized=True)
 
@@ -301,7 +301,7 @@ def test_omega1_generated_by_universal_derivation_image():
 
 
 def test_syzygy_guard():
-    A = matrix_algebra2(QQ)
+    A = matrix_algebra(QQ, 2)
     with pytest.raises(SizeGuardError):
         syzygy(A, 3, guard=1000)
 

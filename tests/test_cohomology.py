@@ -11,7 +11,7 @@ from hochschild.catalog import (
     base_ring_algebra,
     dual_numbers,
     free2_truncated,
-    matrix_algebra2,
+    matrix_algebra,
     split_pair,
     standard_corpus,
     truncated_poly,
@@ -56,7 +56,7 @@ def test_b0_vanishes_for_commutative_regular_coefficients():
 
 def test_b0_kernel_of_matrix_algebra_is_scalars():
     # oracle: solve am = ma on the matrix-unit basis directly
-    A = matrix_algebra2(QQ)
+    A = matrix_algebra(QQ, 2)
     M = regular_bimodule(A)
     b0 = coboundary_matrix(A, M, 0)
     from hochschild.matrix import kernel_basis
@@ -122,7 +122,7 @@ def test_hh2_dual_numbers_over_z_has_torsion():
 
 
 def test_hh_of_matrix_algebra_degree_zero():
-    A, _ = with_unital_basis(matrix_algebra2(QQ))
+    A, _ = with_unital_basis(matrix_algebra(QQ, 2))
     M = regular_bimodule(A)
     assert hh(A, M, 0).invariants == KModuleInvariants(1)
 
@@ -203,7 +203,7 @@ def test_representatives_match_digit_loop_embedding(corpus):
 def test_center_examples():
     A = dual_numbers(QQ)
     assert center(A, regular_bimodule(A)).cols == 2  # commutative: everything
-    B = matrix_algebra2(QQ)
+    B = matrix_algebra(QQ, 2)
     assert center(B, regular_bimodule(B)).cols == 1
 
 
@@ -216,7 +216,7 @@ def test_center_matches_hh0(small_corpus):
 
 
 def test_der_inn_matrix_algebra():
-    A = matrix_algebra2(QQ)
+    A = matrix_algebra(QQ, 2)
     M = regular_bimodule(A)
     assert derivations(A, M).cols == 3
     assert inner_derivations(A, M).cols == 3
@@ -285,7 +285,7 @@ def test_hh0_homology_commutative_is_whole_algebra():
 
 def test_hh0_homology_matrix_algebra_is_trace_line():
     # oracle: commutators of matrix units span the traceless 3-space
-    A = matrix_algebra2(QQ)
+    A = matrix_algebra(QQ, 2)
     got = hochschild_homology(A, regular_bimodule(A), 0)
     assert got == KModuleInvariants(1)
 

@@ -5,7 +5,7 @@ from hochschild.bar import chain_bimodule
 from hochschild.catalog import (
     base_ring_algebra,
     dual_numbers,
-    matrix_algebra2,
+    matrix_algebra,
     split_pair,
     standard_corpus,
     truncated_poly,
@@ -28,7 +28,7 @@ def test_hh0_contains_the_unit_over_fields(small_corpus):
 
 
 def test_separable_fixtures_have_vanishing_hh_on_every_probe():
-    for A in (matrix_algebra2(QQ), split_pair(ZZ), base_ring_algebra(F2)):
+    for A in (matrix_algebra(QQ, 2), split_pair(ZZ), base_ring_algebra(F2)):
         assert separability_idempotent(A) is not None
         reg = regular_bimodule(A)
         probes = [reg, chain_bimodule(A, 0), hom_bimodule(reg.left_module(), reg.left_module())]

@@ -237,6 +237,7 @@ def test_cli_koszul_unreadable_instance_exit_2(capsys, tmp_path, content):
         ({"algebra": "scalar_z.json", "module": {"generators": 1, "relations": 5, "action": [[["1"]]]}}, "module"),
         ({"algebra": "scalar_z.json", "module": {"generators": 1, "relations": [5], "action": [[["1"]]]}}, "module.relations"),
         ({"algebra": "scalar_z.json", "module": {"generators": 1, "action": 5}}, "module"),
+        ({"algebra": "scalar_z.json", "module": {"self": "yes", "generators": 1, "relations": [["2"]], "action": [[["1"]]]}}, "module"),
     ],
 )
 def test_cli_koszul_malformed_instance_exit_2(capsys, tmp_path, instance, stage):
@@ -247,6 +248,21 @@ def test_cli_koszul_malformed_instance_exit_2(capsys, tmp_path, instance, stage)
     code, doc = run_cli(capsys, "koszul", "--finite", str(path))
     assert code == 2
     assert doc["error"]["stage"] == stage
+
+
+def test_cli_koszul_module_self_flag(capsys, tmp_path):
+    # "self": false keeps the given presentation, "self": true is the free module
+    instance = json.loads((FIXDIR / "koszul_z_mod2.json").read_text())
+    instance["algebra"] = fx(instance["algebra"])
+    reports = []
+    for flag in (False, True):
+        path = tmp_path / f"instance_{flag}.json"
+        path.write_text(json.dumps(dict(instance, module=dict(instance["module"], self=flag))))
+        reports.append(run_cli(capsys, "koszul", "--finite", str(path)))
+    path = tmp_path / "instance_free.json"
+    path.write_text(json.dumps(dict(instance, module="self")))
+    assert reports == [run_cli(capsys, "koszul", "--finite", fx("koszul_z_mod2.json")), run_cli(capsys, "koszul", "--finite", str(path))]
+    assert reports[0] != reports[1]
 
 
 _ONE = {"scalars": "Q", "rank": 1, "basis": ["1"], "unit": ["1"], "mul": ["1"]}
@@ -262,6 +278,7 @@ _ONE = {"scalars": "Q", "rank": 1, "basis": ["1"], "unit": ["1"], "mul": ["1"]}
         (dict(_ONE, scalars={"Fp": []}), "scalars"),
         (dict(_ONE, scalars={"Fp": 2.5}), "scalars"),
         (dict(_ONE, scalars={"Fp": True}), "scalars"),
+        (dict(_ONE, basis=[[1]]), "algebra"),
     ],
 )
 def test_cli_malformed_algebra_exit_2(capsys, tmp_path, algebra, stage):

@@ -7,7 +7,7 @@ import pytest
 from hochschild import koszul as koszul_module
 from hochschild import matrix as matrix_module
 from hochschild.algebra import AlgebraError
-from hochschild.catalog import base_ring_algebra, dual_numbers, matrix_algebra2, split_pair
+from hochschild.catalog import base_ring_algebra, dual_numbers, matrix_algebra, split_pair
 from hochschild.koszul import (
     _aggregate,
     _multiplication_maps,
@@ -78,7 +78,7 @@ def test_single_element_complex():
 
 
 def test_koszul_rejects_noncommutative():
-    A = matrix_algebra2(QQ)
+    A = matrix_algebra(QQ, 2)
     with pytest.raises(AlgebraError):
         koszul_differential(free_module(A), [[1, 0, 0, 0]], 1)
 

@@ -35,7 +35,7 @@ from hochschild.algebra import (
     zero_bimodule,
 )
 from hochschild.bar import chain_bimodule
-from hochschild.catalog import matrix_algebra2, split_product, upper_triangular2
+from hochschild.catalog import matrix_algebra, split_product, upper_triangular2
 from hochschild.cohomology import (
     Cochain,
     center,
@@ -554,7 +554,7 @@ def _separability_algebras(corpus):
         tag = f"{ring.kind}{ring.p or ''}"
         for n in (2, 3, 6):
             algebras[f"k^{n}/{tag}"] = split_product(ring, n)
-        algebras[f"m2/{tag}"] = matrix_algebra2(ring)
+        algebras[f"m2/{tag}"] = matrix_algebra(ring, 2)
         algebras[f"ut2/{tag}"] = upper_triangular2(ring)
     return _with_unital_variants(algebras)
 

@@ -11,7 +11,7 @@ from hochschild.bar import _differential, bar_differential, chain_actions, syzyg
 from hochschild.catalog import (
     base_ring_algebra,
     dual_numbers,
-    matrix_algebra2,
+    matrix_algebra,
     split_pair,
     split_product,
     truncated_poly,
@@ -56,7 +56,7 @@ def test_base_ring_idempotent_is_unit_tensor_unit():
 
 
 def test_matrix_algebra_idempotent():
-    A = matrix_algebra2(QQ)
+    A = matrix_algebra(QQ, 2)
     e = separability_idempotent(A)
     assert e is not None
     _check_idempotent(A, e)
@@ -80,7 +80,7 @@ def test_upper_triangular_not_separable():
 
 def test_separability_implies_low_degree_vanishing():
     # consistency: every separable fixture has HH^1 = HH^2 = 0 with regular coefficients
-    for A in (matrix_algebra2(QQ), split_pair(ZZ), base_ring_algebra(ZZ)):
+    for A in (matrix_algebra(QQ, 2), split_pair(ZZ), base_ring_algebra(ZZ)):
         if not A.has_unital_basis:
             A, _ = with_unital_basis(A)
         M = regular_bimodule(A)
@@ -99,7 +99,7 @@ def test_omega0_projective_for_separable_fixture():
 
 
 def test_omega1_verdicts():
-    yes = [base_ring_algebra(QQ), base_ring_algebra(ZZ), base_ring_algebra(F2), split_pair(ZZ), matrix_algebra2(QQ)]
+    yes = [base_ring_algebra(QQ), base_ring_algebra(ZZ), base_ring_algebra(F2), split_pair(ZZ), matrix_algebra(QQ, 2)]
     no = [dual_numbers(QQ), dual_numbers(F2), dual_numbers(ZZ), truncated_poly(ZZ, 3)]
     for A in yes:
         cert = omega_is_projective(A, 1)
@@ -113,7 +113,7 @@ def test_omega1_verdicts():
 
 def test_sections_reverify(small_corpus):
     # every positive certificate re-verifies: b sigma = id and bimodule-linearity
-    for A in (split_pair(ZZ), matrix_algebra2(QQ), base_ring_algebra(F2)):
+    for A in (split_pair(ZZ), matrix_algebra(QQ, 2), base_ring_algebra(F2)):
         for n in (0, 1):
             cert = omega_is_projective(A, n)
             assert cert.is_projective
@@ -215,7 +215,7 @@ def test_class_solve_agrees_with_section_system(A):
 
 def test_separable_primitive_solves_the_class():
     # b^n x = f for x(a_1..a_n) = sum_i p_i f(q_i, a_1, ..., a_n), raw and normalized
-    cases = [(base_ring_algebra(ZZ), 2), (split_pair(ZZ), 2), (_group_ring_c2(GF(3)), 2), (matrix_algebra2(QQ), 1)]
+    cases = [(base_ring_algebra(ZZ), 2), (split_pair(ZZ), 2), (_group_ring_c2(GF(3)), 2), (matrix_algebra(QQ, 2), 1)]
     for A, top in cases:
         unital = A if A.has_unital_basis else with_unital_basis(A)[0]
         for B, normalized in ((A, False), (unital, True)):
@@ -267,7 +267,7 @@ def test_non_projective_corroborated_by_hh2():
 # -- quasi-freeness ----------------------------------------------------------------
 
 def test_quasi_free_fixtures():
-    for A in (base_ring_algebra(QQ), split_pair(ZZ), matrix_algebra2(QQ)):
+    for A in (base_ring_algebra(QQ), split_pair(ZZ), matrix_algebra(QQ, 2)):
         report = is_quasi_free(A)
         assert report.quasi_free
         assert report.lifts_checked >= 1
@@ -289,7 +289,7 @@ def test_not_quasi_free_with_witness():
 # -- dimension scan -----------------------------------------------------------------
 
 def test_hcdim_scan_separable():
-    report = hcdim_scan(matrix_algebra2(QQ), 2)
+    report = hcdim_scan(matrix_algebra(QQ, 2), 2)
     assert report.proved_upper == 0
     assert report.witnessed_lower == 0
 
