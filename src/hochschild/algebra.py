@@ -287,18 +287,6 @@ def zero_bimodule(A: FiniteAlgebra) -> Bimodule:
     return Bimodule(A, 0, (empty,) * A.rank, (empty,) * A.rank)
 
 
-def outer_actions(A: FiniteAlgebra, inner: int) -> tuple[tuple[Matrix, ...], tuple[Matrix, ...]]:
-    """Left actions L_i (x) I and right actions I (x) R_i, with I the identity of size inner.
-
-    On A (x) W (x) A with rank(W (x) A) = inner, these are a acting on the
-    leftmost factor and b on the rightmost.
-    """
-    I = Matrix.identity(A.ring, inner)
-    left = tuple(left_mult_matrix(A, i).kron(I) for i in range(A.rank))
-    right = tuple(I.kron(right_mult_matrix(A, i)) for i in range(A.rank))
-    return left, right
-
-
 def hom_bimodule(N: LeftModule, M: LeftModule) -> Bimodule:
     """Hom_k(N, M) with ((a, a') . f)(n) = a f(a' n), on the matrix-unit basis.
 

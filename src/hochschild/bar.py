@@ -13,9 +13,9 @@ boundary of C_k(A, M) = M (x) A^(x)k.  For M = A (x) A with the inner
 actions a(x (x) y) = x (x) ay and (x (x) y)a = xa (x) y it is b'_k up to the
 order of the basis (Loday, Cyclic Homology, 1992), and cohomology builds
 the Hochschild coboundaries and boundaries with it too.  Differentials,
-homotopies and syzygies are cached per (algebra, level): values are
-deterministic, so the memo table is safe under concurrent use (idempotent
-last-writer-wins entries).
+chain-level actions and syzygies are cached per (algebra, level): values
+are deterministic, so the memo tables are safe under concurrent use
+(idempotent last-writer-wins entries).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .algebra import (
     FiniteAlgebra,
     left_mult_matrix,
     multiplication_matrix,
-    outer_actions,
     regular_bimodule,
     right_mult_matrix,
 )
@@ -137,13 +136,11 @@ def bar_differential(A: FiniteAlgebra, n: int, normalized: bool = False, guard: 
     return _differential(A, n, normalized)
 
 
-@lru_cache(maxsize=None)
 def _homotopy(A: FiniteAlgebra, n: int, normalized: bool) -> Matrix:
     """s_n = unit (x) P (x) I prepends the unit; P = J^T pushes the old left factor into the
     letters (the class of 1 in Abar is zero), and at level -1, P = I makes it the right factor."""
     P = Matrix.identity(A.ring, A.rank) if n == -1 else _letter_inclusion(A, normalized).transpose()
-    unit = Matrix.column(A.ring, A.unit)
-    return unit.kron(P).kron(Matrix.identity(A.ring, bar_rank(A, n, normalized) // A.rank))
+    return A.unit_column().kron(P).kron(Matrix.identity(A.ring, bar_rank(A, n, normalized) // A.rank))
 
 
 def contracting_homotopy(A: FiniteAlgebra, n: int, normalized: bool = False, guard: int | None = DEFAULT_GUARD) -> Matrix:
@@ -168,17 +165,20 @@ def contracting_homotopy(A: FiniteAlgebra, n: int, normalized: bool = False, gua
 
 @lru_cache(maxsize=None)
 def chain_actions(A: FiniteAlgebra, n: int, normalized: bool) -> tuple[tuple[Matrix, ...], tuple[Matrix, ...]]:
-    """Left/right action matrices on chain level n (a on factor 0, b on the last)."""
+    """Left/right actions L_i (x) I and I (x) R_i on chain level n: a on factor 0, b on the last."""
     if n == -1:
         M = regular_bimodule(A)
         return M.left, M.right
-    return outer_actions(A, bar_rank(A, n, normalized) // A.rank)
+    I = Matrix.identity(A.ring, bar_rank(A, n, normalized) // A.rank)
+    left = tuple(left_mult_matrix(A, i).kron(I) for i in range(A.rank))
+    return left, tuple(I.kron(right_mult_matrix(A, i)) for i in range(A.rank))
 
 
-def chain_bimodule(A: FiniteAlgebra, n: int, normalized: bool = False, guard: int | None = DEFAULT_GUARD) -> Bimodule:
-    rank = bar_rank(A, n, normalized)
+def chain_bimodule(A: FiniteAlgebra, n: int, guard: int | None = DEFAULT_GUARD) -> Bimodule:
+    """Chain level n of the raw bar resolution as an A-bimodule."""
+    rank = bar_rank(A, n)
     check_guard(rank, rank, guard)
-    left, right = chain_actions(A, n, normalized)
+    left, right = chain_actions(A, n, False)
     return Bimodule(A, rank, left, right)
 
 
@@ -256,27 +256,18 @@ def syzygy(A: FiniteAlgebra, n: int, normalized: bool = False, guard: int | None
 # ---------------------------------------------------------------------------
 
 
-def universal_derivation(A: FiniteAlgebra, normalized: bool = False) -> Matrix:
-    """Coordinates of d(e_i) = 1 (x) e_i - e_i (x) 1 in the syzygy basis."""
-    om = syzygy(A, 1, normalized)
-    return coords_in_span(om.basis, _derivation_images(A))
+def universal_derivation(A: FiniteAlgebra) -> Matrix:
+    """Coordinates of d(e_i) = 1 (x) e_i - e_i (x) 1 in the basis of the raw first syzygy."""
+    return coords_in_span(syzygy(A, 1).basis, _derivation_images(A))
 
 
 def _derivation_images(A: FiniteAlgebra) -> Matrix:
-    """The d^2 x d matrix whose column i is 1 (x) e_i - e_i (x) 1 in A (x) A."""
-    d = A.rank
-
-    def triplets():
-        for i in range(d):
-            for j, u in enumerate(A.unit):
-                if u:
-                    yield j * d + i, i, u
-                    yield i * d + j, i, -u
-
-    return Matrix.from_triplets(A.ring, d * d, d, triplets())
+    """u (x) I - I (x) u, for u the unit: column i is 1 (x) e_i - e_i (x) 1 in A (x) A."""
+    u, I = A.unit_column(), Matrix.identity(A.ring, A.rank)
+    return u.kron(I) - I.kron(u)
 
 
-def derivation_factorization(M: Bimodule, D: Matrix, normalized: bool = False) -> Matrix:
+def derivation_factorization(M: Bimodule, D: Matrix) -> Matrix:
     """The bimodule map f : Omega^1 -> M with f(d(a)) = D(a).
 
     On a kernel element sum a_p (x) b_q the map takes sum a_p . D(b_q), so
@@ -289,9 +280,9 @@ def derivation_factorization(M: Bimodule, D: Matrix, normalized: bool = False) -
     witness = cocycle_witness(Cochain(A, M, 1, D))  # b^1 D is the Leibniz defect
     if witness is not None:
         raise AlgebraError(f"not a derivation: Leibniz fails at basis pair {witness}")
-    om = syzygy(A, 1, normalized)
+    om = syzygy(A, 1)
     F = reduce(Matrix.hstack, (L * D for L in M.left)) * om.basis
-    dmat = universal_derivation(A, normalized)
+    dmat = universal_derivation(A)
     if F * dmat != D:
         raise AlgebraError("factorization identity f(d(a)) = D(a) failed")
     for i in range(A.rank):

@@ -1,4 +1,4 @@
-"""Command-line front end: hh, analyze, extensions, koszul, bound.
+"""Command-line front end, six subcommands: hh, analyze, extensions, koszul, bound, fixtures.
 
 All reports are JSON on stdout (or --output).  Exit codes: 0 success,
 2 validation error (the report is the error object {stage, witness}),

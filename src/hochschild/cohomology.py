@@ -223,10 +223,9 @@ def relative_ext(
     M,
     N,
     n: int,
-    normalized: bool | None = None,
     guard: int | None = DEFAULT_GUARD,
 ) -> KModuleInvariants:
     """Relative Ext^n of left modules via HH^n(A, Hom_k(M, N))."""
     Ml, Nl = _as_left_module(M), _as_left_module(N)
     H = hom_bimodule(Ml, Nl)
-    return hh(A, H, n, normalized=normalized, guard=guard, representatives=False).invariants
+    return hh(A, H, n, guard=guard, representatives=False).invariants

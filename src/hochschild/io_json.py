@@ -70,6 +70,8 @@ def _parse_scalar(ring: ScalarRing, s, where: str):
 def _matrix_from_json(ring: ScalarRing, doc, rows: int, cols: int, where: str) -> Matrix:
     if not isinstance(doc, list) or len(doc) != rows or any(not isinstance(r, list) or len(r) != cols for r in doc):
         raise SchemaError(where, f"expected a {rows}x{cols} nested list of strings")
+    if not rows:  # [] carries no width: take it from the expected shape
+        return Matrix.zeros(ring, 0, cols)
     return Matrix.from_rows(ring, [[_parse_scalar(ring, x, where) for x in r] for r in doc])
 
 

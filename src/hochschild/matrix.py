@@ -244,6 +244,8 @@ class Matrix:
         i, j = ij
         if not 0 <= i < self.rows:
             raise IndexError(f"row {i} outside a matrix with {self.rows} rows")
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside a matrix with {self.cols} columns")
         col = self.columns[j]
         k = bisect_left(col, (i,))
         return col[k][1] if k < len(col) and col[k][0] == i else self.ring.zero

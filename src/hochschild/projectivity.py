@@ -89,19 +89,12 @@ def _extension_class(A: FiniteAlgebra, om_next: SyzygyModule) -> Matrix:
     """The cocycle f(a_1..a_(n+1)) = b'(1 (x) a_1 (x) ... (x) a_(n+1) (x) 1) in Omega^(n+1).
 
     Returned vectorized row-major (module coordinate, then tensor index),
-    the cochain layout of coboundary_matrix; the unit is sum_j u_j e_j.
+    the cochain layout of coboundary_matrix.  The chains 1 (x) t (x) 1 are the
+    columns of u (x) I_T (x) u, with u the unit and T the tensor indices.
     """
-    d, n, normalized = A.rank, om_next.level - 1, om_next.normalized
-    z = A.ring.zero
-    T = len(_letters(A, normalized)) ** (n + 1)
-    unit = [(j, u) for j, u in enumerate(A.unit) if u != z]
-    units = Matrix.from_triplets(
-        A.ring,
-        bar_rank(A, n + 1, normalized),
-        T,
-        (((j * T + t) * d + jj, t, u * uu) for t in range(T) for j, u in unit for jj, uu in unit),
-    )
-    f = coords_in_span(om_next.basis, _differential(A, n + 1, normalized) * units)
+    level, normalized = om_next.level, om_next.normalized
+    u, I_T = A.unit_column(), Matrix.identity(A.ring, len(_letters(A, normalized)) ** level)
+    f = coords_in_span(om_next.basis, _differential(A, level, normalized) * u.kron(I_T).kron(u))
     return f.reshape(f.rows * f.cols, 1)
 
 
@@ -255,7 +248,7 @@ def _probe_modules(A: FiniteAlgebra, guard: int | None):
     reg = regular_bimodule(A)
     probes.append(("A", reg))
     try:
-        probes.append(("Aenv", chain_bimodule(A, 0, False, guard)))
+        probes.append(("Aenv", chain_bimodule(A, 0, guard)))
     except SizeGuardError:
         pass
     try:

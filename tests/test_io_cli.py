@@ -181,6 +181,22 @@ def test_cli_extensions_class_of_coboundary(capsys):
         path.unlink()
 
 
+def test_cli_extensions_over_a_rank_zero_bimodule(capsys, tmp_path):
+    # every matrix over the zero bimodule has 0 rows, so "[]" must keep the expected width
+    algebra = fx("dual_q.json")
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"algebra": algebra, "rank": 0, "left": [[], []], "right": [[], []]}))
+    cochain, ext = tmp_path / "cochain.json", tmp_path / "ext.json"
+    cochain.write_text(json.dumps({"algebra": algebra, "bimodule": str(zero), "matrix": []}))
+    ext.write_text(json.dumps({"algebra": algebra, "bimodule": str(zero), "cocycle": []}))
+    code, doc = run_cli(capsys, "extensions", algebra, str(zero), "--class", str(cochain))
+    assert code == 0
+    assert doc["cocycle"] is True and doc["cohomologous_to_zero"] is True
+    code, doc = run_cli(capsys, "extensions", algebra, str(zero), "--lift", str(ext))
+    assert code == 0
+    assert doc["lift"] is True and doc["section"] == [["1", "0"], ["0", "1"]]
+
+
 def test_cli_koszul_graded(capsys):
     code, doc = run_cli(capsys, "koszul", "--vars", "2", "--ring", "Z", "--cap", "3")
     assert code == 0

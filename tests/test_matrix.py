@@ -557,6 +557,14 @@ def test_public_constructor_rejects_non_canonical_columns():
         Matrix.identity(ZZ, 1).rows = 2
 
 
+def test_getitem_range_checks_rows_and_columns():
+    M = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
+    assert M[1, 0] == 3 and M[0, 1] == 2
+    for i, j in ((0, -1), (0, 2), (-1, 0), (2, 0)):
+        with pytest.raises(IndexError):
+            M[i, j]
+
+
 @PROPS
 @given(matrices(), st.data())
 def test_arithmetic_matches_dense_arithmetic(M, data):
