@@ -61,8 +61,8 @@ class FiniteAlgebra:
                 for k in range(d):
                     ck = self.mul[base + k]
                     if ck != z:
-                        out[k] = self.ring.canon(out[k] + ai * bj * ck)
-        return out
+                        out[k] += ai * bj * ck
+        return list(map(self.ring.finish, out))
 
     @property
     def is_commutative(self) -> bool:
@@ -138,7 +138,7 @@ def validate_algebra(
         acc = {}
         for t, v in terms:
             acc[t] = acc.get(t, 0) + v
-        return {t: v for t, v in ((t, ring.canon(v)) for t, v in acc.items()) if v}
+        return {t: v for t, v in zip(acc, map(ring.finish, acc.values())) if v}
 
     for i in range(d):
         for j in range(d):
@@ -189,8 +189,8 @@ def tensor_product(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
         base = ((i * e + j) * D + p * e + q) * D
         for r, a in left[i][p]:
             for s, b in right[j][q]:
-                mul[base + r * e + s] = ring.canon(a * b)
-    unit = [ring.canon(a * b) for a in A.unit for b in B.unit]
+                mul[base + r * e + s] = ring.finish(a * b)
+    unit = [ring.finish(a * b) for a in A.unit for b in B.unit]
     names = tuple(f"{a}(x){b}" for a in A.basis_names for b in B.basis_names)
     return _make_unchecked(ring, D, names, unit, mul)
 

@@ -131,13 +131,14 @@ def bimodule_to_json(M: Bimodule, algebra_ref: str | None = None) -> dict:
     }
 
 
+def _referenced_path(name: str, base_dir: Path | None) -> Path:
+    """The path of a file named by a document: a relative name is read from base_dir, when given."""
+    path = Path(name)
+    return path if base_dir is None or path.is_absolute() else base_dir / path
+
+
 def _resolve_algebra(doc, base_dir: Path | None) -> FiniteAlgebra:
-    if isinstance(doc, str):
-        path = Path(doc)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        return load_algebra(path)
-    return algebra_from_json(doc)
+    return load_algebra(_referenced_path(doc, base_dir)) if isinstance(doc, str) else algebra_from_json(doc)
 
 
 def bimodule_from_json(doc, base_dir: Path | None = None) -> Bimodule:
@@ -198,12 +199,7 @@ def cochain_to_json(B: Cochain, algebra_ref=None, bimodule_ref=None) -> dict:
 
 
 def _resolve_bimodule(doc, base_dir: Path | None) -> Bimodule:
-    if isinstance(doc, str):
-        path = Path(doc)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        return load_bimodule(path)
-    return bimodule_from_json(doc, base_dir)
+    return load_bimodule(_referenced_path(doc, base_dir)) if isinstance(doc, str) else bimodule_from_json(doc, base_dir)
 
 
 def cochain_from_json(doc, base_dir: Path | None = None) -> Cochain:

@@ -8,8 +8,10 @@ memory and time in proportion to their nonzeros.  The elimination routines
 work on transient dict rows built straight from those columns, filed by
 leading column, so a reduction takes time proportional to its fill plus its
 pivot width.  _echelon alone picks the core: F_p the field core, Z and Q the
-integer core (Q on rows cleared of denominators).  A Q value is an int when
-integral, so integer data stays on ints and a Fraction marks a true quotient.
+integer core (Q on rows cleared of denominators).  ScalarRing alone decides
+the canonical form of a value: arithmetic here works on raw ints and Fractions
+and finishes each stored value with ring.finish, so over Q integer data stays
+on ints and a Fraction marks a true quotient.
 The cores pivot on the holder of a column with the fewest stored entries (over
 Z and Q, among those of least |entry|) to keep the fill down.  Every caller
 reads a result that does not depend on that choice: a normal form, a rank, a
@@ -38,7 +40,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
 
-from .rings import RingError, ScalarRing, ZZ, q_canon
+from .rings import RingError, ScalarRing, ZZ
 
 DEFAULT_GUARD = 4_000_000
 
@@ -82,11 +84,11 @@ class KModuleInvariants:
     def __post_init__(self):
         if self.free_rank < 0:
             raise ValueError("negative free rank")
+        if any(t <= 1 for t in self.torsion):
+            raise ValueError("torsion factors must exceed 1")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
                 raise ValueError(f"torsion {self.torsion} is not a divisibility chain")
-        if any(t <= 1 for t in self.torsion):
-            raise ValueError("torsion factors must exceed 1")
 
     @property
     def is_zero(self) -> bool:
@@ -98,20 +100,6 @@ class KModuleInvariants:
             parts.append(f"k^{self.free_rank}")
         parts.extend(f"k/{t}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-def _canonizer(ring: ScalarRing):
-    """Canonical form of a raw int or Fraction produced by ring arithmetic."""
-    if ring.kind == "Fp":
-        p = ring.p
-        return lambda v: v % p
-    return q_canon if ring.kind == "Q" else (lambda v: v)
-
-
-def _is_canonical(ring: ScalarRing, v) -> bool:
-    if ring.kind == "Q" and type(v) is Fraction:
-        return v.denominator != 1
-    return type(v) is int and (ring.kind != "Fp" or 0 <= v < ring.p)
 
 
 class Matrix:
@@ -135,7 +123,7 @@ class Matrix:
             for i, v in c:
                 if not prev < i < rows:
                     raise ShapeError("column rows must increase strictly and lie inside the matrix")
-                if not v or not _is_canonical(ring, v):
+                if not v or not ring.is_canonical(v):
                     raise ValueError(f"{v!r} is not a stored value of a matrix over {ring}")
                 prev = i
         _set_ring(self, ring)
@@ -215,14 +203,10 @@ class Matrix:
                 c[i] += v
             else:
                 c[i] = v
-        canon = _canonizer(ring)
-        out = []
-        for c in acc:
-            col = tuple((i, v) for i, v in ((i, canon(c[i])) for i in sorted(c)) if v)
-            if col and not (col[0][0] >= 0 and col[-1][0] < rows):
-                raise ShapeError(f"triplet row outside a matrix with {rows} rows")
-            out.append(col)
-        return _make(ring, rows, cols, tuple(out))
+        out = tuple(_finish_column(c, ring.finish) for c in acc)
+        if any(c and not (c[0][0] >= 0 and c[-1][0] < rows) for c in out):
+            raise ShapeError(f"triplet row outside a matrix with {rows} rows")
+        return _make(ring, rows, cols, out)
 
     @staticmethod
     def zeros(ring: ScalarRing, rows: int, cols: int) -> "Matrix":
@@ -283,8 +267,7 @@ class Matrix:
         self._same(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("shape mismatch in addition")
-        modp = self.ring.p if self.ring.kind == "Fp" else 0
-        rational = self.ring.kind == "Q"
+        finish = self.ring.finish
         out = []
         for a, b in zip(self.columns, other.columns):
             if not b or not a:
@@ -292,35 +275,22 @@ class Matrix:
                 continue
             acc = dict(a)
             for i, v in b:
-                if i in acc:
-                    v = (acc[i] + v) % modp if modp else acc[i] + v
-                acc[i] = v
-            merged = sorted([p for p in acc.items() if p[1]])
-            out.append(tuple([(i, q_canon(v)) for i, v in merged] if rational else merged))
+                acc[i] = acc[i] + v if i in acc else v
+            out.append(_finish_column(acc, finish))
         return _make(self.ring, self.rows, self.cols, tuple(out))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        if self.ring.kind == "Fp":
-            p = self.ring.p
-            cols = tuple(tuple((i, p - v) for i, v in c) for c in self.columns)
-        else:
-            cols = tuple(tuple((i, -v) for i, v in c) for c in self.columns)
-        return _make(self.ring, self.rows, self.cols, cols)
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = self.ring.canon(c)
         if not c:
             return Matrix.zeros(self.ring, self.rows, self.cols)
-        if self.ring.kind == "Fp":
-            p = self.ring.p
-            cols = tuple(tuple((i, v * c % p) for i, v in col) for col in self.columns)
-        elif self.ring.kind == "Q":
-            cols = tuple(tuple((i, q_canon(v * c)) for i, v in col) for col in self.columns)
-        else:
-            cols = tuple(tuple((i, v * c) for i, v in col) for col in self.columns)
+        finish = self.ring.finish  # a nonzero c times a nonzero value is nonzero
+        cols = tuple(tuple([(i, finish(v * c)) for i, v in col]) for col in self.columns)
         return _make(self.ring, self.rows, self.cols, cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
@@ -328,8 +298,7 @@ class Matrix:
         self._same(other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        modp = self.ring.p if self.ring.kind == "Fp" else 0
-        rational = self.ring.kind == "Q"
+        finish = self.ring.finish
         acols = self.columns
         out = []
         for col in other.columns:
@@ -340,12 +309,7 @@ class Matrix:
                         acc[i] += v * w
                     else:
                         acc[i] = v * w
-            if modp:
-                out.append(tuple((i, v) for i, v in ((i, acc[i] % modp) for i in sorted(acc)) if v))
-            elif rational:
-                out.append(tuple((i, q_canon(acc[i])) for i in sorted(acc) if acc[i]))
-            else:
-                out.append(tuple((i, acc[i]) for i in sorted(acc) if acc[i]))
+            out.append(_finish_column(acc, finish))
         return _make(self.ring, self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "Matrix":
@@ -372,18 +336,11 @@ class Matrix:
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product in row-major (last index fastest) convention."""
         self._same(other)
-        orows = other.rows
-        modp = self.ring.p if self.ring.kind == "Fp" else 0
-        rational = self.ring.kind == "Q"
+        orows, finish = other.rows, self.ring.finish
         cols = []
         for a in self.columns:
-            for b in other.columns:
-                if modp:
-                    cols.append(tuple((i * orows + k, x * y % modp) for i, x in a for k, y in b))
-                elif rational:
-                    cols.append(tuple((i * orows + k, q_canon(x * y)) for i, x in a for k, y in b))
-                else:
-                    cols.append(tuple((i * orows + k, x * y) for i, x in a for k, y in b))
+            for b in other.columns:  # products of nonzero values are nonzero
+                cols.append(tuple([(i * orows + k, finish(x * y)) for i, x in a for k, y in b]))
         return _make(self.ring, self.rows * orows, self.cols * other.cols, tuple(cols))
 
     def submatrix_cols(self, col_indices) -> "Matrix":
@@ -412,6 +369,11 @@ _set_ring, _set_rows, _set_cols, _set_columns, _set_hash = (
     getattr(Matrix, name).__set__ for name in Matrix.__slots__
 )
 _new = object.__new__
+
+
+def _finish_column(acc: dict, finish) -> tuple:
+    """The stored column of raw values {row: value}: rows increasing, values finished, zeros dropped."""
+    return tuple([(i, v) for i in sorted(acc) if (v := finish(acc[i]))])
 
 
 def _make(ring: ScalarRing, rows: int, cols: int, columns: tuple) -> Matrix:
@@ -580,13 +542,12 @@ def _echelon(ring: ScalarRing, rows: list[dict], width: int) -> list[tuple[int, 
 def _reduce(ring: ScalarRing, pivots: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
     """Echelon pivot rows reduced against each other: the Hermite form over Z,
     the RREF over a field.  Over Q each integer pivot row is divided by its
-    pivot first, and the values are made canonical at the end."""
+    pivot first, and the values are finished at the end."""
     if ring.kind == "Q":
         pivots = [(c, {k: ring.div(v, r[c]) for k, v in r.items()}) for c, r in pivots]
     _back_substitute(pivots, ring)
-    if ring.kind == "Q":
-        for _, r in pivots:
-            r.update([(k, q_canon(v)) for k, v in r.items() if type(v) is Fraction])
+    for _, r in pivots:  # only Q rows hold Fractions, which may have become integral
+        r.update([(k, ring.finish(v)) for k, v in r.items() if type(v) is Fraction])
     return pivots
 
 

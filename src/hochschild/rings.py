@@ -1,9 +1,15 @@
-"""Exact coefficient rings: the integers, the rationals and prime fields."""
+"""Exact coefficient rings: the integers, the rationals and prime fields.
+
+ScalarRing alone decides the canonical form of an element; the matrix and
+algebra layers finish their raw int and Fraction arithmetic with ring.finish.
+"""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 
 class RingError(ValueError):
@@ -66,6 +72,11 @@ class ScalarRing:
                 raise RingError(f"{self.p} is not prime")
         elif self.p != 0:
             raise RingError("modulus only makes sense for Fp")
+        # finish(v): the canonical element of a raw int or Fraction that ring arithmetic
+        # produced.  Matrix operations call it per entry, so each form is a cheap call.
+        p = self.p
+        finish = (lambda v: v % p) if self.kind == "Fp" else q_canon if self.kind == "Q" else index
+        object.__setattr__(self, "finish", finish)
 
     # -- structure ---------------------------------------------------------
 
@@ -76,7 +87,13 @@ class ScalarRing:
     zero, one = 0, 1  # canonical in every ring
 
     def of_int(self, n: int):
-        return n % self.p if self.kind == "Fp" else n
+        return self.finish(n)
+
+    def is_canonical(self, v) -> bool:
+        """Whether v is a canonical element, the form finish gives."""
+        if type(v) is Fraction:
+            return self.kind == "Q" and v.denominator != 1
+        return type(v) is int and (self.kind != "Fp" or 0 <= v < self.p)
 
     def canon(self, x):
         """Coerce x (int, Fraction or string) to a canonical ring element; never a float."""
@@ -90,10 +107,10 @@ class ScalarRing:
                     return x
                 raise RingError(f"{x} is not an element of {self}")
             x = x.numerator  # an int, also for a bool or an integral Fraction
-        return x % self.p if self.kind == "Fp" else x
+        return self.finish(x)
 
     def neg(self, x):
-        return -x % self.p if self.kind == "Fp" else -x
+        return self.finish(-x)
 
     def div(self, a, b):
         """The exact quotient a / b of canonical elements, itself canonical.
@@ -123,18 +140,19 @@ class ScalarRing:
     # -- decimal-string serialization (exact, never floats) -----------------
 
     def parse(self, s: str):
+        """An element from a signed ASCII decimal; over Q also n/d and n.d forms."""
         s = s.strip()
         try:
-            if self.kind == "Q" and not s.lstrip("+-").isdigit():
-                return self.canon(Fraction(s))  # a quotient or a decimal; integers take int below
-            if "/" in s:
+            if _INTEGER.fullmatch(s):
+                n = int(s)
+            elif self.kind == "Q" and _RATIONAL.fullmatch(s):
+                return q_canon(Fraction(s))
+            else:
                 raise ValueError(s)
-            n = int(s)
         except (ValueError, ZeroDivisionError):
             raise RingError(f"cannot parse {s!r} as an element of {self}") from None
-        if self.kind == "Fp":
-            if not 0 <= n < self.p:
-                raise RingError(f"{s!r} is not a canonical residue mod {self.p}")
+        if self.kind == "Fp" and not 0 <= n < self.p:
+            raise RingError(f"{s!r} is not a canonical residue mod {self.p}")
         return n
 
     def format(self, x) -> str:
@@ -143,6 +161,9 @@ class ScalarRing:
     def __str__(self) -> str:
         return f"F{self.p}" if self.kind == "Fp" else self.kind
 
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?([0-9]+/[0-9]+|[0-9]*\.[0-9]+|[0-9]+\.)")
 
 ZZ = ScalarRing("Z")
 QQ = ScalarRing("Q")

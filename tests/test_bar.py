@@ -320,6 +320,16 @@ def test_universal_derivation_is_a_derivation(small_corpus):
         assert unit_img.is_zero
 
 
+def test_universal_derivation_is_one_tensor_e_minus_e_tensor_one(small_corpus):
+    # column i of d is 1 (x) e_i - e_i (x) 1: with 1 = sum_p u_p e_p, the entry at the
+    # row-major pair (p, q) is u_p [q = i] - [p = i] u_q, written out without kron
+    assert not small_corpus["m2_q"].has_unital_basis
+    for A in small_corpus.values():
+        d, u = A.rank, A.unit
+        columns = [[(u[p] if q == i else 0) - (u[q] if p == i else 0) for p in range(d) for q in range(d)] for i in range(d)]
+        assert syzygy(A, 1).basis * universal_derivation(A) == Matrix.from_cols(A.ring, columns, nrows=d * d), A
+
+
 def test_factorization_of_zero_derivation():
     A = dual_numbers(QQ)
     M = regular_bimodule(A)

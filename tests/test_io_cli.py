@@ -295,6 +295,7 @@ _ONE = {"scalars": "Q", "rank": 1, "basis": ["1"], "unit": ["1"], "mul": ["1"]}
         (dict(_ONE, scalars={"Fp": 2.5}), "scalars"),
         (dict(_ONE, scalars={"Fp": True}), "scalars"),
         (dict(_ONE, basis=[[1]]), "algebra"),
+        (dict(_ONE, scalars="Z", mul=["0_1"]), "algebra.mul"),  # int() reads "0_1" as 1
     ],
 )
 def test_cli_malformed_algebra_exit_2(capsys, tmp_path, algebra, stage):

@@ -310,6 +310,8 @@ def test_invariants_validation():
         KModuleInvariants(0, (2, 3))  # not a divisibility chain
     with pytest.raises(ValueError):
         KModuleInvariants(0, (1,))
+    with pytest.raises(ValueError):
+        KModuleInvariants(0, (0, 2))  # a factor 0 is refused before the divisibility check divides by it
     assert str(KModuleInvariants(1, (2,))) == "k^1 + k/2"
 
 
@@ -581,6 +583,22 @@ def test_arithmetic_matches_dense_arithmetic(M, data):
     P = M * N.transpose()
     _assert_canonical(P)
     assert P.to_rows() == [[ring.canon(sum((x * y for x, y in zip(r, s)), ring.zero)) for s in b] for r in a]
+    # kron, scale, unary minus and cancelling triplets, against dense values reduced here
+    c = data.draw(_values(ring))
+    shifts = data.draw(st.lists(_values(ring), min_size=M.rows * M.cols, max_size=M.rows * M.cols))
+    cells = [(i, j) for i in range(M.rows) for j in range(M.cols)]
+    triplets = [t for (i, j), d in zip(cells, shifts) for t in ((i, j, a[i][j] + d), (i, j, -d))]
+    value = (lambda x: x % ring.p) if ring.kind == "Fp" else (lambda x: x)
+    cases = [
+        (M.kron(N), [[a[i][j] * b[k][l] for j in range(M.cols) for l in range(N.cols)]
+                     for i in range(M.rows) for k in range(N.rows)]),
+        (M.scale(c), [[x * c for x in r] for r in a]),
+        (-M, [[-x for x in r] for r in a]),
+        (Matrix.from_triplets(ring, M.rows, M.cols, triplets), a),
+    ]
+    for X, dense in cases:
+        _assert_canonical(X)
+        assert X.to_rows() == [[value(x) for x in r] for r in dense]
 
 
 # -- Q values: an int when integral, a Fraction otherwise --------------------------

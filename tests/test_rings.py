@@ -57,6 +57,20 @@ def test_parse_format_round_trip():
             assert ring.format(ring.parse(s)) == s
 
 
+def test_parse_takes_a_sign_and_ascii_digits_only():
+    # int() and Fraction() also take digit separators and non-ASCII digits
+    for ring in (ZZ, QQ, GF(5)):
+        assert ring.parse(" +3 ") == 3 and ring.parse("03") == 3 and type(ring.parse("3")) is int
+        for s in ("1_000", "\u0663", "\uff13", "1e3", "0x3", "3 4", "+-3", "", "+", "1.5" if ring != QQ else "1.2.3"):
+            with pytest.raises(RingError):
+                ring.parse(s)
+    for s in ("1_0/3", "1/3_0", "1 / 3", "1/-3", "1/0", "1.5e1", "\u0661/\u0663", "/3", "1/", "."):
+        with pytest.raises(RingError):
+            QQ.parse(s)
+    assert QQ.parse("-10/4") == Fraction(-5, 2) and QQ.parse("+0.25") == Fraction(1, 4)
+    assert QQ.parse(".5") == Fraction(1, 2) and QQ.parse("-2.") == -2 and type(QQ.parse("-2.")) is int
+
+
 def test_ring_equality_and_hash():
     assert GF(5) == ScalarRing("Fp", 5)
     assert len({ZZ, QQ, GF(5), GF(5)}) == 3
