@@ -69,14 +69,20 @@ def _guard_value(args) -> int | None:
     return None if args.guard == 0 else args.guard
 
 
+def _check_over(stage: str, A, algebra, M=None, bimodule=None) -> None:
+    """Refuse input data over another algebra than the positional A or, when M is given, another bimodule."""
+    for what, mine, wanted in (("algebra", algebra, A), ("bimodule", bimodule, M)):
+        if wanted is not None and mine != wanted:
+            raise SchemaError(stage, f"{stage} {what} differs from the requested {what}")
+
+
 # -- subcommands ------------------------------------------------------------------
 
 
 def cmd_hh(args) -> int:
     A = load_algebra(args.algebra)
     M = load_bimodule(args.bimodule) if args.bimodule else regular_bimodule(A)
-    if M.algebra != A:
-        raise SchemaError("bimodule", "bimodule algebra differs from the requested algebra")
+    _check_over("bimodule", A, M.algebra)
     guard = _guard_value(args)
     if args.homology:
         if args.unnormalized or args.representatives:
@@ -105,6 +111,8 @@ def cmd_hh(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.cap < 0:  # before any work: the scan checks its cap only after the other stages
+        raise ValueError(f"--cap must be >= 0, got {args.cap}")
     A = load_algebra(args.algebra)
     M = regular_bimodule(A)
     guard = _guard_value(args)
@@ -137,6 +145,7 @@ def cmd_analyze(args) -> int:
 def cmd_extensions(args) -> int:
     A = load_algebra(args.algebra)
     M = load_bimodule(args.bimodule) if args.bimodule else regular_bimodule(A)
+    _check_over("bimodule", A, M.algebra)
     guard = _guard_value(args)
     if args.enumerate:
         reps = enumerate_extension_classes(A, M, guard=guard)
@@ -146,6 +155,7 @@ def cmd_extensions(args) -> int:
         }
     elif args.cocycle_class:
         B = load_cochain(args.cocycle_class)
+        _check_over("cochain", A, B.algebra, M if args.bimodule else None, B.bimodule)
         ok, witness = is_two_cocycle(B)
         doc = {"cocycle": ok}
         if not ok:
@@ -157,6 +167,7 @@ def cmd_extensions(args) -> int:
                 doc["zeta"] = _matrix_to_json(zeta)
     else:
         E = load_extension(args.lift)
+        _check_over("extension", A, E.algebra, M if args.bimodule else None, E.bimodule)
         Bs = extension_class_from_section(E)
         section = lift_exists(E)
         doc = {"class": _matrix_to_json(Bs.matrix), "lift": section is not None}
@@ -305,20 +316,17 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SchemaError as exc:
-        _emit({"error": {"stage": exc.stage, "witness": exc.witness}}, getattr(args, "output", None))
-        return 2
+        code, stage, witness = 2, exc.stage, exc.witness
     except SizeGuardError as exc:
-        _emit({"error": {"stage": "size-guard", "witness": str(exc)}}, getattr(args, "output", None))
-        return 3
+        code, stage, witness = 3, "size-guard", str(exc)
     except (ShapeError, ContainmentError) as exc:  # raised by the engine, not by user input
-        _emit({"error": {"stage": "internal", "witness": f"{type(exc).__name__}: {exc}"}}, getattr(args, "output", None))
-        return 4
+        code, stage, witness = 4, "internal", f"{type(exc).__name__}: {exc}"
     except (AlgebraError, RingError, ValueError) as exc:
-        _emit({"error": {"stage": "validation", "witness": str(exc)}}, getattr(args, "output", None))
-        return 2
+        code, stage, witness = 2, "validation", str(exc)
     except Exception as exc:  # internal failure: report and exit 4
-        _emit({"error": {"stage": "internal", "witness": f"{type(exc).__name__}: {exc}"}}, getattr(args, "output", None))
-        return 4
+        code, stage, witness = 4, "internal", f"{type(exc).__name__}: {exc}"
+    _emit({"error": {"stage": stage, "witness": witness}}, getattr(args, "output", None))
+    return code
 
 
 if __name__ == "__main__":

@@ -229,42 +229,21 @@ def enumerate_extension_classes(
 ) -> list[Cochain]:
     """All square-zero extension classes of A by M over a finite prime field.
 
-    Enumerates the 2-cocycles as the F_p-combinations of a basis of ker b^2
-    and buckets them by cohomology class; the representative of a class is
-    its normal form modulo the echelonized coboundary space (the
-    lexicographically least member).  The count is |F_p|^(dim HH^2).
-    guard_exponent bounds the number p^(dim Z^2) of cocycles visited, and
-    guard the sizes of b^2 and b^1.
+    A class is represented by its lexicographically least member.  The basis
+    `image` of B^2 is a reduced echelon form, so the least member of the class
+    of v is v - image * v[leads], linear in v.  On a basis of the cocycles
+    ker b^2 this map spans the class space, of dimension dim HH^2, whose
+    p^(dim HH^2) vectors are the representatives, sorted as dense vectors.
+    guard_exponent still bounds p^(dim Z^2), guard the sizes of b^2 and b^1.
     """
-    ring = A.ring
-    if ring.kind != "Fp":
+    ring, p = A.ring, A.ring.p
+    if not p:
         raise AlgebraError("exhaustive enumeration needs a finite prime field")
-    p = ring.p
-    dim = M.rank * A.rank**2
-    cocycles = kernel_basis(coboundary_matrix(A, M, 2, False, guard)).columns
-    if p ** len(cocycles) > guard_exponent:
-        raise SizeGuardError(
-            f"enumeration space of size {p}^{len(cocycles)} exceeds the guard {guard_exponent}"
-        )
-    b1 = coboundary_matrix(A, M, 1, False, guard)
-    image = column_span_basis(b1)
-    # echelon reduction data: leading row of each image column
-    leads = [col[0][0] for col in image.columns]
-    reps: dict[tuple, Cochain] = {}
-    for coeffs in product(range(p), repeat=len(cocycles)):
-        vec = [0] * dim
-        for c, z in zip(coeffs, cocycles):
-            if c:
-                for i, w in z:
-                    vec[i] = (vec[i] + c * w) % p
-        for j, lead in enumerate(leads):
-            v = vec[lead]
-            if v:
-                col = image.columns[j]
-                factor = v * pow(col[0][1], -1, p) % p
-                for i, w in col:
-                    vec[i] = (vec[i] - factor * w) % p
-        key = tuple(vec)
-        if key not in reps:
-            reps[key] = two_cochain_from_vector(A, M, list(key))
-    return [reps[k] for k in sorted(reps)]
+    cocycles = kernel_basis(coboundary_matrix(A, M, 2, False, guard))
+    if p**cocycles.cols > guard_exponent:
+        raise SizeGuardError(f"enumeration space of size {p}^{cocycles.cols} exceeds the guard {guard_exponent}")
+    image = column_span_basis(coboundary_matrix(A, M, 1, False, guard))
+    at_leads = Matrix.identity(ring, image.rows).submatrix_cols([col[0][0] for col in image.columns]).transpose()
+    classes = column_span_basis(cocycles - image * (at_leads * cocycles))
+    reps = classes * Matrix.from_cols(ring, product(range(p), repeat=classes.cols), classes.cols)
+    return [two_cochain_from_vector(A, M, v) for v in sorted(reps.col_list(j) for j in range(reps.cols))]

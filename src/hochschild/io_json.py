@@ -38,9 +38,7 @@ def _is_count(x) -> bool:
 
 
 def ring_to_json(ring: ScalarRing):
-    if ring.kind == "Fp":
-        return {"Fp": ring.p}
-    return ring.kind
+    return {"Fp": ring.p} if ring.p else ring.kind
 
 
 def ring_from_json(doc) -> ScalarRing:

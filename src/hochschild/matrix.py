@@ -273,17 +273,19 @@ class Matrix:
             if not b or not a:
                 out.append(a or b)
                 continue
-            acc = dict(a)
+            acc = dict(a)  # only the rows both columns hold need finishing
             for i, v in b:
-                acc[i] = acc[i] + v if i in acc else v
-            out.append(_finish_column(acc, finish))
+                acc[i] = finish(acc[i] + v) if i in acc else v
+            out.append(tuple([(i, v) for i in sorted(acc) if (v := acc[i])]))
         return _make(self.ring, self.rows, self.cols, tuple(out))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return self.scale(-1)
+        finish = self.ring.finish  # the negative of a nonzero value is nonzero
+        cols = tuple(tuple([(i, finish(-v)) for i, v in col]) for col in self.columns)
+        return _make(self.ring, self.rows, self.cols, cols)
 
     def scale(self, c) -> "Matrix":
         c = self.ring.canon(c)
@@ -504,7 +506,7 @@ def _back_substitute(pivots: list[tuple[int, dict]], ring: ScalarRing) -> None:
     every column past the leading part (kernel combinations, a right-hand side).
     """
     integral = ring.kind == "Z"
-    modp = ring.p if ring.kind == "Fp" else 0
+    modp = ring.p  # 0 unless F_p
     at = dict(pivots)
     for c0, row in reversed(pivots):
         heap = sorted(c for c in row if c != c0 and c in at)
@@ -625,7 +627,7 @@ def coords_in_span(basis: Matrix, M: Matrix) -> Matrix:
     if basis.rows != M.rows:
         raise ShapeError("ambient dimensions differ")
     ring = basis.ring
-    kind, p = ring.kind, ring.p
+    p, div = ring.p, ring.div
     bcols = basis.columns
     lead_of = {col[0][0]: j for j, col in enumerate(bcols)}
     out = []
@@ -642,15 +644,10 @@ def coords_in_span(basis: Matrix, M: Matrix) -> Matrix:
             if j is None:
                 raise ContainmentError(jt)
             col = bcols[j]
-            pv = col[0][1]
-            if kind == "Z":
-                if val % pv:
-                    raise ContainmentError(jt)
-                q = val // pv
-            elif kind == "Q":
-                q = ring.div(val, pv)
-            else:
-                q = val * pow(pv, -1, p) % p
+            try:
+                q = div(val, col[0][1])
+            except RingError:  # over Z: the lead does not divide the entry
+                raise ContainmentError(jt) from None
             coords[j] = q
             for i, b in col:
                 if i in residual:

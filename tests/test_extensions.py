@@ -258,6 +258,27 @@ def test_enumeration_matches_brute_force(A):
     assert got == [B.matrix for B in _brute_force_classes(A, M)]
 
 
+@pytest.mark.parametrize("A", [truncated_poly(F2, 3), dual_numbers(GF(3))], ids=["x3_f2", "dual_f3"])
+def test_enumerated_representatives_are_least_in_their_classes(A):
+    # oracle: every coboundary b^1 z, brute-forced over all 1-cochains z with coboundary_of
+    M, p, d = regular_bimodule(A), A.ring.p, A.rank
+    boundaries = [
+        coboundary_of(A, M, Matrix.from_rows(A.ring, [z[i * d:(i + 1) * d] for i in range(M.rank)])).matrix
+        for z in product(range(p), repeat=M.rank * d)
+    ]
+
+    def dense(X):
+        return [x for row in X.to_rows() for x in row]
+
+    reps = enumerate_extension_classes(A, M)
+    assert len(reps) == p ** hh(A, M, 2, representatives=False).invariants.free_rank
+    assert all(dense(R.matrix) < dense(S.matrix) for R, S in zip(reps, reps[1:]))
+    for R in reps:
+        assert is_two_cocycle(R)[0]
+        # least in its class, so distinct representatives lie in distinct classes
+        assert all(dense(R.matrix + b) >= dense(R.matrix) for b in boundaries)
+
+
 def test_enumerate_dual_f5_five_classes():
     A = dual_numbers(GF(5))
     reps = enumerate_extension_classes(A, regular_bimodule(A))

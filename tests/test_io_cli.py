@@ -181,6 +181,26 @@ def test_cli_extensions_class_of_coboundary(capsys):
         path.unlink()
 
 
+@pytest.mark.parametrize(
+    "argv, stage, what",
+    [
+        (("hh", fx("dual_q.json"), "--bimodule", fx("dual_f2_regular.json"), "--degree", "1"), "bimodule", "algebra"),
+        (("extensions", fx("dual_q.json"), fx("dual_f2_regular.json"), "--enumerate"), "bimodule", "algebra"),
+        (("extensions", fx("scalar_q.json"), "--class", fx("cocycle_dual_f2_xx.json")), "cochain", "algebra"),
+        (("extensions", fx("m2_q.json"), "--lift", fx("ext_dual_f2_nontrivial.json")), "extension", "algebra"),
+        (("extensions", fx("dual_f2.json"), "@zero", "--class", fx("cocycle_dual_f2_xx.json")), "cochain", "bimodule"),
+        (("extensions", fx("dual_f2.json"), "@zero", "--lift", fx("ext_dual_f2_trivial.json")), "extension", "bimodule"),
+    ],
+    ids=["hh", "enumerate", "class", "lift", "class_bimodule", "lift_bimodule"],
+)
+def test_cli_inputs_must_live_over_the_positional_algebra_and_bimodule(capsys, tmp_path, argv, stage, what):
+    zero = tmp_path / "zero.json"  # a bimodule over dual_f2 other than the regular one
+    zero.write_text(json.dumps({"algebra": fx("dual_f2.json"), "rank": 0, "left": [[], []], "right": [[], []]}))
+    code, doc = run_cli(capsys, *(str(zero) if a == "@zero" else a for a in argv))
+    assert code == 2
+    assert doc["error"] == {"stage": stage, "witness": f"{stage} {what} differs from the requested {what}"}
+
+
 def test_cli_extensions_over_a_rank_zero_bimodule(capsys, tmp_path):
     # every matrix over the zero bimodule has 0 rows, so "[]" must keep the expected width
     algebra = fx("dual_q.json")
@@ -438,6 +458,14 @@ def test_cli_negative_guard_is_a_validation_error(capsys, argv):
     assert code == 2
     assert doc["error"]["stage"] == "validation"
     assert "--guard" in doc["error"]["witness"]
+
+
+def test_cli_negative_cap_is_refused_before_any_work(capsys):
+    # free2_trunc_q exits 3 under the default guard (golden), so a late check would read size-guard
+    code, doc = run_cli(capsys, "analyze", fx("free2_trunc_q.json"), "--cap", "-1")
+    assert code == 2
+    assert doc["error"]["stage"] == "validation"
+    assert "cap must be >= 0" in doc["error"]["witness"]
 
 
 def test_cli_extensions_enumerate_obeys_the_guard(capsys):

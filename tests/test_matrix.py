@@ -202,6 +202,10 @@ def test_containment_violation_names_column():
     # integral containment matters over Z: (1,0) is in the Q-span but not the lattice
     with pytest.raises(ContainmentError):
         subquotient_invariants(Z, Matrix.from_cols(ZZ, [[1, 0]]))
+    # a contained column, then one whose entry the lead 2 does not divide: the second is named
+    with pytest.raises(ContainmentError) as exc:
+        coords_in_span(Z, Matrix.from_cols(ZZ, [[4, 0], [1, 0]]))
+    assert exc.value.column == 1
 
 
 def test_subquotient_of_zero_ambient():
