@@ -249,70 +249,88 @@ def cmd_fixtures(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="hochschild",
-        description="Exact Hochschild cohomology, extensions and Koszul certificates",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+def _common(sp) -> None:
+    sp.add_argument("--output", help="write the JSON report here instead of stdout")
+    sp.add_argument("--guard", type=int, help="matrix-entry guard (0 = unlimited)")
 
-    def common(sp):
-        sp.add_argument("--output", help="write the JSON report here instead of stdout")
-        sp.add_argument("--guard", type=int, help="matrix-entry guard (0 = unlimited)")
 
-    hhp = sub.add_parser("hh", help="Hochschild cohomology/homology groups")
-    hhp.add_argument("algebra")
-    hhp.add_argument("--bimodule", help="coefficient bimodule file (default: A itself)")
-    hhp.add_argument("--degree", type=int, required=True)
-    hhp.add_argument("--unnormalized", action="store_true", help="force the raw bar cocomplex")
-    hhp.add_argument("--homology", action="store_true", help="compute HH_n instead of HH^n")
-    hhp.add_argument("--representatives", action="store_true", help="include representative cocycles")
-    common(hhp)
-    hhp.set_defaults(func=cmd_hh)
+def _hh_arguments(sp) -> None:
+    sp.add_argument("algebra")
+    sp.add_argument("--bimodule", help="coefficient bimodule file (default: A itself)")
+    sp.add_argument("--degree", type=int, required=True)
+    sp.add_argument("--unnormalized", action="store_true", help="force the raw bar cocomplex")
+    sp.add_argument("--homology", action="store_true", help="compute HH_n instead of HH^n")
+    sp.add_argument("--representatives", action="store_true", help="include representative cocycles")
+    _common(sp)
 
-    an = sub.add_parser("analyze", help="center, derivations, separability, quasi-freeness, HCdim scan")
-    an.add_argument("algebra")
-    an.add_argument("--cap", type=int, default=2, help="syzygy/probe depth for the HCdim scan")
-    common(an)
-    an.set_defaults(func=cmd_analyze)
 
-    ex = sub.add_parser("extensions", help="square-zero extension classes and lifting")
-    ex.add_argument("algebra")
-    ex.add_argument("bimodule", nargs="?", help="coefficient bimodule file (default: A itself)")
-    g = ex.add_mutually_exclusive_group(required=True)
+def _analyze_arguments(sp) -> None:
+    sp.add_argument("algebra")
+    sp.add_argument("--cap", type=int, default=2, help="syzygy/probe depth for the HCdim scan")
+    _common(sp)
+
+
+def _extensions_arguments(sp) -> None:
+    sp.add_argument("algebra")
+    sp.add_argument("bimodule", nargs="?", help="coefficient bimodule file (default: A itself)")
+    g = sp.add_mutually_exclusive_group(required=True)
     g.add_argument("--enumerate", action="store_true", help="enumerate all classes (finite fields)")
     g.add_argument("--class", dest="cocycle_class", help="check a cocycle file and test triviality (file-sized, unguarded)")
     g.add_argument("--lift", help="decide lifting of an extension file (file-sized, unguarded)")
-    common(ex)
-    ex.set_defaults(func=cmd_extensions)
+    _common(sp)
 
-    ko = sub.add_parser("koszul", help="Koszul Tor tables and flat-dimension certificates")
-    route = ko.add_mutually_exclusive_group(required=True)
+
+def _koszul_arguments(sp) -> None:
+    route = sp.add_mutually_exclusive_group(required=True)
     route.add_argument("--vars", type=int, help="number of polynomial variables (graded route)")
     route.add_argument("--finite", help="finite-rank instance file: {algebra, sequence, module}")
-    ko.add_argument("--ring", help='base ring: Z (default), Q or {"Fp": p} (graded route)')
-    ko.add_argument("--cap", type=int, help="internal degree cap, default 4 (graded route)")
-    common(ko)
-    ko.set_defaults(func=cmd_koszul)
+    sp.add_argument("--ring", help='base ring: Z (default), Q or {"Fp": p} (graded route)')
+    sp.add_argument("--cap", type=int, help="internal degree cap, default 4 (graded route)")
+    _common(sp)
 
-    bo = sub.add_parser("bound", help="assemble the HCdim lower bound fd - D(k) - fd_k")
-    bo.add_argument("--fd", type=int, required=True, help="certified flat dimension (or Krull input)")
-    bo.add_argument("--Dk", type=int, required=True, help="global dimension of the base ring")
-    bo.add_argument("--fdk", type=int, default=0, help="flat dimension of the algebra over the base")
-    common(bo)
-    bo.set_defaults(func=cmd_bound)
 
-    fx = sub.add_parser("fixtures", help="list bundled fixture files or print a path")
-    fx.add_argument("name", nargs="?", help="fixture file name to locate")
-    fx.add_argument("--output", help=argparse.SUPPRESS)
-    fx.add_argument("--guard", type=int, help=argparse.SUPPRESS)
-    fx.set_defaults(func=cmd_fixtures)
+def _bound_arguments(sp) -> None:
+    sp.add_argument("--fd", type=int, required=True, help="certified flat dimension (or Krull input)")
+    sp.add_argument("--Dk", type=int, required=True, help="global dimension of the base ring")
+    sp.add_argument("--fdk", type=int, default=0, help="flat dimension of the algebra over the base")
+    _common(sp)
 
+
+def _fixtures_arguments(sp) -> None:
+    sp.add_argument("name", nargs="?", help="fixture file name to locate")
+    sp.add_argument("--output", help=argparse.SUPPRESS)
+    sp.add_argument("--guard", type=int, help=argparse.SUPPRESS)
+
+
+# name -> (help line, function adding its arguments); its handler is cmd_<name>
+_SUBCOMMANDS = {
+    "hh": ("Hochschild cohomology/homology groups", _hh_arguments),
+    "analyze": ("center, derivations, separability, quasi-freeness, HCdim scan", _analyze_arguments),
+    "extensions": ("square-zero extension classes and lifting", _extensions_arguments),
+    "koszul": ("Koszul Tor tables and flat-dimension certificates", _koszul_arguments),
+    "bound": ("assemble the HCdim lower bound fd - D(k) - fd_k", _bound_arguments),
+    "fixtures": ("list bundled fixture files or print a path", _fixtures_arguments),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser with all six subcommands, or with the one named `only` and the same usage line."""
+    p = argparse.ArgumentParser(prog="hochschild", description="Exact Hochschild cohomology, extensions and Koszul certificates")
+    # the full build leaves the metavar unset, so its errors keep naming "argument command"
+    metavar = None if only is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        if only in (None, name):
+            sp = sub.add_parser(name, help=help_text)
+            add_arguments(sp)
+            sp.set_defaults(func=globals()["cmd_" + name])  # looked up per build, so a patched handler runs
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named subcommand builds only its own parser; -h, typos and leading options build all six
+    args = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

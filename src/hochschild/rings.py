@@ -117,14 +117,14 @@ class ScalarRing:
 
         Raises RingError when b is zero or, over Z, does not divide a.
         """
+        if not self.p and type(a) is int and type(b) is int and b and not a % b:
+            return a // b  # Z, or Q with an integral quotient; `not self.p` first, so F_p pays one test
         if self.kind == "Fp":
             if b % self.p == 0:
                 raise RingError("division by zero")
             return a * pow(b, -1, self.p) % self.p
         if b == 0:
             raise RingError("division by zero")
-        if type(a) is int and type(b) is int and not a % b:
-            return a // b
         if self.kind == "Z":
             raise RingError(f"{b} does not divide {a} in Z")
         return q_canon(Fraction(a, b))

@@ -1,4 +1,6 @@
+import argparse
 import json
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -494,3 +496,77 @@ def test_cli_fixtures_listing(capsys):
     code, out = run_cli(capsys, "fixtures", "dual_f2.json")
     assert code == 0
     assert out.strip().endswith("dual_f2.json")
+
+
+# -- parser build -------------------------------------------------------------------
+
+_NAMES = ("hh", "analyze", "extensions", "koszul", "bound", "fixtures")
+
+
+def _exit_outcome(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(list(argv))
+    out = capsys.readouterr()
+    return out.out, out.err, exc.value.code
+
+
+@pytest.mark.parametrize("columns", ["60", "200"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("-h",),
+        *((name, "-h") for name in _NAMES),
+        (),
+        ("bogus",),
+        ("an",),  # no prefix matching of subcommand names
+        ("hh", "x", "--degree", "1", "--bogus"),  # the top-level usage line
+        ("hh", "x"),
+        ("bound", "--fd", "1"),
+        ("extensions", "x", "--enumerate", "--lift", "y"),
+        ("koszul", "--vars", "2", "--finite", "f"),
+        ("--guard", "1", "hh", "x", "--degree", "1"),
+    ],
+)
+def test_cli_help_and_errors_match_the_full_parser(capsys, monkeypatch, columns, argv):
+    monkeypatch.setenv("COLUMNS", columns)
+    full = _exit_outcome(capsys, lambda a: cli.build_parser().parse_args(a), argv)
+    assert _exit_outcome(capsys, main, argv) == full
+    if argv in (("bogus",), ("an",)):
+        assert "error: argument command: invalid choice" in full[1]
+
+
+def test_cli_named_subcommand_builds_only_its_own_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["bound", "--fd", "3", "--Dk", "1"]) == 0
+    assert built == ["hochschild", "hochschild bound"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    assert len(built) == 7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hh", "a.json", "--degree", "0"),
+        ("analyze", "a.json"),
+        ("extensions", "a.json", "--enumerate"),
+        ("koszul", "--vars", "1"),
+        ("bound", "--fd", "1", "--Dk", "0"),
+        ("fixtures",),
+    ],
+)
+def test_cli_runs_the_handler_bound_when_the_parser_is_built(monkeypatch, argv):
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: seen.append(args.command) or 17)
+    assert main(list(argv)) == 17
+    monkeypatch.setattr(sys, "argv", ["hochschild", *argv])
+    assert main() == 17
+    assert seen == [argv[0], argv[0]]

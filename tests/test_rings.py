@@ -111,6 +111,29 @@ def test_div_is_exact_and_canonical():
         QQ.div(Fraction(1, 2), Fraction(0))
 
 
+@pytest.mark.parametrize(
+    "ring, exact, inexact",
+    [
+        (ZZ, (-6, 3, -2), (-6, 4, "4 does not divide -6 in Z")),
+        (QQ, (-6, 3, -2), (-6, 4, Fraction(-3, 2))),
+        (GF(5), (4, 2, 2), (2, 4, 3)),
+    ],
+)
+def test_div_exact_inexact_and_by_zero(ring, exact, inexact):
+    a, b, q = exact
+    got = ring.div(a, b)
+    assert got == q and type(got) is int
+    a, b, q = inexact
+    if isinstance(q, str):
+        with pytest.raises(RingError, match=q):
+            ring.div(a, b)
+    else:
+        got = ring.div(a, b)
+        assert got == q and type(got) is type(q) and ring.is_canonical(got)
+    with pytest.raises(RingError, match="^division by zero$"):
+        ring.div(3, 0)
+
+
 @given(st.fractions(max_denominator=30), st.fractions(max_denominator=30))
 def test_rational_div_matches_fraction_division(a, b):
     a, b = QQ.canon(a), QQ.canon(b)
