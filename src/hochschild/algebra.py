@@ -1,18 +1,22 @@
 """Finite-rank algebras by structure constants, bimodules and their calculus.
 
 An algebra of rank d stores d^3 structure constants c[i][j][k] meaning
-e_i * e_j = sum_k c[i][j][k] e_k.  Tensor bases are ordered row-major
-throughout (last index fastest), one global convention shared by every
-module downstream.
+e_i * e_j = sum_k c[i][j][k] e_k.  Its working form is the d x d^2
+multiplication matrix mu, built once per algebra: the left and right
+multiplication matrices are column slices of it, the algebra laws are
+matrix identities on it, and the opposite, tensor-product and unital-basis
+tables are products and column permutations of it.  Tensor bases are
+ordered row-major throughout (last index fastest), one global convention
+shared by every module downstream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property
 from itertools import product
 
-from .matrix import Matrix, solve
+from .matrix import Matrix
 from .rings import ScalarRing
 
 
@@ -47,27 +51,13 @@ class FiniteAlgebra:
         return list(self.mul[base : base + d])
 
     def multiply(self, a, b) -> list:
-        """Product of two coefficient vectors."""
-        d = self.rank
-        z = self.ring.zero
-        out = [z] * d
-        for i, ai in enumerate(a):
-            if ai == z:
-                continue
-            for j, bj in enumerate(b):
-                if bj == z:
-                    continue
-                base = (i * d + j) * d
-                for k in range(d):
-                    ck = self.mul[base + k]
-                    if ck != z:
-                        out[k] += ai * bj * ck
-        return list(map(self.ring.finish, out))
+        """Product of two coefficient vectors: mu (a (x) b)."""
+        ab = Matrix.column(self.ring, a).kron(Matrix.column(self.ring, b))
+        return (self._mu * ab).col_list(0)
 
     @property
     def is_commutative(self) -> bool:
-        d = self.rank
-        return all(self.c(i, j, k) == self.c(j, i, k) for i in range(d) for j in range(d) for k in range(d))
+        return self._mu.submatrix_cols(_swapped_pairs(self.rank)) == self._mu
 
     @property
     def has_unital_basis(self) -> bool:
@@ -78,29 +68,54 @@ class FiniteAlgebra:
     def unit_column(self) -> Matrix:
         return Matrix.column(self.ring, list(self.unit))
 
+    @cached_property  # kept in the instance dict: equality and hash still see only the fields
+    def _mu(self) -> Matrix:
+        d = self.rank
+        # mul[(i d + j) d + k] is entry (k, i d + j)
+        return Matrix.from_triplets(self.ring, d, d * d, ((t % d, t // d, c) for t, c in enumerate(self.mul) if c))
+
     def __str__(self) -> str:
         return f"<algebra of rank {self.rank} over {self.ring}>"
 
 
-@lru_cache(maxsize=None)
-def left_mult_matrix(A: FiniteAlgebra, i: int) -> Matrix:
-    """Matrix of x -> e_i * x on the basis."""
-    d = A.rank
-    return Matrix.from_cols(A.ring, [A.product_column(i, j) for j in range(d)], nrows=d)
-
-
-@lru_cache(maxsize=None)
-def right_mult_matrix(A: FiniteAlgebra, i: int) -> Matrix:
-    """Matrix of x -> x * e_i on the basis."""
-    d = A.rank
-    return Matrix.from_cols(A.ring, [A.product_column(j, i) for j in range(d)], nrows=d)
-
-
 def multiplication_matrix(A: FiniteAlgebra) -> Matrix:
-    """The multiplication map A (x) A -> A as a d x d^2 matrix (row-major pairs)."""
+    """The multiplication map A (x) A -> A as a d x d^2 matrix mu: column i d + j holds e_i e_j.
+
+    It is built on first use and then kept, so every call returns the same object.
+    """
+    return A._mu
+
+
+def left_mult_matrix(A: FiniteAlgebra, i: int) -> Matrix:
+    """Matrix of x -> e_i * x on the basis: columns i d .. i d + d - 1 of mu."""
     d = A.rank
-    # mul[(i d + j) d + k] is entry (k, i d + j)
-    return Matrix.from_triplets(A.ring, d, d * d, ((t % d, t // d, c) for t, c in enumerate(A.mul) if c))
+    return A._mu.submatrix_cols(range(i * d, i * d + d))
+
+
+def right_mult_matrix(A: FiniteAlgebra, i: int) -> Matrix:
+    """Matrix of x -> x * e_i on the basis: columns i, i + d, ... of mu."""
+    d = A.rank
+    return A._mu.submatrix_cols(range(i, d * d, d))
+
+
+def _swapped_pairs(d: int) -> list[int]:
+    """Column j d + i of mu at position i d + j: the pair-swapped columns."""
+    return [j * d + i for i in range(d) for j in range(d)]
+
+
+def _first_mismatch(lhs: Matrix, rhs: Matrix) -> int | None:
+    """Index of the first column where two equal-shaped matrices differ, or None."""
+    return next((j for j, (x, y) in enumerate(zip(lhs.columns, rhs.columns)) if x != y), None)
+
+
+def _from_mu(ring: ScalarRing, names, unit, mu: Matrix) -> FiniteAlgebra:
+    """The algebra whose multiplication matrix is mu, taken as given (not validated)."""
+    d = mu.rows
+    mul = [ring.zero] * d**3
+    for c, col in enumerate(mu.columns):
+        for k, v in col:
+            mul[c * d + k] = v
+    return FiniteAlgebra(ring, d, tuple(names), tuple(unit), tuple(mul))
 
 
 def act(actions, coeffs) -> Matrix:
@@ -126,51 +141,28 @@ def validate_algebra(
 
     Reports the first failing associativity triple (i, j, l) or unit index.
     """
-    d = rank
     names = tuple(str(n) for n in basis_names)
     unit_t = tuple(ring.canon(u) for u in unit)
     mul_t = tuple(ring.canon(x) for x in mul)
-    A = FiniteAlgebra(ring, d, names, unit_t, mul_t)
-    z = ring.zero
-    nz = _product_terms(A)
-
-    def total(terms) -> dict:  # sum of (t, value) terms, as a dict without zeros
-        acc = {}
-        for t, v in terms:
-            acc[t] = acc.get(t, 0) + v
-        return {t: v for t, v in zip(acc, map(ring.finish, acc.values())) if v}
-
-    for i in range(d):
-        for j in range(d):
-            for l in range(d):
-                # (e_i e_j) e_l vs e_i (e_j e_l)
-                left = total((t, a * m) for k, a in nz[i][j] for t, m in nz[k][l])
-                if left != total((t, a * m) for k, a in nz[j][l] for t, m in nz[i][k]):
-                    raise AlgebraError(f"associativity fails at basis triple ({i}, {j}, {l})")
-    for i in range(d):
-        ei = [ring.one if t == i else z for t in range(d)]
-        if A.multiply(list(unit_t), ei) != ei:
-            raise AlgebraError(f"unit law fails on the left at basis index {i}")
-        if A.multiply(ei, list(unit_t)) != ei:
-            raise AlgebraError(f"unit law fails on the right at basis index {i}")
+    A = FiniteAlgebra(ring, rank, names, unit_t, mul_t)
+    mu, I = A._mu, Matrix.identity(ring, rank)
+    # column (i d + j) d + l of each side is (e_i e_j) e_l and e_i (e_j e_l)
+    c = _first_mismatch(mu * mu.kron(I), mu * I.kron(mu))
+    if c is not None:
+        i, jl = divmod(c, rank * rank)
+        raise AlgebraError(f"associativity fails at basis triple ({i}, {jl // rank}, {jl % rank})")
+    u = A.unit_column()
+    left, right = _first_mismatch(mu * u.kron(I), I), _first_mismatch(mu * I.kron(u), I)
+    if left is not None and (right is None or left <= right):
+        raise AlgebraError(f"unit law fails on the left at basis index {left}")
+    if right is not None:
+        raise AlgebraError(f"unit law fails on the right at basis index {right}")
     return A
-
-
-def _product_terms(A: FiniteAlgebra) -> list:
-    """The nonzero (k, c) pairs of every e_i e_j, as nz[i][j]."""
-    d = A.rank
-    return [[[(k, v) for k, v in enumerate(A.product_column(i, j)) if v] for j in range(d)] for i in range(d)]
-
-
-def _make_unchecked(ring, rank, basis_names, unit, mul) -> FiniteAlgebra:
-    return FiniteAlgebra(ring, rank, tuple(basis_names), tuple(unit), tuple(mul))
 
 
 def opposite(A: FiniteAlgebra) -> FiniteAlgebra:
     """Same module, reversed multiplication: c_op[i][j][k] = c[j][i][k]."""
-    d = A.rank
-    mul = [A.c(j, i, k) for i, j, k in product(range(d), repeat=3)]
-    return _make_unchecked(A.ring, d, A.basis_names, A.unit, mul)
+    return _from_mu(A.ring, A.basis_names, A.unit, A._mu.submatrix_cols(_swapped_pairs(A.rank)))
 
 
 def tensor_product(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
@@ -181,18 +173,12 @@ def tensor_product(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
     """
     if A.ring != B.ring:
         raise AlgebraError("both factors must live over the same ring")
-    ring, d, e = A.ring, A.rank, B.rank
-    D = d * e
-    left, right = _product_terms(A), _product_terms(B)
-    mul = [ring.zero] * D**3
-    for i, j, p, q in product(range(d), range(e), range(d), range(e)):
-        base = ((i * e + j) * D + p * e + q) * D
-        for r, a in left[i][p]:
-            for s, b in right[j][q]:
-                mul[base + r * e + s] = ring.finish(a * b)
-    unit = [ring.finish(a * b) for a in A.unit for b in B.unit]
+    d, e = A.rank, B.rank
+    # column ((i, p), (j, q)) of mu_A (x) mu_B becomes column ((i, j), (p, q))
+    order = [((i * d + p) * e + j) * e + q for i, j, p, q in product(range(d), range(e), range(d), range(e))]
+    mu = A._mu.kron(B._mu).submatrix_cols(order)
     names = tuple(f"{a}(x){b}" for a in A.basis_names for b in B.basis_names)
-    return _make_unchecked(ring, D, names, unit, mul)
+    return _from_mu(A.ring, names, A.unit_column().kron(B.unit_column()).col_list(0), mu)
 
 
 def enveloping(A: FiniteAlgebra) -> FiniteAlgebra:
@@ -346,36 +332,23 @@ def with_unital_basis(A: FiniteAlgebra) -> tuple[FiniteAlgebra, Matrix]:
     """
     if A.has_unital_basis:
         return A, Matrix.identity(A.ring, A.rank)
-    d = A.rank
-    ring = A.ring
-    pivot = None
-    for i, u in enumerate(A.unit):
-        if ring.is_unit(u):
-            pivot = i
-            break
+    d, ring, u = A.rank, A.ring, A.unit
+    pivot = next((i for i in range(d) if ring.is_unit(u[i])), None)
     if pivot is None:
         raise AlgebraError(
             "the unit has no unimodular coordinate; cannot canonicalize to a unital basis over this ring"
         )
-    order = [pivot] + [i for i in range(d) if i != pivot]
-    cols = [list(A.unit)] + [
-        [ring.one if r == i else ring.zero for r in range(d)] for i in order[1:]
-    ]
-    P = Matrix.from_cols(ring, cols, nrows=d)
-    I = Matrix.identity(ring, d)
-    Pinv_cols = [solve(P, I.submatrix_cols((i,))) for i in range(d)]
-    if any(x is None for x in Pinv_cols):
-        raise AlgebraError("basis change is not invertible over the ring")
-    Pinv = reduce(Matrix.hstack, Pinv_cols)
-    # column (i, j) of Pinv mu (P (x) P) holds the new coordinates of e'_i e'_j
-    table = Pinv * multiplication_matrix(A) * P.kron(P)
-    mul = [ring.zero] * d**3
-    for c, col in enumerate(table.columns):
-        for k, v in col:
-            mul[c * d + k] = v
-    names = ("1",) + tuple(A.basis_names[i] for i in order[1:])
+    rest = list(enumerate((i for i in range(d) if i != pivot), 1))  # (k, order[k]) for k >= 1
+    P = Matrix.from_triplets(ring, d, d, [(r, 0, x) for r, x in enumerate(u)] + [(i, k, 1) for k, i in rest])
+    # P^-1 has row 0 e_pivot / u_pivot and row k e_order[k] - (u_order[k] / u_pivot) e_pivot
+    inv = ring.invert(u[pivot])
+    Pinv = Matrix.from_triplets(
+        ring, d, d, [(0, pivot, inv)] + [t for k, i in rest for t in ((k, i, 1), (k, pivot, -u[i] * inv))]
+    )
+    names = ("1",) + tuple(A.basis_names[i] for _, i in rest)
     unit = (ring.one,) + (ring.zero,) * (d - 1)
-    return _make_unchecked(ring, d, names, unit, mul), P
+    # column (i, j) of Pinv mu (P (x) P) holds the new coordinates of e'_i e'_j
+    return _from_mu(ring, names, unit, Pinv * A._mu * P.kron(P)), P
 
 
 def transport_bimodule(M: Bimodule, B: FiniteAlgebra, P: Matrix) -> Bimodule:

@@ -71,13 +71,13 @@ def _boundary_triplets(A: FiniteAlgebra, M: Bimodule, k: int, normalized: bool):
     classes and drops the unit component of interior products.
     """
     d, m = A.rank, M.rank
-    z = A.ring.zero
     src = _tensor_tuples(A, k, normalized)
     dst_index = {t: i for i, t in enumerate(_tensor_tuples(A, k - 1, normalized))}
     T_src, T_dst = len(src), len(dst_index)
     kept = _letters(A, normalized)
-    # merges[s][a][b]: the kept nonzero coordinates (kk, (-1)^s c) of e_a e_b
-    plus = [[[(kk, A.c(a, b, kk)) for kk in kept if A.c(a, b, kk) != z] for b in range(d)] for a in range(d)]
+    # merges[s][a][b]: the kept nonzero coordinates (kk, (-1)^s c) of e_a e_b, column a d + b of mu
+    mu = multiplication_matrix(A).columns
+    plus = [[[(kk, c) for kk, c in mu[a * d + b] if kk in kept] for b in range(d)] for a in range(d)]
     merges = (plus, [[[(kk, -c) for kk, c in ab] for ab in row] for row in plus])
     # the wrap-around term carries (-1)^k: sign the left-action columns once
     wrap = [(L if k % 2 == 0 else -L).columns for L in M.left]

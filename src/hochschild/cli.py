@@ -298,8 +298,6 @@ def _bound_arguments(sp) -> None:
 
 def _fixtures_arguments(sp) -> None:
     sp.add_argument("name", nargs="?", help="fixture file name to locate")
-    sp.add_argument("--output", help=argparse.SUPPRESS)
-    sp.add_argument("--guard", type=int, help=argparse.SUPPRESS)
 
 
 # name -> (help line, function adding its arguments); its handler is cmd_<name>

@@ -24,6 +24,7 @@ from .algebra import (
     AlgebraError,
     Bimodule,
     FiniteAlgebra,
+    _first_mismatch,
     multiplication_matrix,
     opposite,
 )
@@ -31,7 +32,7 @@ from .cohomology import Cochain, coboundary_matrix, cocycle_witness
 from .matrix import (
     DEFAULT_GUARD,
     Matrix,
-    SizeGuardError,
+    check_guard,
     column_span_basis,
     coords_in_span,
     kernel_basis,
@@ -68,11 +69,6 @@ class ExtensionPresentation:
     projection: Matrix  # d x (d+m)
     inclusion: Matrix  # (d+m) x m
     section: Matrix  # (d+m) x d
-
-
-def _first_mismatch(lhs: Matrix, rhs: Matrix) -> int | None:
-    """Index of the first column where two equal-shaped matrices differ, or None."""
-    return next((j for j, (x, y) in enumerate(zip(lhs.columns, rhs.columns)) if x != y), None)
 
 
 def validate_extension(E: ExtensionPresentation) -> ExtensionPresentation:
@@ -224,9 +220,7 @@ def lift_exists(E: ExtensionPresentation) -> Matrix | None:
     return s
 
 
-def enumerate_extension_classes(
-    A: FiniteAlgebra, M: Bimodule, guard_exponent: int = 2**20, guard: int | None = DEFAULT_GUARD
-) -> list[Cochain]:
+def enumerate_extension_classes(A: FiniteAlgebra, M: Bimodule, guard: int | None = DEFAULT_GUARD) -> list[Cochain]:
     """All square-zero extension classes of A by M over a finite prime field.
 
     A class is represented by its lexicographically least member.  The basis
@@ -234,16 +228,15 @@ def enumerate_extension_classes(
     of v is v - image * v[leads], linear in v.  On a basis of the cocycles
     ker b^2 this map spans the class space, of dimension dim HH^2, whose
     p^(dim HH^2) vectors are the representatives, sorted as dense vectors.
-    guard_exponent still bounds p^(dim Z^2), guard the sizes of b^2 and b^1.
+    guard bounds the sizes of b^2, b^1 and the representatives' matrix.
     """
     ring, p = A.ring, A.ring.p
     if not p:
         raise AlgebraError("exhaustive enumeration needs a finite prime field")
     cocycles = kernel_basis(coboundary_matrix(A, M, 2, False, guard))
-    if p**cocycles.cols > guard_exponent:
-        raise SizeGuardError(f"enumeration space of size {p}^{cocycles.cols} exceeds the guard {guard_exponent}")
     image = column_span_basis(coboundary_matrix(A, M, 1, False, guard))
     at_leads = Matrix.identity(ring, image.rows).submatrix_cols([col[0][0] for col in image.columns]).transpose()
     classes = column_span_basis(cocycles - image * (at_leads * cocycles))
+    check_guard(classes.rows, p**classes.cols, guard)
     reps = classes * Matrix.from_cols(ring, product(range(p), repeat=classes.cols), classes.cols)
     return [two_cochain_from_vector(A, M, v) for v in sorted(reps.col_list(j) for j in range(reps.cols))]

@@ -4,15 +4,18 @@ import pytest
 
 from hochschild.algebra import (
     AlgebraError,
+    FiniteAlgebra,
     LeftModule,
     act,
     ae_from_bimodule,
     bimodule_from_ae,
     enveloping,
     hom_bimodule,
+    left_mult_matrix,
     multiplication_matrix,
     opposite,
     regular_bimodule,
+    right_mult_matrix,
     tensor_product,
     transport_bimodule,
     validate_algebra,
@@ -67,6 +70,23 @@ def test_unit_law_failure_reported():
     with pytest.raises(AlgebraError) as exc:
         validate_algebra(QQ, 1, ["e"], [1], [2])  # e*e = 2e, unit claims to be e
     assert "unit law" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "product_of, side, index",
+    [
+        (lambda i, j: j, "right", 1),  # e_i e_j = e_j
+        (lambda i, j: i, "left", 1),  # e_i e_j = e_i
+        (None, "left", 0),  # the zero table: both sides fail at 0, and the left one is named
+    ],
+)
+def test_validate_algebra_names_the_first_unit_law_failure(product_of, side, index):
+    mul = [0] * 8
+    if product_of is not None:
+        for i, j in product(range(2), repeat=2):
+            mul[(i * 2 + j) * 2 + product_of(i, j)] = 1
+    with pytest.raises(AlgebraError, match=rf"^unit law fails on the {side} at basis index {index}$"):
+        validate_algebra(QQ, 2, ["e0", "e1"], [1, 0], mul)
 
 
 # -- opposite -------------------------------------------------------------------
@@ -376,3 +396,22 @@ def test_multiplication_matrix_shape(corpus):
     assert (mu.rows, mu.cols) == (2, 4)
     assert mu.col_list(0 * 2 + 0) == [1, 0]
     assert mu.col_list(1 * 2 + 1) == [0, 0]
+
+
+def test_multiplication_matrices_are_the_column_slices_of_mu(corpus):
+    j2 = path_algebra(QQ, ["1"], [(a, 0, 0) for a in "xyz"], product(range(3), repeat=2))
+    extra = [matrix_algebra(QQ, 3), j2, tensor_product(dual_numbers(QQ), upper_triangular2(QQ))]
+    for A in [*corpus.values(), *extra]:
+        d = A.rank
+        for i in range(d):
+            left = Matrix.from_cols(A.ring, [A.product_column(i, j) for j in range(d)], nrows=d)
+            right = Matrix.from_cols(A.ring, [A.product_column(j, i) for j in range(d)], nrows=d)
+            assert left_mult_matrix(A, i) == left
+            assert right_mult_matrix(A, i) == right
+
+
+def test_multiplication_matrix_is_built_once_and_outside_equality(corpus):
+    A = corpus["m2_q"]
+    assert multiplication_matrix(A) is multiplication_matrix(A)
+    fresh = FiniteAlgebra(A.ring, A.rank, A.basis_names, A.unit, A.mul)
+    assert fresh == A and hash(fresh) == hash(A)

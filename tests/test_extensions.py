@@ -3,8 +3,16 @@ from itertools import product
 
 import pytest
 
-from hochschild.algebra import AlgebraError, regular_bimodule, validate_algebra, zero_bimodule
-from hochschild.catalog import base_ring_algebra, dual_numbers, split_pair, truncated_poly, upper_triangular2
+from hochschild.algebra import AlgebraError, hom_bimodule, regular_bimodule, validate_algebra, zero_bimodule
+from hochschild.catalog import (
+    base_ring_algebra,
+    dual_numbers,
+    path_algebra,
+    split_pair,
+    split_product,
+    truncated_poly,
+    upper_triangular2,
+)
 from hochschild.cohomology import coboundary_matrix, hh
 from hochschild.extensions import (
     ExtensionPresentation,
@@ -293,11 +301,23 @@ def test_enumerate_zero_module_single_class():
 
 
 def test_enumeration_guard():
-    # dim Z^2 = 4, so 5^4 = 625 cocycles would be visited
-    A = dual_numbers(GF(5))
+    # k<x,y,z>/(x,y,z)^2 over F_2: HH^2 = k^24, so the representatives fill a 64 x 2^24 matrix
+    A = path_algebra(F2, ["1"], [(a, 0, 0) for a in "xyz"], product(range(3), repeat=2))
     M = regular_bimodule(A)
-    with pytest.raises(SizeGuardError):
-        enumerate_extension_classes(A, M, guard_exponent=5**3)
+    assert kernel_basis(coboundary_matrix(A, M, 2)).cols == 31
+    assert hh(A, M, 2, representatives=False).invariants.free_rank == 24
+    with pytest.raises(SizeGuardError, match="64x16777216"):
+        enumerate_extension_classes(A, M)
+
+
+def test_enumeration_guard_counts_classes_not_cocycles():
+    # HH^2(A, Hom_k(A, A)) = Ext^2_A(A, A) = 0 with dim Z^2 = 21: 2^21 cocycles, one class
+    for A in (truncated_poly(F2, 3), upper_triangular2(F2), split_product(F2, 3)):
+        N = regular_bimodule(A).left_module()
+        M = hom_bimodule(N, N)
+        assert kernel_basis(coboundary_matrix(A, M, 2)).cols == 21
+        reps = enumerate_extension_classes(A, M)
+        assert len(reps) == 1 and reps[0].matrix.is_zero
 
 
 def test_enumeration_guard_counts_cocycles_not_cochains():

@@ -13,12 +13,14 @@ from hochschild.cli import main
 from hochschild.fixtures_build import corpus_documents
 from hochschild.io_json import (
     SchemaError,
+    _matrix_to_json,
     algebra_from_json,
     algebra_to_json,
     bimodule_from_json,
     bimodule_to_json,
     dumps,
     load_algebra,
+    load_extension,
     ring_from_json,
     ring_to_json,
 )
@@ -113,6 +115,17 @@ def test_cli_hh_scalar_high_degree(capsys):
     assert doc["free_rank"] == 0 and doc["torsion"] == []
 
 
+@pytest.mark.parametrize("degree, free_rank", [("0", 2), ("1", 0), ("2", 0)])
+def test_cli_hh_keeps_a_basis_that_cannot_be_canonicalized(capsys, tmp_path, degree, free_rank):
+    # Z x Z on the basis (2, -1), (-1, 1): the unit is 2 e_0 + 3 e_1, with no coordinate +-1
+    doc = {"scalars": "Z", "rank": 2, "basis": ["a", "b"], "unit": ["2", "3"]}
+    path = tmp_path / "zxz_skew.json"
+    path.write_text(json.dumps(dict(doc, mul=["5", "6", "-3", "-4", "-3", "-4", "2", "3"])))
+    code, out = run_cli(capsys, "hh", str(path), "--degree", degree)
+    assert code == 0
+    assert out == {"degree": int(degree), "free_rank": free_rank, "torsion": []}
+
+
 def test_cli_hh_homology(capsys):
     code, doc = run_cli(capsys, "hh", fx("m2_q.json"), "--degree", "0", "--homology")
     assert code == 0
@@ -159,6 +172,31 @@ def test_cli_extensions_lift(capsys):
     assert code == 0 and doc["lift"] is True
     code, doc = run_cli(capsys, "extensions", fx("dual_f2.json"), "--lift", fx("ext_dual_f2_nontrivial.json"))
     assert code == 0 and doc["lift"] is False
+
+
+@pytest.mark.parametrize("kind", ["trivial", "nontrivial"])
+def test_cli_extensions_lift_explicit_presentation(capsys, tmp_path, kind):
+    # the same extension as total algebra, projection, inclusion and section
+    E = load_extension(fx(f"ext_dual_f2_{kind}.json"))
+    doc = {
+        "algebra": fx("dual_f2.json"),
+        "bimodule": fx("dual_f2_regular.json"),
+        "total": algebra_to_json(E.total),
+        **{k: _matrix_to_json(getattr(E, k)) for k in ("projection", "inclusion", "section")},
+    }
+    explicit = tmp_path / "explicit.json"
+    explicit.write_text(json.dumps(doc))
+    reports = []
+    for ext in (fx(f"ext_dual_f2_{kind}.json"), str(explicit)):
+        assert main(["extensions", fx("dual_f2.json"), fx("dual_f2_regular.json"), "--lift", ext]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    if kind == "nontrivial":
+        assert json.loads(reports[1]) == {"class": [["0", "0", "0", "1"], ["0", "0", "0", "0"]], "lift": False}
+    del doc["section"]
+    explicit.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "extensions", fx("dual_f2.json"), "--lift", str(explicit))
+    assert code == 2 and out["error"]["stage"] == "extension"
 
 
 def test_cli_extensions_class_of_coboundary(capsys):
@@ -496,6 +534,17 @@ def test_cli_fixtures_listing(capsys):
     code, out = run_cli(capsys, "fixtures", "dual_f2.json")
     assert code == 0
     assert out.strip().endswith("dual_f2.json")
+
+
+@pytest.mark.parametrize("option", ["--output", "--guard"])
+def test_cli_fixtures_refuses_report_options(capsys, tmp_path, option):
+    target = tmp_path / "listing"
+    value = str(target) if option == "--output" else "7"
+    with pytest.raises(SystemExit) as exc:
+        main(["fixtures", option, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not target.exists()
 
 
 # -- parser build -------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hochschild.bar import _differential, bar_differential, chain_actions, syzyg
 from hochschild.catalog import (
     base_ring_algebra,
     dual_numbers,
+    free2_truncated,
     matrix_algebra,
     split_pair,
     split_product,
@@ -316,6 +317,19 @@ def test_hcdim_scan_quasi_free_non_separable():
 def test_scan_respects_guard():
     report = hcdim_scan(dual_numbers(QQ), 2, guard=10)
     assert any("guard" in note for note in report.notes)
+
+
+def test_scan_notes_a_refused_probe_and_keeps_the_others():
+    report = hcdim_scan(upper_triangular2(QQ), 0, guard=2000)
+    assert "probe Aenv at degree 1 exceeded the size guard" in report.notes
+    assert report.proved_upper is None and report.witnessed_lower == 1
+    assert (1, "Omega1") in report.witnesses
+
+
+def test_scan_notes_a_missing_top_degree_witness():
+    report = hcdim_scan(free2_truncated(QQ), 0, guard=300)
+    assert report.proved_upper is None and report.witnessed_lower == 0
+    assert report.notes[-1] == "no witness found at the top degree; the probe set is not exhaustive"
 
 
 def test_analyze_decides_level_one_once(monkeypatch):

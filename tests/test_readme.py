@@ -1,12 +1,16 @@
-"""The README's library quick start and CLI block run and print what their comments say."""
+"""The README's library quick start and CLI block run and print what their comments say,
+and its list of memo tables is the package's."""
 
 import contextlib
+import importlib
 import io
 import json
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
+import hochschild
 from hochschild.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -57,3 +61,18 @@ def test_cli_block_runs_and_prints_its_documented_values(capsys):
             checked.append(expected)
     assert {"koszul", "bound", "hh", "analyze", "extensions"} <= set(ran)
     assert checked == [{"free_rank": 2, "torsion": []}, "HCdim >= 2; not quasi-free"]
+
+
+def test_memo_tables_are_the_ones_the_readme_names():
+    modules = [info.name for info in pkgutil.iter_modules(hochschild.__path__)]
+    tables = set()
+    for short in modules:
+        module = importlib.import_module(f"hochschild.{short}")
+        for name, value in vars(module).items():
+            if callable(value) and hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                tables.add(f"{short}.{name}")
+    text = README.read_text()
+    paragraph = text[text.index("All values are immutable") : text.index("## CLI")]
+    named = {m.group(0)[1:-1] for m in re.finditer(r"`(\w+)\.\w+`", paragraph) if m.group(1) in modules}
+    assert tables == named
+    assert len(tables) == 7
