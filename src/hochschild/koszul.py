@@ -5,7 +5,8 @@ finitely presented coefficient modules, and graded polynomial rings handled
 degree by degree under a cap (each graded piece is honest finite
 linear algebra; infinite-rank modules are never represented).  Both build
 the terms wedge^i (x) P_i as presented modules and the differentials with
-one block assembler, and read Tor through one homology loop.
+one block assembler, and read Tor through one homology loop, which first
+prunes each term: the generators at unit pivots of its relations split off.
 """
 
 from __future__ import annotations
@@ -22,7 +23,10 @@ from .matrix import (
     KModuleInvariants,
     Matrix,
     _column_matrix,
+    _echelon,
     _kernel_generator_rows,
+    _make,
+    _reduce,
     check_guard,
     cokernel_invariants,
     column_span_basis,
@@ -213,17 +217,42 @@ def homology_of_presented(
     return subquotient_invariants(cycles, incoming.hstack(relations_mid))
 
 
+def _prune(R: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """(pi, sigma, R'): a smaller presentation of F / R, F = ring^rows, the columns of R its relations.
+
+    In the Hermite form (Z) or RREF (fields) of the columns of R a pivot 1 is
+    alone in its column, so e_c is minus the rest of its row modulo R.  sigma
+    includes the other g' coordinates, pi sends e_c to minus its row on them,
+    and R' is the rows with a pivot > 1 (over Z only) on them.  pi induces an
+    isomorphism F / R -> ring^g' / R', sigma its inverse, and pi * sigma = I.
+    """
+    ring, g, one = R.ring, R.rows, R.ring.one
+    pivots = _reduce(ring, _echelon(ring, [dict(c) for c in R.columns if c], g))
+    unit = {c: r for c, r in pivots if r[c] == 1}
+    new = {k: i for i, k in enumerate(k for k in range(g) if k not in unit)}
+    pi = [tuple(sorted((new[j], ring.finish(-v)) for j, v in unit[k].items() if j != k)) if k in unit else ((new[k], one),)
+          for k in range(g)]
+    rest = [tuple(sorted((new[j], v) for j, v in r.items())) for c, r in pivots if c not in unit]
+    sigma = _make(ring, g, len(new), tuple(((k, one),) for k in new))
+    return _make(ring, len(new), g, tuple(pi)), sigma, _make(ring, len(new), len(rest), tuple(rest))
+
+
 def _koszul_homology(relations: list[Matrix], blocks: list[list[Matrix]], guard: int | None) -> list[KModuleInvariants]:
     """Homology of the complex wedge^i (x) P_i, i = 0..d, with d = len(blocks).
 
     P_i is the rows of relations[i] modulo its columns, and blocks[i - 1] are
     the d maps P_i -> P_(i-1) that d_i is assembled from (see
-    _block_differential).  Every differential passes the guard before any
-    term's relations are built.
+    _block_differential).  Every differential passes the guard on its unpruned
+    shape first; then each P_i is pruned once and each block X becomes
+    pi_(i-1) X sigma_i, an isomorphic complex on the kept generators.
     """
     d, ring = len(blocks), relations[0].ring
+    for n, bs in enumerate(blocks, 1):
+        check_guard(comb(d, n - 1) * bs[0].rows, comb(d, n) * bs[0].cols, guard)
+    pis, sigmas, relations = zip(*map(_prune, relations))
+    blocks = [[pis[n - 1] * (X * sigmas[n]) for X in bs] for n, bs in enumerate(blocks, 1)]
     diffs = [Matrix.zeros(ring, 0, relations[0].rows)]
-    diffs += [_block_differential(n, bs, guard) for n, bs in enumerate(blocks, 1)]
+    diffs += [_block_differential(n, bs, None) for n, bs in enumerate(blocks, 1)]
     diffs.append(Matrix.zeros(ring, relations[d].rows, 0))
     rels = [Matrix.zeros(ring, 0, 0)] + [Matrix.identity(ring, comb(d, i)).kron(R) for i, R in enumerate(relations)]
     return [homology_of_presented(diffs[i + 1], diffs[i], rels[i + 1], rels[i]) for i in range(d + 1)]
@@ -306,8 +335,9 @@ def graded_koszul_tor(variables: int, ring: ScalarRing, cap: int, guard: int | N
     The Koszul complex on the full variable sequence is processed one
     internal degree e at a time: its term i is wedge^i (x) S_(e-i) modulo the
     ideal (x_1..x_v) acting on S_(e-i-1), a presented module, so its homology
-    is exact linear algebra.  Certifies the flat dimension v: Tor_v is free
-    of rank 1 and Tor_(v+1) vanishes (the complex has length v).
+    is exact linear algebra; pruned, that piece is k for e = i and 0 otherwise.
+    Certifies the flat dimension v: Tor_v is free of rank 1 and Tor_(v+1)
+    vanishes (the complex has length v).
     """
     v = variables
     if v < 1:

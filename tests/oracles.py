@@ -1,6 +1,6 @@
 """Independent routes that the tests compare the shipped ones against.
 
-Each oracle shares no assembly code with the route it checks:
+The first three share no assembly code with the route they check:
 
 * relative_ext_resolution reads relative Ext^n(M, N) off the split
   resolution A^(x)n (x) M of M, with its own coboundary builder, where
@@ -10,6 +10,11 @@ Each oracle shares no assembly code with the route it checks:
 * ae_right_action is the right action of the enveloping algebra induced
   on a bimodule.
 
+unpruned_koszul_homology is the Koszul homology loop with every term kept
+as generators modulo all of its relations.  It shares the differential
+assembler and the presented homology with the package, so it checks the
+pruning of the terms alone.
+
 Not collected by pytest (the name does not start with test_); test
 modules import it by name.
 """
@@ -17,10 +22,12 @@ modules import it by name.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 from hochschild.algebra import AlgebraError, Bimodule, FiniteAlgebra, LeftModule
 from hochschild.bar import _tensor_tuples
 from hochschild.cohomology import _as_left_module
+from hochschild.koszul import _block_differential, homology_of_presented
 from hochschild.matrix import DEFAULT_GUARD, KModuleInvariants, Matrix, check_guard, homology_invariants, kernel_basis
 
 # ---------------------------------------------------------------------------
@@ -120,3 +127,26 @@ def ae_right_action(M: Bimodule) -> tuple[Matrix, ...]:
         for j in range(A.rank):
             out.append(M.left[j] * M.right[i])
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Koszul homology without pruning
+# ---------------------------------------------------------------------------
+
+
+def unpruned_koszul_homology(
+    relations: list[Matrix], blocks: list[list[Matrix]], guard: int | None
+) -> list[KModuleInvariants]:
+    """Homology of the complex wedge^i (x) P_i, i = 0..d, with d = len(blocks).
+
+    P_i is the rows of relations[i] modulo its columns, and blocks[i - 1] are
+    the d maps P_i -> P_(i-1) that d_i is assembled from (see
+    _block_differential).  Every differential passes the guard before any
+    term's relations are built.
+    """
+    d, ring = len(blocks), relations[0].ring
+    diffs = [Matrix.zeros(ring, 0, relations[0].rows)]
+    diffs += [_block_differential(n, bs, guard) for n, bs in enumerate(blocks, 1)]
+    diffs.append(Matrix.zeros(ring, relations[d].rows, 0))
+    rels = [Matrix.zeros(ring, 0, 0)] + [Matrix.identity(ring, comb(d, i)).kron(R) for i, R in enumerate(relations)]
+    return [homology_of_presented(diffs[i + 1], diffs[i], rels[i + 1], rels[i]) for i in range(d + 1)]

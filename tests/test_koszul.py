@@ -1,21 +1,31 @@
+import json
 import time
+from functools import reduce
+from importlib import resources
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
+from oracles import unpruned_koszul_homology
 
 from hochschild import koszul as koszul_module
 from hochschild import matrix as matrix_module
 from hochschild.algebra import AlgebraError
 from hochschild.catalog import base_ring_algebra, dual_numbers, matrix_algebra, split_pair
+from hochschild.io_json import load_algebra, presented_module_from_json
 from hochschild.koszul import (
+    _actions,
     _aggregate,
+    _koszul_homology,
     _multiplication_maps,
+    _prune,
     base_global_dimension,
     finite_koszul_tor,
     free_module,
     graded_koszul_tor,
     hcdim_lower_bound,
+    homology_of_presented,
     koszul_differential,
     koszul_sign_pattern,
     presented_module,
@@ -23,7 +33,7 @@ from hochschild.koszul import (
     regular_element_check,
     regular_sequence_check,
 )
-from hochschild.matrix import KModuleInvariants, Matrix, SizeGuardError
+from hochschild.matrix import DEFAULT_GUARD, KModuleInvariants, Matrix, SizeGuardError
 from hochschild.rings import GF, QQ, ZZ
 
 F2 = GF(2)
@@ -294,3 +304,89 @@ def test_koszul_tor_reads_no_kernel_basis_or_span_basis(monkeypatch):
     monkeypatch.setattr(matrix_module, "column_span_basis", refuse)
     monkeypatch.setattr(koszul_module, "column_span_basis", refuse)
     assert (graded_koszul_tor(3, ZZ, 5), finite_koszul_tor(A, [[6]], M)) == expected
+
+
+# -- pruned terms -------------------------------------------------------------------------
+
+FIXDIR = Path(str(resources.files("hochschild") / "fixtures"))
+
+
+def _bundled_instance(name):
+    """(algebra, sequence, module) of a bundled --finite instance."""
+    doc = json.loads((FIXDIR / name).read_text())
+    A = load_algebra(FIXDIR / doc["algebra"])
+    M = free_module(A) if doc["module"] == "self" else presented_module_from_json(dict(doc["module"], algebra=doc["algebra"]), FIXDIR)
+    return A, [[A.ring.parse(s) for s in x] for x in doc["sequence"]], M
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, F2, GF(3)], ids=str)
+def test_graded_tor_matches_the_unpruned_loop(ring, monkeypatch):
+    def reports():
+        ladders = [graded_koszul_tor(v, ring, cap) for v in range(1, 5) for cap in range(v, v + 3)]
+        return [(r.variables, r.cap, r.tor, r.by_degree, r.fd_certificate) for r in ladders]
+
+    pruned = reports()
+    monkeypatch.setattr(koszul_module, "_koszul_homology", unpruned_koszul_homology)
+    assert pruned == reports()
+
+
+def _finite_cases():
+    A = base_ring_algebra(ZZ)
+    z_mod4 = (A, [[2]], _z_mod(4))  # 2 is not a unit on Z/4: the pruned term keeps its generator and relation
+    return [_bundled_instance("koszul_z_mod2.json"), _bundled_instance("koszul_z_seq23.json"), z_mod4]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["koszul_z_mod2", "koszul_z_seq23", "z_mod4_by_2"])
+def test_finite_tor_matches_the_unpruned_loop(case, monkeypatch):
+    A, xs, M = _finite_cases()[case]
+    # the loop itself, also where the sequence is not regular and finite_koszul_tor refuses
+    args = [M.relations] * (len(xs) + 1), [_actions(M, xs)] * len(xs), DEFAULT_GUARD
+    assert _koszul_homology(*args) == unpruned_koszul_homology(*args)
+
+    def report():
+        try:
+            return finite_koszul_tor(A, xs, M)
+        except AlgebraError as exc:
+            return str(exc)
+
+    got = report()
+    monkeypatch.setattr(koszul_module, "_koszul_homology", unpruned_koszul_homology)
+    assert got == report()
+
+
+def test_z_mod4_keeps_its_torsion_generator():
+    pi, sigma, R = _prune(_z_mod(4).relations)
+    assert (pi.rows, R.to_rows()) == (1, [[4]])
+    assert finite_koszul_tor(base_ring_algebra(ZZ), [[2]], _z_mod(4)).tor == (KModuleInvariants(0, (2,)),) * 2
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, F2], ids=str)
+def test_residue_ladder_prunes_every_positive_piece_to_zero(ring, monkeypatch):
+    # S_s / (x) S_(s-1) is k for s = 0 and 0 for s >= 1: the pruned terms keep 1 and 0 generators
+    v, cap = 3, 5
+    kept, middles = {}, []
+
+    def spy_prune(R):
+        out = _prune(R)
+        kept[R.rows, R.cols] = out[0].rows
+        return out
+
+    def spy_homology(incoming, outgoing, relations_mid, relations_out):
+        middles.append(relations_mid.rows)
+        return homology_of_presented(incoming, outgoing, relations_mid, relations_out)
+
+    monkeypatch.setattr(koszul_module, "_prune", spy_prune)
+    monkeypatch.setattr(koszul_module, "homology_of_presented", spy_homology)
+    graded_koszul_tor(v, ring, cap)
+    for s in range(cap + 1):
+        piece = reduce(Matrix.hstack, _multiplication_maps(v, ring, s - 1))
+        assert kept[piece.rows, piece.cols] == (1 if s == 0 else 0), s
+    # every term wedge^i (x) S'_(e-i) has at most comb(v, i) generators
+    assert middles and max(middles) <= comb(v, v // 2)
+
+
+def test_finite_tor_guard_reads_the_unpruned_shape():
+    M = _z_mod(1)
+    assert _prune(M.relations)[0].rows == 0
+    with pytest.raises(SizeGuardError, match="1x1"):
+        finite_koszul_tor(base_ring_algebra(ZZ), [[2]], M, guard=0)

@@ -10,7 +10,7 @@ from hochschild import matrix as matrix_module
 from hochschild.algebra import regular_bimodule
 from hochschild.catalog import dual_numbers, truncated_poly, upper_triangular2
 from hochschild.cohomology import coboundary_matrix
-from hochschild.koszul import _induced_kernel_generators
+from hochschild.koszul import _induced_kernel_generators, _prune
 from hochschild.matrix import (
     _reduce_rows_int,
     _echelon,
@@ -1232,3 +1232,20 @@ def redundant_subquotients(draw):
 def test_subquotient_invariants_match_the_canonical_route(case):
     Z, B = case
     assert subquotient_invariants(Z, B) == cokernel_invariants(coords_in_span(column_span_basis(Z), B))
+
+
+@PROPS
+@given(st.one_of(torsion_matrices(), rational_matrices(), matrices(rings=(F2, GF(5)))))
+@example(Matrix.from_rows(ZZ, [[1], [1]]))  # e_0 + e_1: e_0 is -e_1 modulo R, not 0
+def test_prune_presents_the_same_module(R):
+    pi, sigma, Rp = _prune(R)
+    for X in (pi, sigma, Rp):
+        _assert_canonical(X)
+    g, kept = R.rows, pi.rows
+    assert (pi.cols, sigma.rows, sigma.cols, Rp.rows) == (g, g, kept, kept)
+    assert cokernel_invariants(R) == cokernel_invariants(Rp)
+    assert pi * sigma == Matrix.identity(R.ring, kept)
+    coords_in_span(column_span_basis(Rp), pi * R)  # pi maps relations to relations
+    coords_in_span(column_span_basis(R), Matrix.identity(R.ring, g) - sigma * pi)  # sigma * pi is 1 modulo R
+    if R.ring.kind != "Z":
+        assert Rp.cols == 0  # every pivot of a field is a unit
