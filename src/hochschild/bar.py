@@ -68,7 +68,8 @@ def _boundary_triplets(A: FiniteAlgebra, M: Bimodule, k: int, normalized: bool):
 
     Chains M (x) A^(x)k are indexed p * width^k + t for module coordinate p
     and tensor index t; the normalized complex runs over non-unit basis
-    classes and drops the unit component of interior products.
+    classes and drops the unit component of interior products.  The interior
+    merges of a tuple t do not touch p, so they are looked up once per t.
     """
     d, m = A.rank, M.rank
     src = _tensor_tuples(A, k, normalized)
@@ -84,17 +85,22 @@ def _boundary_triplets(A: FiniteAlgebra, M: Bimodule, k: int, normalized: bool):
 
     for ti, t in enumerate(src):
         head, tail = dst_index[t[1:]], dst_index[t[:-1]]
+        right, left = M.right[t[0]].columns, wrap[t[-1]]
+        # interior merges with signs (-1)^i, i = 1..k-1, as (tensor index, value)
+        inner = [
+            (dst_index[t[: i - 1] + (kk,) + t[i + 1 :]], c)
+            for i in range(1, k)
+            for kk, c in merges[i % 2][t[i - 1]][t[i]]
+        ]
         for p in range(m):
             col = p * T_src + ti
             # m (x) a1 ... -> (m a1) (x) a2 ...
-            for q, v in M.right[t[0]].columns[p]:
+            for q, v in right[p]:
                 yield q * T_dst + head, col, v
-            # interior merges with signs (-1)^i, i = 1..k-1
-            for i in range(1, k):
-                for kk, c in merges[i % 2][t[i - 1]][t[i]]:
-                    yield p * T_dst + dst_index[t[: i - 1] + (kk,) + t[i + 1 :]], col, c
+            for j, c in inner:
+                yield p * T_dst + j, col, c
             # wrap-around: (-1)^k (ak m) (x) a1 ... a(k-1)
-            for q, v in wrap[t[-1]][p]:
+            for q, v in left[p]:
                 yield q * T_dst + tail, col, v
 
 

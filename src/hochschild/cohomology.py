@@ -40,9 +40,12 @@ from .matrix import (
     DEFAULT_GUARD,
     KModuleInvariants,
     Matrix,
+    _echelon,
+    _kernel_generator_rows,
+    _normal_form_columns,
+    _quotient_of_basis,
     check_guard,
     column_span_basis,
-    homology,
     homology_invariants,
     kernel_basis,
 )
@@ -101,6 +104,28 @@ def coboundary_matrix(
     return _coboundary(A, M, n, normalized)
 
 
+def homology(outgoing: Matrix, incoming: Matrix) -> tuple[KModuleInvariants, list[Matrix]]:
+    """ker(outgoing) / im(incoming) at the middle of  . --incoming--> . --outgoing--> .
+
+    Returns the invariants and generator columns, as quotient_generators does.
+    Requires outgoing * incoming == 0, which is not checked.  The kernel is
+    seeded by the image: the echelon rows of im(incoming) whose lead is a unit
+    (over Z a 1; the core makes leads positive) are cocycles already.  Clearing
+    a cocycle at their leads, lowest first, takes integer multiples only, so
+    they and the cocycles that vanish at those leads span ker(outgoing), over Z
+    as a lattice.  Only the latter go through the tagged elimination, on the
+    other columns.  The Hermite form and the RREF are unique, so the normal
+    form of the two pieces is kernel_basis(outgoing).
+    """
+    ring = outgoing.ring
+    pivots = _echelon(ring, [dict(c) for c in incoming.columns if c], incoming.rows)
+    seeds = {c: r for c, r in pivots if ring.kind != "Z" or r[c] == 1}
+    keep = [j for j in range(outgoing.cols) if j not in seeds]
+    cocycles = _kernel_generator_rows(outgoing.submatrix_cols(keep), len(keep))
+    lifted = [{keep[i]: v for i, v in r.items()} for r in cocycles]
+    return _quotient_of_basis(_normal_form_columns(ring, [*seeds.values(), *lifted], outgoing.cols), incoming)
+
+
 def hh(
     A: FiniteAlgebra,
     M: Bimodule,
@@ -116,7 +141,9 @@ def hh(
     bar cocomplex.  Representative cocycles are emitted in echelon form,
     free generators first, then torsion generators in increasing
     invariant-factor order; normalized representatives are zero-extended to
-    the full tensor basis.
+    the full tensor basis.  With representatives, ker b^n is seeded by the
+    coboundaries, the echelon rows of im b^(n-1) with a unit lead (see
+    homology); without, no kernel basis is built (homology_invariants).
     """
     if normalized is None:
         normalized = A.has_unital_basis

@@ -244,13 +244,17 @@ def _koszul_homology(relations: list[Matrix], blocks: list[list[Matrix]], guard:
     the d maps P_i -> P_(i-1) that d_i is assembled from (see
     _block_differential).  Every differential passes the guard on its unpruned
     shape first; then each P_i is pruned once and each block X becomes
-    pi_(i-1) X sigma_i, an isomorphic complex on the kept generators.
+    pi_(i-1) X sigma_i, an isomorphic complex on the kept generators (a zero
+    block, not a product, when either term keeps no generator).
     """
     d, ring = len(blocks), relations[0].ring
     for n, bs in enumerate(blocks, 1):
         check_guard(comb(d, n - 1) * bs[0].rows, comb(d, n) * bs[0].cols, guard)
     pis, sigmas, relations = zip(*map(_prune, relations))
-    blocks = [[pis[n - 1] * (X * sigmas[n]) for X in bs] for n, bs in enumerate(blocks, 1)]
+    blocks = [
+        [pi * (X * sigma) if pi.rows and sigma.cols else Matrix.zeros(ring, pi.rows, sigma.cols) for X in bs]
+        for pi, sigma, bs in zip(pis, sigmas[1:], blocks)
+    ]
     diffs = [Matrix.zeros(ring, 0, relations[0].rows)]
     diffs += [_block_differential(n, bs, None) for n, bs in enumerate(blocks, 1)]
     diffs.append(Matrix.zeros(ring, relations[d].rows, 0))

@@ -880,16 +880,8 @@ def _quotient_of_basis(basis: Matrix, B: Matrix) -> tuple[KModuleInvariants, lis
     return invs, gens
 
 
-def homology(outgoing: Matrix, incoming: Matrix) -> tuple[KModuleInvariants, list[Matrix]]:
-    """ker(outgoing) / im(incoming) at the middle of  . --incoming--> . --outgoing--> .
-
-    Returns the invariants and generator columns, as quotient_generators does.
-    """
-    return _quotient_of_basis(kernel_basis(outgoing), incoming)
-
-
 def homology_invariants(outgoing: Matrix, incoming: Matrix) -> KModuleInvariants:
-    """The invariants of homology(outgoing, incoming), without a kernel basis.
+    """The invariants of ker(outgoing) / im(incoming), without a kernel basis.
 
     Requires free terms and outgoing * incoming == 0.  Then ker(outgoing) is a
     saturated summand of rank cols - rank(outgoing) that holds im(incoming), so

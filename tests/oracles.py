@@ -15,6 +15,10 @@ as generators modulo all of its relations.  It shares the differential
 assembler and the presented homology with the package, so it checks the
 pruning of the terms alone.
 
+unseeded_homology is homology at a spot with the kernel of the outgoing map
+computed whole, with no rows seeded from the incoming image.  It shares the
+quotient step with the package, so it checks the seeding alone.
+
 Not collected by pytest (the name does not start with test_); test
 modules import it by name.
 """
@@ -28,7 +32,15 @@ from hochschild.algebra import AlgebraError, Bimodule, FiniteAlgebra, LeftModule
 from hochschild.bar import _tensor_tuples
 from hochschild.cohomology import _as_left_module
 from hochschild.koszul import _block_differential, homology_of_presented
-from hochschild.matrix import DEFAULT_GUARD, KModuleInvariants, Matrix, check_guard, homology_invariants, kernel_basis
+from hochschild.matrix import (
+    DEFAULT_GUARD,
+    KModuleInvariants,
+    Matrix,
+    _quotient_of_basis,
+    check_guard,
+    homology_invariants,
+    kernel_basis,
+)
 
 # ---------------------------------------------------------------------------
 # relative Ext from the split resolution of M
@@ -150,3 +162,13 @@ def unpruned_koszul_homology(
     diffs.append(Matrix.zeros(ring, relations[d].rows, 0))
     rels = [Matrix.zeros(ring, 0, 0)] + [Matrix.identity(ring, comb(d, i)).kron(R) for i, R in enumerate(relations)]
     return [homology_of_presented(diffs[i + 1], diffs[i], rels[i + 1], rels[i]) for i in range(d + 1)]
+
+
+# ---------------------------------------------------------------------------
+# homology at a spot without seeding
+# ---------------------------------------------------------------------------
+
+
+def unseeded_homology(outgoing: Matrix, incoming: Matrix) -> tuple[KModuleInvariants, list[Matrix]]:
+    """ker(outgoing) / im(incoming): the whole kernel basis, then the quotient step."""
+    return _quotient_of_basis(kernel_basis(outgoing), incoming)

@@ -1,5 +1,6 @@
 import pytest
 
+from hochschild import cohomology
 from hochschild.algebra import (
     hom_bimodule,
     regular_bimodule,
@@ -26,6 +27,7 @@ from hochschild.cohomology import (
     hh,
     hh1_report,
     hochschild_homology,
+    homology,
     inner_derivations,
     relative_ext,
 )
@@ -35,13 +37,12 @@ from hochschild.matrix import (
     Matrix,
     SizeGuardError,
     column_span_basis,
-    homology,
     kernel_basis,
     rank,
     subquotient_invariants,
 )
 from hochschild.rings import GF, QQ, ZZ
-from oracles import _relative_ext_coboundary, intertwiners, relative_ext_resolution
+from oracles import _relative_ext_coboundary, intertwiners, relative_ext_resolution, unseeded_homology
 
 F2 = GF(2)
 F3 = GF(3)
@@ -273,6 +274,35 @@ def test_rank_route_matches_the_kernel_route(corpus):
             assert column_span_basis(K) == K, (A.basis_names, A.ring, n)  # homology() skips this pass
             assert fast == subquotient_invariants(K, B), (A.basis_names, A.ring, n)
         assert n >= 2, A.basis_names  # the guard let degrees 0 and 1 through at least
+
+
+def test_seeded_homology_matches_the_unseeded_route_on_coboundaries(corpus):
+    f3_corpus = standard_corpus({"Z": F3, "Q": F3, "F2": F3})
+    for name, A in [*corpus.items(), *f3_corpus.items()]:
+        unital = A if A.has_unital_basis else with_unital_basis(A)[0]
+        for alg, normalized in ((A, False), (unital, True)):
+            M = regular_bimodule(alg)
+            for n in range(4):
+                bn = coboundary_matrix(alg, M, n, normalized, guard=None)
+                B = coboundary_matrix(alg, M, n - 1, normalized, guard=None) if n else Matrix.zeros(A.ring, bn.cols, 0)
+                assert homology(bn, B) == unseeded_homology(bn, B), (name, A.ring, n, normalized)
+
+
+def test_hh_eliminates_only_the_columns_the_image_does_not_seed(monkeypatch):
+    # Z[x]/(x^6) at degree 3 has 6 * 5^3 = 750 normalized cochain columns; im b^2 seeds 120
+    real, calls = cohomology._kernel_generator_rows, []
+
+    def spy(M, tagged):
+        rows = real(M, tagged)
+        calls.append((M.cols, len(rows)))
+        return rows
+
+    monkeypatch.setattr(cohomology, "_kernel_generator_rows", spy)
+    for ring, found in ((ZZ, 5), (F3, 6)):
+        calls.clear()
+        A = truncated_poly(ring, 6)
+        hh(A, regular_bimodule(A), 3)
+        assert calls == [(630, found)], ring
 
 
 # -- homology ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hochschild import matrix as matrix_module
 from hochschild.algebra import regular_bimodule
 from hochschild.catalog import dual_numbers, truncated_poly, upper_triangular2
-from hochschild.cohomology import coboundary_matrix
+from hochschild.cohomology import coboundary_matrix, homology
 from hochschild.koszul import _induced_kernel_generators, _prune
 from hochschild.matrix import (
     _reduce_rows_int,
@@ -35,6 +35,7 @@ from hochschild.matrix import (
     subquotient_invariants,
 )
 from hochschild.rings import GF, QQ, ZZ, RingError
+from oracles import unseeded_homology
 
 F2 = GF(2)
 
@@ -468,6 +469,17 @@ def test_homology_invariants_match_the_closed_form_and_the_kernel_route(case):
     assert (outgoing * incoming).is_zero
     assert homology_invariants(outgoing, incoming) == expected
     assert subquotient_invariants(kernel_basis(outgoing), incoming) == expected
+
+
+@PROPS
+@given(free_complexes())
+@example((Matrix.zeros(ZZ, 0, 1), Matrix.from_rows(ZZ, [[2]]), KModuleInvariants(0, (2,))))
+def test_seeded_homology_matches_the_unseeded_route(case):
+    # over Z the torsion factors 2 and 3 give image pivots > 1, which must not seed the kernel
+    outgoing, incoming, expected = case
+    invs, gens = homology(outgoing, incoming)
+    assert invs == expected
+    assert (invs, gens) == unseeded_homology(outgoing, incoming)
 
 
 @PROPS
