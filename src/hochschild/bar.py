@@ -6,7 +6,8 @@ be the 0-th basis vector; one ``normalized`` flag selects the complex.
 _letters is the one description of that choice: the basis vectors that may
 sit between the outer factors (all of them, or the non-unit classes).  Every
 chain size, index map, homotopy and cochain embedding reads it, as a range
-or as the letter inclusion J (the identity restricted to those columns).
+or as the letter inclusion J (the identity restricted to those columns), so
+it alone refuses a normalized complex on a non-unital basis, before any work.
 
 One builder, _boundary_triplets, assembles every differential: the cyclic
 boundary of C_k(A, M) = M (x) A^(x)k.  For M = A (x) A with the inner
@@ -38,7 +39,14 @@ from .matrix import DEFAULT_GUARD, Matrix, check_guard, column_span_basis, coord
 
 def _letters(A: FiniteAlgebra, normalized: bool) -> range:
     """Basis indices of the middle factors: all of A, or Abar = A / k*1 (unit e_0 dropped)."""
-    return range(1, A.rank) if normalized else range(A.rank)
+    if not normalized:
+        return range(A.rank)
+    if not A.has_unital_basis:
+        raise AlgebraError(
+            "the normalized complex needs the unit as 0-th basis vector; "
+            "canonicalize with with_unital_basis first"
+        )
+    return range(1, A.rank)
 
 
 def _letter_inclusion(A: FiniteAlgebra, normalized: bool) -> Matrix:
@@ -49,14 +57,6 @@ def _letter_inclusion(A: FiniteAlgebra, normalized: bool) -> Matrix:
 def bar_rank(A: FiniteAlgebra, n: int, normalized: bool = False) -> int:
     """Rank of chain level n (level -1 is A itself)."""
     return A.rank if n == -1 else A.rank * len(_letters(A, normalized)) ** n * A.rank
-
-
-def _require_unital(A: FiniteAlgebra) -> None:
-    if not A.has_unital_basis:
-        raise AlgebraError(
-            "the normalized complex needs the unit as 0-th basis vector; "
-            "canonicalize with with_unital_basis first"
-        )
 
 
 def _tensor_tuples(A: FiniteAlgebra, n: int, normalized: bool):
@@ -136,8 +136,6 @@ def bar_differential(A: FiniteAlgebra, n: int, normalized: bool = False, guard: 
     """
     if n < 0:
         raise ValueError("bar differential is defined for n >= 0")
-    if normalized:
-        _require_unital(A)
     check_guard(bar_rank(A, n - 1, normalized), bar_rank(A, n, normalized), guard)
     return _differential(A, n, normalized)
 
@@ -158,8 +156,6 @@ def contracting_homotopy(A: FiniteAlgebra, n: int, normalized: bool = False, gua
     """
     if n < -1:
         raise ValueError("homotopy is defined for n >= -1")
-    if normalized:
-        _require_unital(A)
     check_guard(bar_rank(A, n + 1, normalized), bar_rank(A, n, normalized), guard)
     return _homotopy(A, n, normalized)
 
@@ -250,8 +246,6 @@ def syzygy(A: FiniteAlgebra, n: int, normalized: bool = False, guard: int | None
     """
     if n < 0:
         raise ValueError("syzygy level must be >= 0")
-    if normalized:
-        _require_unital(A)
     if n >= 1:
         check_guard(bar_rank(A, n - 2, normalized), bar_rank(A, n - 1, normalized), guard)
     return _syzygy(A, n, normalized)

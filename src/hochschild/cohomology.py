@@ -17,10 +17,11 @@ components of products; its cohomology agrees with the full complex
 
 Homology uses the cyclic bar complex C_k(A, M) = M (x) A^(x)k, and one
 builder (bar._boundary_triplets, which also assembles b') serves both:
-C^n(A, M) is dual to C_n(A, M^*) for the dual bimodule M^* = Hom_k(M, k),
-whose left and right actions are the transposed right and left actions of
-M, so b^n is the transposed boundary C_(n+1)(A, M^*) -> C_n(A, M^*)
-(Loday, Cyclic Homology, 1992).
+C^n(A, M) is dual to C_n(A, M^*) for the dual bimodule M^* = Hom_k(M, k)
+(_dual), whose left and right actions are the transposed right and left
+actions of M, so b^n is the transposed boundary C_(n+1)(A, M^*) -> C_n(A, M^*)
+(Loday, Cyclic Homology, 1992).  As M^** = M, HH_n(A, M) is read off the
+coboundaries of M^* (Weibel 1994, Thm 3.6.2): one memo table serves both.
 """
 
 from __future__ import annotations
@@ -35,11 +36,13 @@ from .algebra import (
     LeftModule,
     hom_bimodule,
 )
-from .bar import _boundary_triplets, _letter_inclusion, _letters, _require_unital
+from .bar import _boundary_triplets, _letter_inclusion, _letters
 from .matrix import (
     DEFAULT_GUARD,
     KModuleInvariants,
     Matrix,
+    _cokernel_invariants,
+    _dict_rows,
     _echelon,
     _kernel_generator_rows,
     _normal_form_columns,
@@ -48,6 +51,7 @@ from .matrix import (
     column_span_basis,
     homology_invariants,
     kernel_basis,
+    rank,
 )
 
 
@@ -76,12 +80,16 @@ class CohomologyReport:
     representatives: tuple[Cochain, ...] | None = None
 
 
+def _dual(M: Bimodule) -> Bimodule:
+    """M^* = Hom_k(M, k): the left actions are the transposed right actions of M, and vice versa."""
+    return Bimodule(M.algebra, M.rank, tuple(R.transpose() for R in M.right), tuple(L.transpose() for L in M.left))
+
+
 @lru_cache(maxsize=None)
 def _coboundary(A: FiniteAlgebra, M: Bimodule, n: int, normalized: bool) -> Matrix:
     """b^n as the transpose of the boundary of C_(n+1)(A, M^*), swapped triplet by triplet."""
-    dual = Bimodule(A, M.rank, tuple(R.transpose() for R in M.right), tuple(L.transpose() for L in M.left))
     width = len(_letters(A, normalized))
-    triplets = ((j, i, v) for i, j, v in _boundary_triplets(A, dual, n + 1, normalized))
+    triplets = ((j, i, v) for i, j, v in _boundary_triplets(A, _dual(M), n + 1, normalized))
     return Matrix.from_triplets(A.ring, M.rank * width ** (n + 1), M.rank * width**n, triplets)
 
 
@@ -97,8 +105,6 @@ def coboundary_matrix(
         raise ValueError("cochain degree must be >= 0")
     if M.algebra != A:
         raise AlgebraError("bimodule lives over a different algebra")
-    if normalized:
-        _require_unital(A)
     width = len(_letters(A, normalized))
     check_guard(M.rank * width ** (n + 1), M.rank * width**n, guard)
     return _coboundary(A, M, n, normalized)
@@ -203,33 +209,24 @@ def hh1_report(A: FiniteAlgebra, M: Bimodule) -> CohomologyReport:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _homology_boundary(A: FiniteAlgebra, M: Bimodule, k: int, normalized: bool) -> Matrix:
-    """The cyclic bar boundary on M (x) A^(x)k, or on M (x) Abar^(x)k when normalized."""
-    width = len(_letters(A, normalized))
-    triplets = _boundary_triplets(A, M, k, normalized)
-    return Matrix.from_triplets(A.ring, M.rank * width ** (k - 1), M.rank * width**k, triplets)
-
-
 def hochschild_homology(
     A: FiniteAlgebra, M: Bimodule, n: int, guard: int | None = DEFAULT_GUARD
 ) -> KModuleInvariants:
-    """HH_n(A, M): homology of the cyclic bar complex M (x) A^(x)*.
+    """HH_n(A, M) of the cyclic bar complex M (x) A^(x)* (normalized on a unital basis, as hh).
 
-    The normalized complex M (x) Abar^(x)* is used whenever the basis is
-    unital, as in hh; the guard is sized by the complex that is built, so by
-    its largest matrix, the boundary C_(n+1) -> C_n.
+    b^n(A, M^*) is the transposed boundary C_(n+1) -> C_n of M, so HH_n is
+    its cokernel, torsion included, less rank b^(n-1)(A, M^*) free summands.
+    The cokernel is read off the rows of b^n: eliminating its long columns
+    fills the Hermite form over Z.  The guard sizes b^n, the largest matrix.
     """
     if n < 0:
         raise ValueError("homology degree must be >= 0")
-    if M.algebra != A:
-        raise AlgebraError("bimodule lives over a different algebra")
-    m = M.rank
+    dual = _dual(M)
     normalized = A.has_unital_basis
-    width = len(_letters(A, normalized))
-    check_guard(m * width**n, m * width ** (n + 1), guard)
-    outgoing = _homology_boundary(A, M, n, normalized) if n else Matrix.zeros(A.ring, 0, m)
-    return homology_invariants(outgoing, _homology_boundary(A, M, n + 1, normalized))
+    bn = coboundary_matrix(A, dual, n, normalized, guard)
+    coker = _cokernel_invariants(A.ring, _dict_rows(bn), bn.cols)
+    below = rank(coboundary_matrix(A, dual, n - 1, normalized, guard)) if n else 0
+    return KModuleInvariants(coker.free_rank - below, coker.torsion)
 
 
 # ---------------------------------------------------------------------------

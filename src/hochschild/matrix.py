@@ -820,22 +820,27 @@ def invariants_from_diagonal(diag: list[int], total_rank: int) -> KModuleInvaria
 
 
 def cokernel_invariants(M: Matrix) -> KModuleInvariants:
-    """Invariants of ring^rows / (column span of M).
+    """Invariants of ring^rows / (column span of M)."""
+    return _cokernel_invariants(M.ring, [dict(c) for c in M.columns if c], M.rows)
 
-    Over Z the column lattice is first brought to Hermite form.  A pivot
+
+def _cokernel_invariants(ring: ScalarRing, rows: list[dict], width: int) -> KModuleInvariants:
+    """Invariants of ring^width / (span of the dict rows), which are consumed.
+
+    Over Z the row lattice is first brought to Hermite form.  A pivot
     equal to 1 is alone in its column there, so its row and column split off
     a trivial summand; only the rows with a pivot > 1 go through the Smith
     normal form.
     """
-    pivots = _echelon(M.ring, [dict(c) for c in M.columns if c], M.rows)
-    if M.ring.kind != "Z":
-        return KModuleInvariants(M.rows - len(pivots))
+    pivots = _echelon(ring, rows, width)
+    if ring.kind != "Z":
+        return KModuleInvariants(width - len(pivots))
     _back_substitute(pivots, ZZ)
     residue = [r for c, r in pivots if r[c] > 1]
     diag = [1] * (len(pivots) - len(residue))
     if residue:
-        diag += _smith(residue, M.rows)[0]
-    return invariants_from_diagonal(diag, M.rows)
+        diag += _smith(residue, width)[0]
+    return invariants_from_diagonal(diag, width)
 
 
 def subquotient_invariants(Z: Matrix, B: Matrix) -> KModuleInvariants:

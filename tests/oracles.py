@@ -19,6 +19,11 @@ unseeded_homology is homology at a spot with the kernel of the outgoing map
 computed whole, with no rows seeded from the incoming image.  It shares the
 quotient step with the package, so it checks the seeding alone.
 
+_homology_boundary is the cyclic bar boundary C_k(A, M) -> C_(k-1)(A, M)
+assembled directly.  It shares _boundary_triplets with the package, but not
+the dual bimodule, the rows of b^n or the universal-coefficient step by
+which hochschild_homology reads HH_n off the coboundaries of M^*.
+
 Not collected by pytest (the name does not start with test_); test
 modules import it by name.
 """
@@ -29,7 +34,7 @@ from functools import lru_cache
 from math import comb
 
 from hochschild.algebra import AlgebraError, Bimodule, FiniteAlgebra, LeftModule
-from hochschild.bar import _tensor_tuples
+from hochschild.bar import _boundary_triplets, _letters, _tensor_tuples
 from hochschild.cohomology import _as_left_module
 from hochschild.koszul import _block_differential, homology_of_presented
 from hochschild.matrix import (
@@ -172,3 +177,16 @@ def unpruned_koszul_homology(
 def unseeded_homology(outgoing: Matrix, incoming: Matrix) -> tuple[KModuleInvariants, list[Matrix]]:
     """ker(outgoing) / im(incoming): the whole kernel basis, then the quotient step."""
     return _quotient_of_basis(kernel_basis(outgoing), incoming)
+
+
+# ---------------------------------------------------------------------------
+# the cyclic bar boundary, assembled directly
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _homology_boundary(A: FiniteAlgebra, M: Bimodule, k: int, normalized: bool) -> Matrix:
+    """The cyclic bar boundary on M (x) A^(x)k, or on M (x) Abar^(x)k when normalized."""
+    width = len(_letters(A, normalized))
+    triplets = _boundary_triplets(A, M, k, normalized)
+    return Matrix.from_triplets(A.ring, M.rank * width ** (k - 1), M.rank * width**k, triplets)

@@ -20,7 +20,7 @@ from hochschild.catalog import (
     split_product,
     standard_corpus,
 )
-from hochschild.cohomology import Cochain, cocycle_witness
+from hochschild.cohomology import Cochain, coboundary_matrix, cocycle_witness
 from hochschild.matrix import Matrix, SizeGuardError, coords_in_span, column_span_basis, rank, solve
 from hochschild.rings import GF, QQ, ZZ
 
@@ -164,6 +164,22 @@ def test_normalized_requires_unital_basis():
     A = matrix_algebra(QQ, 2)
     with pytest.raises(AlgebraError):
         bar_differential(A, 1, normalized=True)
+
+
+def test_every_normalized_entry_point_refuses_a_non_unital_basis():
+    # bar._letters is the one refusal, and every builder and bar_rank reach it
+    A = matrix_algebra(QQ, 2)
+    M = regular_bimodule(A)
+    calls = [lambda n=n: bar_differential(A, n, normalized=True) for n in range(3)]
+    calls += [lambda n=n: contracting_homotopy(A, n, normalized=True) for n in range(-1, 2)]
+    calls += [lambda n=n: syzygy(A, n, normalized=True) for n in (1, 2)]
+    calls += [lambda n=n: coboundary_matrix(A, M, n, normalized=True) for n in range(3)]
+    calls += [lambda n=n: bar_rank(A, n, True) for n in range(3)]
+    for call in calls:
+        with pytest.raises(AlgebraError, match="with_unital_basis"):
+            call()
+    # level 0 is A itself and has no letters
+    assert syzygy(A, 0, normalized=True).rank == A.rank
 
 
 # -- contracting homotopy ------------------------------------------------------------

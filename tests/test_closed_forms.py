@@ -8,11 +8,18 @@
   (Cartan-Eilenberg 1956, ch. XI).
 * The path algebra of a tree is hereditary: HCdim 1, HH^0 = k and HH^(>=1) = 0
   (Happel 1989; Cuntz-Quillen 1995).  Separable algebras have HCdim 0.
+* Group rings: HH^n(k[G]) and HH_n(k[G]) are the sums of H^n(C_G(g), k) and
+  H_n(C_G(g), k) over the conjugacy classes of G (Weibel 1994, 9.7), so over
+  Z the Smith form merges torsion of two primes: S_3 has the centralizers
+  S_3, C_3 and C_2.  k[G] is separable exactly when |G| is a unit in k
+  (Maschke).
 """
+
+from itertools import permutations, product
 
 import pytest
 
-from hochschild.algebra import regular_bimodule, tensor_product
+from hochschild.algebra import regular_bimodule, tensor_product, validate_algebra
 from hochschild.catalog import dual_numbers, matrix_algebra, path_algebra, split_product, truncated_poly
 from hochschild.cohomology import hh, hochschild_homology
 from hochschild.matrix import DEFAULT_GUARD, KModuleInvariants
@@ -102,3 +109,50 @@ def test_linear_quiver_is_hereditary(n):
 def test_separable_algebras_have_hcdim_zero():
     for A in (matrix_algebra(QQ, 3), split_product(QQ, 4)):
         assert hcdim_scan(A, cap=2).proved_upper == 0
+
+
+def _group_algebra(ring, elements, op):
+    """k[G] on the group basis, identity first: e_g e_h = e_(op(g, h))."""
+    index = {g: i for i, g in enumerate(elements)}
+    d = len(elements)
+    mul = [ring.zero] * d**3
+    for (i, g), (j, h) in product(enumerate(elements), repeat=2):
+        mul[(i * d + j) * d + index[op(g, h)]] = ring.one
+    return validate_algebra(ring, d, [str(g) for g in elements], [ring.one] + [ring.zero] * (d - 1), mul)
+
+
+def _symmetric3(ring):
+    # the sorted permutations start with the identity; (g h)(i) = g(h(i))
+    return _group_algebra(ring, sorted(permutations(range(3))), lambda g, h: tuple(g[i] for i in h))
+
+
+def _homology(A, n):
+    return hochschild_homology(A, regular_bimodule(A), n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_cyclic_group_rings_over_z(n):
+    # every class has centralizer C_n, with H^2 = H_1 = Z/n and H_2 = 0
+    A = _group_algebra(ZZ, list(range(n)), lambda g, h: (g + h) % n)
+    assert A.has_unital_basis
+    assert _hh(A, 2) == _homology(A, 1) == KModuleInvariants(0, (n,) * n)
+    assert _homology(A, 2) == KModuleInvariants(0)
+
+
+def test_symmetric_group_ring_over_z_has_torsion_of_two_primes():
+    A = _symmetric3(ZZ)
+    assert [_hh(A, n) for n in range(4)] == [
+        KModuleInvariants(3),
+        KModuleInvariants(0),
+        KModuleInvariants(0, (2, 6)),
+        KModuleInvariants(0),
+    ]
+    assert [_homology(A, n) for n in range(3)] == [KModuleInvariants(3), KModuleInvariants(0, (2, 6)), KModuleInvariants(0)]
+
+
+@pytest.mark.parametrize("ring, h1", [(QQ, 0), (GF(5), 0), (GF(2), 2), (GF(3), 1)], ids=str)
+def test_symmetric_group_ring_over_fields(ring, h1):
+    # Maschke: separable iff 6 is a unit; else H^1 of the centralizers of order divisible by p
+    A = _symmetric3(ring)
+    assert (separability_idempotent(A) is not None) == (h1 == 0)
+    assert _hh(A, 1) == _hh(A, 2) == KModuleInvariants(h1)

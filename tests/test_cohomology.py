@@ -4,6 +4,7 @@ from hochschild import cohomology
 from hochschild.algebra import (
     hom_bimodule,
     regular_bimodule,
+    tensor_product,
     validate_left_module,
     with_unital_basis,
 )
@@ -13,13 +14,13 @@ from hochschild.catalog import (
     dual_numbers,
     free2_truncated,
     matrix_algebra,
+    path_algebra,
     split_pair,
     standard_corpus,
     truncated_poly,
     upper_triangular2,
 )
 from hochschild.cohomology import (
-    _homology_boundary,
     center,
     coboundary_matrix,
     cocycle_witness,
@@ -37,12 +38,19 @@ from hochschild.matrix import (
     Matrix,
     SizeGuardError,
     column_span_basis,
+    homology_invariants,
     kernel_basis,
     rank,
     subquotient_invariants,
 )
 from hochschild.rings import GF, QQ, ZZ
-from oracles import _relative_ext_coboundary, intertwiners, relative_ext_resolution, unseeded_homology
+from oracles import (
+    _homology_boundary,
+    _relative_ext_coboundary,
+    intertwiners,
+    relative_ext_resolution,
+    unseeded_homology,
+)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -346,6 +354,36 @@ def test_normalized_homology_equals_unnormalized(corpus):
         for n in range(4):
             got = hochschild_homology(A, M, n, guard=None)
             assert got == _raw_cyclic_homology(A, M, n), (A.basis_names, A.ring, n)
+
+
+def _direct_homology(A, M, n):
+    # HH_n straight off the cyclic boundaries of M, on the complex hochschild_homology picks
+    normalized = A.has_unital_basis
+    outgoing = _homology_boundary(A, M, n, normalized) if n else Matrix.zeros(A.ring, 0, M.rank)
+    return homology_invariants(outgoing, _homology_boundary(A, M, n + 1, normalized))
+
+
+def test_homology_matches_the_direct_cyclic_boundaries():
+    # the package reads HH_n off the rows of b^n(A, M^*) less rank b^(n-1)(A, M^*);
+    # Z[x]/(x^4) HH_1 = k^3 + k/4 takes its torsion from b^1, not b^0
+    A3 = [f"e{i}" for i in (1, 2, 3)], [("a1", 0, 1), ("a2", 1, 2)]
+    cases = 0
+    for ring in (ZZ, QQ, F2, F3):
+        algebras = set(standard_corpus({"Z": ring, "Q": ring, "F2": ring}).values())
+        algebras |= {truncated_poly(ring, k) for k in range(2, 8)}
+        algebras |= {path_algebra(ring, *A3, []), path_algebra(ring, *A3, [[0, 1]])}
+        algebras.add(tensor_product(upper_triangular2(ring), dual_numbers(ring)))
+        for A in sorted(algebras, key=lambda A: (A.rank, A.basis_names)):
+            R = regular_bimodule(A)
+            bimodules = [R, hom_bimodule(R.left_module(), R.left_module())] if A.rank <= 3 else [R]
+            for M in bimodules:
+                for n in range(4 if A.rank < 5 else 3):
+                    got = hochschild_homology(A, M, n, guard=None)
+                    assert got == _direct_homology(A, M, n), (A.basis_names, str(ring), M.rank, n)
+                    cases += 1
+    assert cases == 276
+    A = truncated_poly(ZZ, 4)
+    assert hochschild_homology(A, regular_bimodule(A), 1) == KModuleInvariants(3, (4,))
 
 
 def test_homology_guard_refuses_free2_degree_3():

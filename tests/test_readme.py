@@ -75,4 +75,4 @@ def test_memo_tables_are_the_ones_the_readme_names():
     paragraph = text[text.index("All values are immutable") : text.index("## CLI")]
     named = {m.group(0)[1:-1] for m in re.finditer(r"`(\w+)\.\w+`", paragraph) if m.group(1) in modules}
     assert tables == named
-    assert len(tables) == 7
+    assert len(tables) == 6
