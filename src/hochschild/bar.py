@@ -39,14 +39,12 @@ from .matrix import DEFAULT_GUARD, Matrix, check_guard, column_span_basis, coord
 
 def _letters(A: FiniteAlgebra, normalized: bool) -> range:
     """Basis indices of the middle factors: all of A, or Abar = A / k*1 (unit e_0 dropped)."""
-    if not normalized:
-        return range(A.rank)
-    if not A.has_unital_basis:
+    if normalized and not A.has_unital_basis:
         raise AlgebraError(
             "the normalized complex needs the unit as 0-th basis vector; "
             "canonicalize with with_unital_basis first"
         )
-    return range(1, A.rank)
+    return range(1, A.rank) if normalized else range(A.rank)
 
 
 def _letter_inclusion(A: FiniteAlgebra, normalized: bool) -> Matrix:
