@@ -229,6 +229,13 @@ class Bimodule:
     def left_module(self) -> LeftModule:
         return LeftModule(self.algebra, self.rank, self.left)
 
+    @cached_property  # kept in the instance dict, as FiniteAlgebra._mu: equality and hash ignore it
+    def _dual(self) -> "Bimodule":
+        """M^* = Hom_k(M, k), built once: its left actions are the transposed right ones, and vice versa; M^** is M."""
+        dual = Bimodule(self.algebra, self.rank, *(tuple(T.transpose() for T in X) for X in (self.right, self.left)))
+        dual.__dict__["_dual"] = self
+        return dual
+
 
 def validate_bimodule(A: FiniteAlgebra, rank: int, left, right) -> Bimodule:
     """Check module laws on both sides plus the commuting-actions axiom."""

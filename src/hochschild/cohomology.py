@@ -18,10 +18,10 @@ components of products; its cohomology agrees with the full complex
 Homology uses the cyclic bar complex C_k(A, M) = M (x) A^(x)k, and one
 builder (bar._boundary_triplets, which also assembles b') serves both:
 C^n(A, M) is dual to C_n(A, M^*) for the dual bimodule M^* = Hom_k(M, k)
-(_dual), whose left and right actions are the transposed right and left
-actions of M, so b^n is the transposed boundary C_(n+1)(A, M^*) -> C_n(A, M^*)
-(Loday, Cyclic Homology, 1992).  As M^** = M, HH_n(A, M) is read off the
-coboundaries of M^* (Weibel 1994, Thm 3.6.2): one memo table serves both.
+(Bimodule._dual, built once per bimodule, whose own dual is M), so b^n is the
+transposed boundary C_(n+1)(A, M^*) -> C_n(A, M^*) (Loday, Cyclic Homology,
+1992), and HH_n(A, M) is read off the coboundaries of M^* (Weibel 1994,
+Thm 3.6.2): one memo table serves both.
 """
 
 from __future__ import annotations
@@ -80,16 +80,11 @@ class CohomologyReport:
     representatives: tuple[Cochain, ...] | None = None
 
 
-def _dual(M: Bimodule) -> Bimodule:
-    """M^* = Hom_k(M, k): the left actions are the transposed right actions of M, and vice versa."""
-    return Bimodule(M.algebra, M.rank, tuple(R.transpose() for R in M.right), tuple(L.transpose() for L in M.left))
-
-
 @lru_cache(maxsize=None)
 def _coboundary(A: FiniteAlgebra, M: Bimodule, n: int, normalized: bool) -> Matrix:
     """b^n as the transpose of the boundary of C_(n+1)(A, M^*), swapped triplet by triplet."""
     width = len(_letters(A, normalized))
-    triplets = ((j, i, v) for i, j, v in _boundary_triplets(A, _dual(M), n + 1, normalized))
+    triplets = ((j, i, v) for i, j, v in _boundary_triplets(A, M._dual, n + 1, normalized))
     return Matrix.from_triplets(A.ring, M.rank * width ** (n + 1), M.rank * width**n, triplets)
 
 
@@ -114,14 +109,16 @@ def homology(outgoing: Matrix, incoming: Matrix) -> tuple[KModuleInvariants, lis
     """ker(outgoing) / im(incoming) at the middle of  . --incoming--> . --outgoing--> .
 
     Returns the invariants and generator columns, as quotient_generators does.
-    Requires outgoing * incoming == 0, which is not checked.  The kernel is
-    seeded by the image: the echelon rows of im(incoming) whose lead is a unit
-    (over Z a 1; the core makes leads positive) are cocycles already.  Clearing
-    a cocycle at their leads, lowest first, takes integer multiples only, so
-    they and the cocycles that vanish at those leads span ker(outgoing), over Z
-    as a lattice.  Only the latter go through the tagged elimination, on the
-    other columns.  The Hermite form and the RREF are unique, so the normal
-    form of the two pieces is kernel_basis(outgoing).
+    Requires outgoing * incoming == 0, which is not checked.  The echelon rows
+    of im(incoming) with a unit lead (every lead over a field; over Z a 1, as
+    the core makes leads positive) are cocycles already: call their leads P.
+    Only the cocycles that vanish at P go through the tagged elimination.  Over
+    Z they and the seeds span the kernel lattice (clearing at P takes integer
+    multiples only); their Hermite form is kernel_basis(outgoing), and a Smith
+    transform picks the generators.  Over a field P = leads(im) lies in leads(K)
+    for K = ker(outgoing), and the RREF of {v in K : v[P] = 0} is zero at P and
+    at K's other leads: it is K's RREF at leads(K) minus P, the complement of
+    the image the quotient step would pick.
     """
     ring = outgoing.ring
     pivots = _echelon(ring, [dict(c) for c in incoming.columns if c], incoming.rows)
@@ -129,6 +126,9 @@ def homology(outgoing: Matrix, incoming: Matrix) -> tuple[KModuleInvariants, lis
     keep = [j for j in range(outgoing.cols) if j not in seeds]
     cocycles = _kernel_generator_rows(outgoing.submatrix_cols(keep), len(keep))
     lifted = [{keep[i]: v for i, v in r.items()} for r in cocycles]
+    if ring.kind != "Z":  # the cocycles that vanish at the image's leads span a complement
+        basis = _normal_form_columns(ring, lifted, outgoing.cols)
+        return KModuleInvariants(basis.cols), [basis.submatrix_cols((i,)) for i in range(basis.cols)]
     return _quotient_of_basis(_normal_form_columns(ring, [*seeds.values(), *lifted], outgoing.cols), incoming)
 
 
@@ -147,9 +147,9 @@ def hh(
     bar cocomplex.  Representative cocycles are emitted in echelon form,
     free generators first, then torsion generators in increasing
     invariant-factor order; normalized representatives are zero-extended to
-    the full tensor basis.  With representatives, ker b^n is seeded by the
-    coboundaries, the echelon rows of im b^(n-1) with a unit lead (see
-    homology); without, no kernel basis is built (homology_invariants).
+    the full tensor basis.  With representatives, homology seeds ker b^n with
+    the coboundaries; over a field their leads then fix the generators, with
+    no quotient step.  Without, no kernel basis is built (homology_invariants).
     """
     if normalized is None:
         normalized = A.has_unital_basis
@@ -216,16 +216,19 @@ def hochschild_homology(
 
     b^n(A, M^*) is the transposed boundary C_(n+1) -> C_n of M, so HH_n is
     its cokernel, torsion included, less rank b^(n-1)(A, M^*) free summands.
-    The cokernel is read off the rows of b^n: eliminating its long columns
-    fills the Hermite form over Z.  The guard sizes b^n, the largest matrix.
+    Over a field that is cols - rank b^n - rank b^(n-1), on the short columns;
+    over Z the rows of b^n give the cokernel, as its long columns fill the
+    Hermite form.  The guard sizes b^n, the largest matrix.
     """
     if n < 0:
         raise ValueError("homology degree must be >= 0")
-    dual = _dual(M)
+    dual = M._dual
     normalized = A.has_unital_basis
     bn = coboundary_matrix(A, dual, n, normalized, guard)
-    coker = _cokernel_invariants(A.ring, _dict_rows(bn), bn.cols)
     below = rank(coboundary_matrix(A, dual, n - 1, normalized, guard)) if n else 0
+    if A.ring.kind != "Z":
+        return KModuleInvariants(bn.cols - rank(bn) - below)
+    coker = _cokernel_invariants(A.ring, _dict_rows(bn), bn.cols)
     return KModuleInvariants(coker.free_rank - below, coker.torsion)
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from hochschild import cohomology
+from hochschild import cohomology, matrix
 from hochschild.algebra import (
     hom_bimodule,
     regular_bimodule,
@@ -294,6 +294,41 @@ def test_seeded_homology_matches_the_unseeded_route_on_coboundaries(corpus):
                 bn = coboundary_matrix(alg, M, n, normalized, guard=None)
                 B = coboundary_matrix(alg, M, n - 1, normalized, guard=None) if n else Matrix.zeros(A.ring, bn.cols, 0)
                 assert homology(bn, B) == unseeded_homology(bn, B), (name, A.ring, n, normalized)
+    # hh-sweep's field algebras at their sweep degrees, on the complex hh picks, plus F_5 and free2 over F_3
+    sweeps = [
+        (truncated_poly(F2, 4), 4),
+        (truncated_poly(F2, 8), 2),
+        (truncated_poly(F3, 6), 3),
+        (truncated_poly(GF(5), 5), 3),
+        (free2_truncated(QQ), 2),
+        (free2_truncated(F3), 2),
+        (with_unital_basis(matrix_algebra(QQ, 3))[0], 1),
+    ]
+    for A, top in sweeps:
+        M = regular_bimodule(A)
+        for n in range(top + 1):
+            bn = coboundary_matrix(A, M, n, True, guard=None)
+            B = coboundary_matrix(A, M, n - 1, True, guard=None) if n else Matrix.zeros(A.ring, bn.cols, 0)
+            assert homology(bn, B) == unseeded_homology(bn, B), (A.basis_names, A.ring, n)
+
+
+def test_field_homology_skips_the_quotient_step(monkeypatch):
+    # over a field the generators are the RREF of the cocycles that vanish at the image's leads;
+    # over Z the torsion generators still come from the Smith transform of the coordinates
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or real(*args))
+
+    spy(cohomology, "_quotient_of_basis")
+    spy(matrix, "coords_in_span")
+    for ring, expected in ((QQ, []), (F2, []), (F3, []), (GF(5), []), (ZZ, ["_quotient_of_basis", "coords_in_span"])):
+        A = truncated_poly(ring, 4)
+        calls.clear()
+        report = hh(A, regular_bimodule(A), 2)
+        assert calls == expected, ring
+        assert len(report.representatives) == report.invariants.free_rank + len(report.invariants.torsion)
 
 
 def test_hh_eliminates_only_the_columns_the_image_does_not_seed(monkeypatch):
@@ -314,6 +349,16 @@ def test_hh_eliminates_only_the_columns_the_image_does_not_seed(monkeypatch):
 
 
 # -- homology ---------------------------------------------------------------------------
+
+def test_dual_bimodule_is_built_once_and_is_its_own_inverse():
+    A = truncated_poly(QQ, 3)
+    M = regular_bimodule(A)
+    D = M._dual
+    assert M._dual is D and D._dual is M
+    assert D.left == tuple(R.transpose() for R in M.right) and D.right == tuple(L.transpose() for L in M.left)
+    fresh = regular_bimodule(A)  # the kept dual is no field: equality and hash ignore it
+    assert fresh == M and hash(fresh) == hash(M) and "_dual" not in fresh.__dict__
+
 
 def test_hh0_homology_commutative_is_whole_algebra():
     for A in (dual_numbers(QQ), truncated_poly(ZZ, 3)):
