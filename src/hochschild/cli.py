@@ -44,7 +44,7 @@ from .koszul import (
     hcdim_lower_bound,
     regular_sequence_check,
 )
-from .matrix import DEFAULT_GUARD, ContainmentError, ShapeError, SizeGuardError, rank
+from .matrix import DEFAULT_GUARD, ContainmentError, ShapeError, SizeGuardError, homology_invariants, rank
 from .projectivity import hcdim_scan, is_quasi_free, separability_idempotent
 from .rings import RingError
 
@@ -118,9 +118,10 @@ def cmd_analyze(args) -> int:
     guard = _guard_value(args)
     b0, b1 = (coboundary_matrix(A, M, n, False, guard=None) for n in (0, 1))
     inn = rank(b0)  # the center is ker b^0, Der is ker b^1 and Inn is im b^0 of the raw complex
+    hh1 = homology_invariants(b1, b0)  # Der / Inn; b0.rows = b1.cols, so rank Der = inn + its free rank
     doc: dict = {"rank": A.rank, "scalars": ring_to_json(A.ring), "center_dim": b0.cols - inn,
-                 "der_dim": b1.cols - rank(b1), "inn_dim": inn}
-    doc["hh1"] = _invariants_doc(hh(A, M, 1, normalized=False, guard=None, representatives=False).invariants)
+                 "der_dim": inn + hh1.free_rank, "inn_dim": inn}
+    doc["hh1"] = _invariants_doc(hh1)
     e = separability_idempotent(A)
     doc["separability"] = {"separable": e is not None}
     if e is not None:

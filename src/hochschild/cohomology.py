@@ -41,17 +41,13 @@ from .matrix import (
     DEFAULT_GUARD,
     KModuleInvariants,
     Matrix,
-    _cokernel_invariants,
-    _dict_rows,
-    _echelon,
-    _kernel_generator_rows,
-    _normal_form_columns,
-    _quotient_of_basis,
     check_guard,
     column_span_basis,
+    homology,
     homology_invariants,
     kernel_basis,
     rank,
+    row_cokernel_invariants,
 )
 
 
@@ -103,33 +99,6 @@ def coboundary_matrix(
     width = len(_letters(A, normalized))
     check_guard(M.rank * width ** (n + 1), M.rank * width**n, guard)
     return _coboundary(A, M, n, normalized)
-
-
-def homology(outgoing: Matrix, incoming: Matrix) -> tuple[KModuleInvariants, list[Matrix]]:
-    """ker(outgoing) / im(incoming) at the middle of  . --incoming--> . --outgoing--> .
-
-    Returns the invariants and generator columns, as quotient_generators does.
-    Requires outgoing * incoming == 0, which is not checked.  The echelon rows
-    of im(incoming) with a unit lead (every lead over a field; over Z a 1, as
-    the core makes leads positive) are cocycles already: call their leads P.
-    Only the cocycles that vanish at P go through the tagged elimination.  Over
-    Z they and the seeds span the kernel lattice (clearing at P takes integer
-    multiples only); their Hermite form is kernel_basis(outgoing), and a Smith
-    transform picks the generators.  Over a field P = leads(im) lies in leads(K)
-    for K = ker(outgoing), and the RREF of {v in K : v[P] = 0} is zero at P and
-    at K's other leads: it is K's RREF at leads(K) minus P, the complement of
-    the image the quotient step would pick.
-    """
-    ring = outgoing.ring
-    pivots = _echelon(ring, [dict(c) for c in incoming.columns if c], incoming.rows)
-    seeds = {c: r for c, r in pivots if ring.kind != "Z" or r[c] == 1}
-    keep = [j for j in range(outgoing.cols) if j not in seeds]
-    cocycles = _kernel_generator_rows(outgoing.submatrix_cols(keep), len(keep))
-    lifted = [{keep[i]: v for i, v in r.items()} for r in cocycles]
-    if ring.kind != "Z":  # the cocycles that vanish at the image's leads span a complement
-        basis = _normal_form_columns(ring, lifted, outgoing.cols)
-        return KModuleInvariants(basis.cols), [basis.submatrix_cols((i,)) for i in range(basis.cols)]
-    return _quotient_of_basis(_normal_form_columns(ring, [*seeds.values(), *lifted], outgoing.cols), incoming)
 
 
 def hh(
@@ -228,7 +197,7 @@ def hochschild_homology(
     below = rank(coboundary_matrix(A, dual, n - 1, normalized, guard)) if n else 0
     if A.ring.kind != "Z":
         return KModuleInvariants(bn.cols - rank(bn) - below)
-    coker = _cokernel_invariants(A.ring, _dict_rows(bn), bn.cols)
+    coker = row_cokernel_invariants(bn)
     return KModuleInvariants(coker.free_rank - below, coker.torsion)
 
 

@@ -35,6 +35,7 @@ from .matrix import (
     check_guard,
     column_span_basis,
     coords_in_span,
+    homology,
     kernel_basis,
     rank,
     solve,
@@ -223,20 +224,20 @@ def lift_exists(E: ExtensionPresentation) -> Matrix | None:
 def enumerate_extension_classes(A: FiniteAlgebra, M: Bimodule, guard: int | None = DEFAULT_GUARD) -> list[Cochain]:
     """All square-zero extension classes of A by M over a finite prime field.
 
-    A class is represented by its lexicographically least member.  The basis
-    `image` of B^2 is a reduced echelon form, so the least member of the class
-    of v is v - image * v[leads], linear in v.  On a basis of the cocycles
-    ker b^2 this map spans the class space, of dimension dim HH^2, whose
-    p^(dim HH^2) vectors are the representatives, sorted as dense vectors.
+    A class is represented by its lexicographically least member.  For the
+    reduced echelon basis `image` of B^2, the least member of the class of v
+    is v - image * v[leads], the one member that vanishes at the leads.  These
+    cocycles are the class space, of dimension dim HH^2, and over F_p
+    homology(b^2, b^1) returns their RREF; its p^(dim HH^2) combinations are
+    the representatives, sorted as dense vectors.
     guard bounds the sizes of b^2, b^1 and the representatives' matrix.
     """
     ring, p = A.ring, A.ring.p
     if not p:
         raise AlgebraError("exhaustive enumeration needs a finite prime field")
-    cocycles = kernel_basis(coboundary_matrix(A, M, 2, False, guard))
-    image = column_span_basis(coboundary_matrix(A, M, 1, False, guard))
-    at_leads = Matrix.identity(ring, image.rows).submatrix_cols([col[0][0] for col in image.columns]).transpose()
-    classes = column_span_basis(cocycles - image * (at_leads * cocycles))
+    b2 = coboundary_matrix(A, M, 2, False, guard)
+    gens = homology(b2, coboundary_matrix(A, M, 1, False, guard))[1]
+    classes = reduce(Matrix.hstack, gens, Matrix.zeros(ring, b2.cols, 0))
     check_guard(classes.rows, p**classes.cols, guard)
     reps = classes * Matrix.from_cols(ring, product(range(p), repeat=classes.cols), classes.cols)
     return [two_cochain_from_vector(A, M, v) for v in sorted(reps.col_list(j) for j in range(reps.cols))]

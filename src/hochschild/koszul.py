@@ -22,15 +22,12 @@ from .matrix import (
     ContainmentError,
     KModuleInvariants,
     Matrix,
-    _column_matrix,
-    _echelon,
-    _kernel_generator_rows,
-    _make,
-    _reduce,
     check_guard,
     cokernel_invariants,
     column_span_basis,
     coords_in_span,
+    induced_kernel_generators,
+    prune,
     subquotient_invariants,
 )
 from .rings import ZZ, ScalarRing
@@ -125,19 +122,11 @@ class RegularElementReport:
         return self.injective and not self.surjective
 
 
-def _induced_kernel_generators(X: Matrix, relations: Matrix) -> Matrix:
-    """Generators of {v : X v lies in the relation span} (the induced kernel; over Z
-    that lattice, not its saturation), neither normalized nor independent: one
-    elimination of [X | relations] with only X's columns tagged."""
-    return _column_matrix(X.ring, X.cols, _kernel_generator_rows(X.hstack(relations), X.cols))
-
-
 def regular_element_check(M: PresentedModule, x) -> RegularElementReport:
     """x is regular on M when multiplication by x is injective and not surjective."""
-    X = act(M.action, x)
-    ker_gens = _induced_kernel_generators(X, M.relations)
-    injective = subquotient_invariants(M.relations.hstack(ker_gens), M.relations).is_zero
-    coker = cokernel_invariants(M.relations.hstack(X))
+    X, R = act(M.action, x), M.relations
+    injective = homology_of_presented(Matrix.zeros(R.ring, R.rows, 0), X, R, R).is_zero  # 0 -> M -> M at M
+    coker = cokernel_invariants(R.hstack(X))
     return RegularElementReport(injective, coker.is_zero, coker)
 
 
@@ -213,28 +202,8 @@ def homology_of_presented(
     """Homology at the middle of  F' --incoming--> F --outgoing--> F''  where
     every term is generators-modulo-relations (relations map to relations).
     Only invariants are read, so neither cycles nor boundaries are normalized."""
-    cycles = _induced_kernel_generators(outgoing, relations_out).hstack(relations_mid)
+    cycles = induced_kernel_generators(outgoing, relations_out).hstack(relations_mid)
     return subquotient_invariants(cycles, incoming.hstack(relations_mid))
-
-
-def _prune(R: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """(pi, sigma, R'): a smaller presentation of F / R, F = ring^rows, the columns of R its relations.
-
-    In the Hermite form (Z) or RREF (fields) of the columns of R a pivot 1 is
-    alone in its column, so e_c is minus the rest of its row modulo R.  sigma
-    includes the other g' coordinates, pi sends e_c to minus its row on them,
-    and R' is the rows with a pivot > 1 (over Z only) on them.  pi induces an
-    isomorphism F / R -> ring^g' / R', sigma its inverse, and pi * sigma = I.
-    """
-    ring, g, one = R.ring, R.rows, R.ring.one
-    pivots = _reduce(ring, _echelon(ring, [dict(c) for c in R.columns if c], g))
-    unit = {c: r for c, r in pivots if r[c] == 1}
-    new = {k: i for i, k in enumerate(k for k in range(g) if k not in unit)}
-    pi = [tuple(sorted((new[j], ring.finish(-v)) for j, v in unit[k].items() if j != k)) if k in unit else ((new[k], one),)
-          for k in range(g)]
-    rest = [tuple(sorted((new[j], v) for j, v in r.items())) for c, r in pivots if c not in unit]
-    sigma = _make(ring, g, len(new), tuple(((k, one),) for k in new))
-    return _make(ring, len(new), g, tuple(pi)), sigma, _make(ring, len(new), len(rest), tuple(rest))
 
 
 def _koszul_homology(relations: list[Matrix], blocks: list[list[Matrix]], guard: int | None) -> list[KModuleInvariants]:
@@ -250,7 +219,7 @@ def _koszul_homology(relations: list[Matrix], blocks: list[list[Matrix]], guard:
     d, ring = len(blocks), relations[0].ring
     for n, bs in enumerate(blocks, 1):
         check_guard(comb(d, n - 1) * bs[0].rows, comb(d, n) * bs[0].cols, guard)
-    pis, sigmas, relations = zip(*map(_prune, relations))
+    pis, sigmas, relations = zip(*map(prune, relations))
     blocks = [
         [pi * (X * sigma) if pi.rows and sigma.cols else Matrix.zeros(ring, pi.rows, sigma.cols) for X in bs]
         for pi, sigma, bs in zip(pis, sigmas[1:], blocks)

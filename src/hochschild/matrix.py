@@ -1,32 +1,28 @@
 """Exact sparse linear algebra over Z, Q and F_p.
 
-Kernels, solving, Smith/Hermite normal forms and subquotient invariants.
-A matrix is immutable and stored by sparse columns: each column keeps its
-nonzero (row, value) pairs in increasing row order and never stores a zero,
-so the bar and Hochschild complexes, which are almost entirely zero, cost
-memory and time in proportion to their nonzeros.  The elimination routines
-work on transient dict rows built straight from those columns, filed by
-leading column, so a reduction takes time proportional to its fill plus its
-pivot width.  _echelon alone picks the core: F_p the field core, Z and Q the
-integer core (Q on rows cleared of denominators).  ScalarRing alone decides
-the canonical form of a value: arithmetic here works on raw ints and Fractions
-and finishes each stored value with ring.finish, so over Q integer data stays
-on ints and a Fraction marks a true quotient.
-The cores pivot on the holder of a column with the fewest stored entries (over
-Z and Q, among those of least |entry|) to keep the fill down.  Every caller
-reads a result that does not depend on that choice: a normal form, a rank, a
-span, invariants, or a Z solution reduced modulo the kernel lattice.  Pivot rows
-are reduced against each other only where they are read (normal forms, field
-solving, the Z cokernel), not for ranks, kernel generators or invariants.  All
-arithmetic is exact; over Z every kernel is the full (saturated) integer kernel.
+Kernels, solving, Smith/Hermite normal forms, subquotient invariants and
+homology at a spot.  A matrix is immutable and stored by sparse columns: each
+column keeps its nonzero (row, value) pairs in increasing row order and never
+stores a zero, so the bar and Hochschild complexes, which are almost entirely
+zero, cost memory and time in proportion to their nonzeros.  The elimination
+cores (hochschild.elimination) work on transient dict rows that only this
+module builds.  ScalarRing alone decides the canonical form of a value:
+arithmetic here works on raw ints and Fractions and finishes each stored value
+with ring.finish, so over Q integer data stays on ints and a Fraction marks a
+true quotient.  Every caller reads a result that does not depend on the cores'
+pivot choice: a normal form, a rank, a span, invariants, or a Z solution
+reduced modulo the kernel lattice.  Pivot rows are reduced against each other
+only where they are read (normal forms, field solving, the Z cokernel), not
+for ranks, kernel generators or invariants.  All arithmetic is exact; over Z
+every kernel is the full (saturated) integer kernel.
 
 Over Z, invariant factors come from the Hermite form of the column lattice:
 each pivot equal to 1 splits off a trivial summand, and the sparse Smith
 normal form runs only on the small residue of rows whose pivot exceeds 1.
-It tracks U^-1 next to U, so the generators of a quotient are columns of U^-1.
-The invariants of a complex of free modules need neither: ker(outgoing) is a
-saturated summand, so they come from rank(outgoing) and the elementary
-divisors of incoming (homology_invariants).
+The generators of a quotient are columns of its U^-1.  The invariants of a
+complex of free modules need neither: ker(outgoing) is a saturated summand,
+so they come from rank(outgoing) and the elementary divisors of incoming
+(homology_invariants).
 
 Everything here is pure: no operation mutates its inputs, so concurrent
 use from multiple threads is safe.
@@ -36,10 +32,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heappop, heappush
-from math import lcm
 
+from .elimination import back_substitute, echelon, reduce_pivots, row_sub, smith
 from .rings import RingError, ScalarRing, ZZ
 
 DEFAULT_GUARD = 4_000_000
@@ -389,178 +384,13 @@ def _make(ring: ScalarRing, rows: int, cols: int, columns: tuple) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# elimination cores (dict-based sparse rows, exact)
-# ---------------------------------------------------------------------------
-
-
-def _row_sub(r: dict, s: dict, q, modp: int) -> None:
-    # r -= q*s, in place
-    if modp:
-        for c, v in s.items():
-            nv = (r.get(c, 0) - q * v) % modp
-            if nv:
-                r[c] = nv
-            else:
-                r.pop(c, None)
-    else:
-        for c, v in s.items():
-            nv = r.get(c, 0) - q * v
-            if nv:
-                r[c] = nv
-            else:
-                r.pop(c, None)
-
-
-def _file_by_lead(buckets: dict, k: int, row: dict, pivot_width: int) -> None:
-    # file row k under its leading column; rows led past pivot_width are leftovers
-    if row:
-        lead = min(row)
-        if lead < pivot_width:
-            buckets.setdefault(lead, []).append(k)
-
-
-def _reduce_rows_int(rows: list[dict], pivot_width: int) -> list[tuple[int, dict]]:
-    """Integer row reduction to echelon form over the first pivot_width columns.
-
-    Only unimodular operations are used (swaps, adding integer multiples of
-    one row to another, sign flips), so the row lattice is preserved exactly.
-    Returns the pivot rows as (pivot_column, row) in column order, not yet
-    reduced against each other (_back_substitute does that); the input list
-    is left holding the other nonzero rows, in input order.  Rows are filed
-    by leading column, so the work is proportional to the fill plus pivot_width.
-    The pivot at c has the smallest |entry| there, then the fewest stored
-    entries, then the first input place.
-    """
-    buckets: dict[int, list[int]] = {}
-    for k, r in enumerate(rows):
-        _file_by_lead(buckets, k, r, pivot_width)
-    pivots: list[tuple[int, dict]] = []
-    for c in range(pivot_width):
-        holders = buckets.pop(c, None)
-        if holders is None:
-            continue
-        # repeatedly reduce by the entry of smallest magnitude until one remains
-        while len(holders) > 1:
-            top = min(holders, key=lambda k: (abs(rows[k][c]), len(rows[k]), k))
-            piv = rows[top]
-            holders.remove(top)
-            rest = []
-            for k in holders:
-                r = rows[k]
-                q = r[c] // piv[c]
-                if q:
-                    _row_sub(r, piv, q, 0)
-                if c in r:
-                    rest.append(k)
-                else:
-                    _file_by_lead(buckets, k, r, pivot_width)
-            holders = [top] + rest
-        piv = rows[holders[0]]
-        if piv[c] < 0:
-            for k in list(piv):
-                piv[k] = -piv[k]
-        pivots.append((c, piv))
-    rows[:] = [r for r in rows if r and min(r) >= pivot_width]
-    return pivots
-
-
-def _reduce_rows_field(rows: list[dict], pivot_width: int, p: int) -> list[tuple[int, dict]]:
-    """Row reduction over F_p on the first pivot_width columns, as _reduce_rows_int:
-    pivot rows are scaled to a leading 1 and the work is proportional to the
-    fill plus pivot_width.  The pivot at column c is the holder with the fewest
-    stored entries, first in input order among ties."""
-    buckets: dict[int, list[int]] = {}
-    for k, r in enumerate(rows):
-        _file_by_lead(buckets, k, r, pivot_width)
-    pivots: list[tuple[int, dict]] = []
-    for c in range(pivot_width):
-        holders = buckets.pop(c, None)
-        if holders is None:
-            continue
-        holders.sort(key=lambda k: (len(rows[k]), k))
-        piv = rows[holders[0]]
-        inv = pow(piv[c], -1, p)
-        if inv != 1:
-            for k in list(piv):
-                piv[k] = piv[k] * inv % p
-        for k in holders[1:]:
-            r = rows[k]
-            _row_sub(r, piv, r[c], p)
-            _file_by_lead(buckets, k, r, pivot_width)
-        pivots.append((c, piv))
-    rows[:] = [r for r in rows if r and min(r) >= pivot_width]
-    return pivots
-
-
-def _back_substitute(pivots: list[tuple[int, dict]], ring: ScalarRing) -> None:
-    """Reduce echelon pivot rows against each other, in place: the Hermite form
-    over Z (entries above a pivot p in [0, p)), the RREF over a field.
-
-    Rows are finished from the last pivot to the first, each against final
-    rows only.  Over a field these have no entry at another pivot column, so
-    the order does not matter; over Z a row with a pivot > 1 can carry entries
-    at later pivot columns, so a heap clears them in increasing column order.
-    The result does not depend on when the reduction runs: the Hermite form
-    and the RREF are unique, and the leading parts have full row rank, so the
-    unitriangular transform from the echelon rows is unique too, and with it
-    every column past the leading part (kernel combinations, a right-hand side).
-    """
-    integral = ring.kind == "Z"
-    modp = ring.p  # 0 unless F_p
-    at = dict(pivots)
-    for c0, row in reversed(pivots):
-        heap = sorted(c for c in row if c != c0 and c in at)
-        while heap:
-            c = heappop(heap)
-            pr = at[c]
-            q = row.get(c, 0) // pr[c] if integral else row.get(c, 0)
-            if q:
-                _row_sub(row, pr, q, modp)
-                if integral:
-                    for k in pr:
-                        if k != c and k in at:
-                            heappush(heap, k)
-
-
-def _echelon(ring: ScalarRing, rows: list[dict], width: int) -> list[tuple[int, dict]]:
-    """Echelon pivot rows over the first width columns, by the core of the ring.
-
-    Over Q each row is first cleared of denominators, a positive unit, so the
-    integer core sees the same rational row space, pivot columns and RREF.
-    The list keeps the rows led past width.
-    """
-    if ring.kind == "Fp":
-        return _reduce_rows_field(rows, width, ring.p)
-    if ring.kind == "Q":
-        for k, r in enumerate(rows):
-            for v in r.values():
-                if type(v) is not int:  # a Fraction row; all-int rows pass as they are
-                    d = lcm(*[v.denominator for v in r.values()])
-                    rows[k] = {c: v.numerator * (d // v.denominator) for c, v in r.items()}
-                    break
-    return _reduce_rows_int(rows, width)
-
-
-def _reduce(ring: ScalarRing, pivots: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
-    """Echelon pivot rows reduced against each other: the Hermite form over Z,
-    the RREF over a field.  Over Q each integer pivot row is divided by its
-    pivot first, and the values are finished at the end."""
-    if ring.kind == "Q":
-        pivots = [(c, {k: ring.div(v, r[c]) for k, v in r.items()}) for c, r in pivots]
-    _back_substitute(pivots, ring)
-    for _, r in pivots:  # only Q rows hold Fractions, which may have become integral
-        r.update([(k, ring.finish(v)) for k, v in r.items() if type(v) is Fraction])
-    return pivots
-
-
-# ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
 
 def rank(M: Matrix) -> int:
     # the column rank: the columns of M are the rows of its transpose
-    return len(_echelon(M.ring, [dict(c) for c in M.columns], M.rows))
+    return len(echelon(M.ring, [dict(c) for c in M.columns], M.rows))
 
 
 def _dict_rows(M: Matrix) -> list[dict]:
@@ -583,7 +413,7 @@ def _kernel_generator_rows(M: Matrix, tagged: int) -> list[dict]:
     whose leading part dies in one elimination.  They span {v : M[:, :tagged] v in span
     M[:, tagged:]}, over Z as a lattice: a combination with no leading part uses no pivot row."""
     rows = _combination_rows(M, tagged)
-    _echelon(M.ring, rows, M.rows)
+    echelon(M.ring, rows, M.rows)
     return [{c - M.rows: v for c, v in r.items()} for r in rows]
 
 
@@ -604,7 +434,7 @@ def kernel_basis(M: Matrix) -> Matrix:
 
 def _normal_form_columns(ring: ScalarRing, vec_rows: list[dict], width: int) -> Matrix:
     """Canonicalize nonzero vectors (dict rows of the given width, consumed) to echelon columns."""
-    return _column_matrix(ring, width, [r for _, r in _reduce(ring, _echelon(ring, vec_rows, width))])
+    return _column_matrix(ring, width, [r for _, r in reduce_pivots(ring, echelon(ring, vec_rows, width))])
 
 
 def column_span_basis(M: Matrix) -> Matrix:
@@ -669,7 +499,7 @@ def solve(M: Matrix, b: Matrix) -> Matrix | None:
     """One solution x of M x = b over the ring, or None (absence is a normal outcome).
 
     Over a field the echelon form of [M | b] decides first; only then is x read
-    off its RREF, every free variable 0 (over Q on integer rows, see _echelon).
+    off its RREF, every free variable 0 (over Q on integer rows, see echelon).
     Over Z a rational-only solution yields None, and x is the one with
     0 <= x[c] < p at the lead p (row c) of each kernel_basis(M) column.
     """
@@ -684,22 +514,22 @@ def solve(M: Matrix, b: Matrix) -> Matrix | None:
         rows = _combination_rows(M, n)
         t = {i: -v for i, v in b.columns[0]}
         for width in (m, m + n):
-            for c, r in _echelon(ring, rows, width):
+            for c, r in echelon(ring, rows, width):
                 q, rem = divmod(t.get(c, 0), r[c])
                 if rem and c < m:
                     return None
                 if q:
-                    _row_sub(t, r, q, 0)
+                    row_sub(t, r, q, 0)
             if t and min(t) < m:
                 return None  # b is outside the column lattice
         return _make(ring, n, 1, (tuple((k - m, v) for k, v in sorted(t.items())),))
     rows = _dict_rows(M)
     for i, v in b.columns[0]:
         rows[i][n] = v
-    pivots = _echelon(ring, rows, n)
+    pivots = echelon(ring, rows, n)
     if rows:
         return None  # a row left over is 0 = b_i with b_i nonzero
-    return _make(ring, n, 1, (tuple((c, r[n]) for c, r in _reduce(ring, pivots) if n in r),))
+    return _make(ring, n, 1, (tuple((c, r[n]) for c, r in reduce_pivots(ring, pivots) if n in r),))
 
 
 def smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -716,101 +546,9 @@ def smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     if M.ring.kind != "Z":
         raise RingError("Smith normal form requires the ring Z")
     m, n = M.rows, M.cols
-    diag, U, _, V = _smith(_dict_rows(M), n)
+    diag, U, _, V = smith(_dict_rows(M), n)
     D = tuple(((j, diag[j]),) if j < len(diag) and diag[j] else () for j in range(n))
     return _make(ZZ, m, m, U).transpose(), _make(ZZ, m, n, D), _make(ZZ, n, n, V)
-
-
-def _smith(A: list[dict], n: int) -> tuple[list[int], tuple, tuple, tuple]:
-    """The moves of smith_normal_form on the dict rows A (n columns, consumed).
-
-    Rows stay keyed by physical column and ``phys`` maps logical columns to
-    physical ones, so a column swap swaps two entries.  U^-1 takes the
-    inverse moves: row_i -= q*row_j on U is col_j += q*col_i on U^-1, and a
-    row swap or sign flip of U is the same on columns of U^-1.  Returns the
-    diagonal (min(m, n) entries), the rows of U and the columns of U^-1 and V.
-    """
-    m = len(A)
-    U = [{i: 1} for i in range(m)]
-    Uinv = [{i: 1} for i in range(m)]
-    V = [{j: 1} for j in range(n)]  # by physical column, like A
-    phys = list(range(n))
-    logical = list(range(n))
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        _row_sub(A[i], A[j], q, 0)
-        _row_sub(U[i], U[j], q, 0)
-        _row_sub(Uinv[j], Uinv[i], -q, 0)
-
-    def row_swap(i, j):
-        for T in (A, U, Uinv):
-            T[i], T[j] = T[j], T[i]
-
-    def col_swap(i, j):  # logical columns
-        pi, pj = phys[i], phys[j]
-        phys[i], phys[j] = pj, pi
-        logical[pi], logical[pj] = j, i
-
-    t = 0
-    while t < m and t < n:
-        best = None
-        for i, r in enumerate(A[t:], t):  # rows from t on hold only columns from t on
-            a = min(map(abs, r.values()), default=0)
-            if a and (best is None or a < best[0]):
-                best = (a, i, min(logical[p] for p, v in r.items() if abs(v) == a))
-                if a == 1:
-                    break  # no later row can beat a unit
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            row_swap(t, bi)
-        if bj != t:
-            col_swap(t, bj)
-        while True:
-            # clear column t; no row is touched before its turn, so the
-            # rows to visit are known up front (as are the columns below)
-            pt = phys[t]
-            dirty = False
-            for i in [i for i in range(t + 1, m) if pt in A[i]]:
-                row_op(i, t, A[i][pt] // A[t][pt])
-                if pt in A[i]:  # remainder smaller than pivot: swap up
-                    row_swap(t, i)
-                    dirty = True
-            if dirty:
-                continue
-            # clear row t; the column ops reach every row holding column t,
-            # which after a column swap includes rows below t
-            row = A[t]
-            holders = [row]
-            for j in sorted(logical[p] for p in row if logical[p] > t):
-                pt, pj = phys[t], phys[j]
-                q = row[pj] // row[pt]
-                for r in holders:  # col_j -= q * col_t
-                    r[pj] = r.get(pj, 0) - q * r[pt]
-                    if not r[pj]:
-                        del r[pj]
-                _row_sub(V[pj], V[pt], q, 0)
-                if pj in row:
-                    col_swap(t, j)
-                    holders = [r for r in A[t:] if pj in r]
-                    dirty = True
-            if dirty:
-                continue
-            # divisibility fix-up: pivot must divide every remaining entry
-            piv = row[phys[t]]
-            offender = next((i for i in range(t + 1, m) if piv != 1 and any(map(piv.__rmod__, A[i].values()))), None)
-            if offender is None:
-                break
-            row_op(t, offender, -1)  # row_t += row_offender
-        if A[t][phys[t]] < 0:
-            for T in (A[t], U[t], Uinv[t]):
-                for k in T:
-                    T[k] = -T[k]
-        t += 1
-    diag = [A[i].get(phys[i], 0) for i in range(min(m, n))]
-    U, Uinv, V = (tuple(tuple(sorted(c.items())) for c in T) for T in (U, Uinv, [V[p] for p in phys]))
-    return diag, U, Uinv, V
 
 
 def invariants_from_diagonal(diag: list[int], total_rank: int) -> KModuleInvariants:
@@ -824,6 +562,11 @@ def cokernel_invariants(M: Matrix) -> KModuleInvariants:
     return _cokernel_invariants(M.ring, [dict(c) for c in M.columns if c], M.rows)
 
 
+def row_cokernel_invariants(M: Matrix) -> KModuleInvariants:
+    """Invariants of ring^cols / (row span of M), read off the rows without a transpose."""
+    return _cokernel_invariants(M.ring, _dict_rows(M), M.cols)
+
+
 def _cokernel_invariants(ring: ScalarRing, rows: list[dict], width: int) -> KModuleInvariants:
     """Invariants of ring^width / (span of the dict rows), which are consumed.
 
@@ -832,14 +575,14 @@ def _cokernel_invariants(ring: ScalarRing, rows: list[dict], width: int) -> KMod
     a trivial summand; only the rows with a pivot > 1 go through the Smith
     normal form.
     """
-    pivots = _echelon(ring, rows, width)
+    pivots = echelon(ring, rows, width)
     if ring.kind != "Z":
         return KModuleInvariants(width - len(pivots))
-    _back_substitute(pivots, ZZ)
+    back_substitute(pivots, ZZ)
     residue = [r for c, r in pivots if r[c] > 1]
     diag = [1] * (len(pivots) - len(residue))
     if residue:
-        diag += _smith(residue, width)[0]
+        diag += smith(residue, width)[0]
     return invariants_from_diagonal(diag, width)
 
 
@@ -853,7 +596,7 @@ def subquotient_invariants(Z: Matrix, B: Matrix) -> KModuleInvariants:
     Z._same(B)
     if Z.rows != B.rows:
         raise ShapeError("ambient dimensions differ")
-    pivots = _echelon(Z.ring, [dict(c) for c in Z.columns if c], Z.rows)
+    pivots = echelon(Z.ring, [dict(c) for c in Z.columns if c], Z.rows)
     return cokernel_invariants(coords_in_span(_column_matrix(Z.ring, Z.rows, [r for _, r in pivots]), B))
 
 
@@ -872,14 +615,14 @@ def _quotient_of_basis(basis: Matrix, B: Matrix) -> tuple[KModuleInvariants, lis
     r, ring = basis.cols, basis.ring
     C = coords_in_span(basis, B)
     if ring.kind == "Z":
-        diag, _, Uinv, _ = _smith(_dict_rows(C), C.cols)
+        diag, _, Uinv, _ = smith(_dict_rows(C), C.cols)
         # generators of Z^r / C are the columns of U^-1 at the free and torsion places
         idx = [i for i in range(r) if i >= len(diag) or not diag[i]] + [i for i, d in enumerate(diag) if d > 1]
         G = basis * _make(ZZ, r, len(idx), tuple(Uinv[i] for i in idx))
         return invariants_from_diagonal(diag, r), [G.submatrix_cols((k,)) for k in range(len(idx))]
     # field: complement of span(coords) inside k^r
     rows = [dict(c) for c in C.columns if c]
-    pivot_cols = {c for c, _ in _echelon(ring, rows, r)}
+    pivot_cols = {c for c, _ in echelon(ring, rows, r)}
     invs = KModuleInvariants(r - len(pivot_cols))
     gens = [basis.submatrix_cols((i,)) for i in range(r) if i not in pivot_cols]
     return invs, gens
@@ -894,3 +637,57 @@ def homology_invariants(outgoing: Matrix, incoming: Matrix) -> KModuleInvariants
     """
     coker = cokernel_invariants(incoming)
     return KModuleInvariants(coker.free_rank - rank(outgoing), coker.torsion)
+
+
+def homology(outgoing: Matrix, incoming: Matrix) -> tuple[KModuleInvariants, list[Matrix]]:
+    """ker(outgoing) / im(incoming) at the middle of  . --incoming--> . --outgoing--> .
+
+    Returns the invariants and generator columns, as quotient_generators does.
+    Requires outgoing * incoming == 0, which is not checked.  The echelon rows
+    of im(incoming) with a unit lead (every lead over a field; over Z a 1, as
+    the core makes leads positive) are cocycles already: call their leads P.
+    Only the cocycles that vanish at P go through the tagged elimination.  Over
+    Z they and the seeds span the kernel lattice (clearing at P takes integer
+    multiples only); their Hermite form is kernel_basis(outgoing), and a Smith
+    transform picks the generators.  Over a field P = leads(im) lies in leads(K)
+    for K = ker(outgoing), and the RREF of {v in K : v[P] = 0} is zero at P and
+    at K's other leads: it is K's RREF at leads(K) minus P, the complement of
+    the image the quotient step would pick.
+    """
+    ring = outgoing.ring
+    pivots = echelon(ring, [dict(c) for c in incoming.columns if c], incoming.rows)
+    seeds = {c: r for c, r in pivots if ring.kind != "Z" or r[c] == 1}
+    keep = [j for j in range(outgoing.cols) if j not in seeds]
+    cocycles = _kernel_generator_rows(outgoing.submatrix_cols(keep), len(keep))
+    lifted = [{keep[i]: v for i, v in r.items()} for r in cocycles]
+    if ring.kind != "Z":  # the cocycles that vanish at the image's leads span a complement
+        basis = _normal_form_columns(ring, lifted, outgoing.cols)
+        return KModuleInvariants(basis.cols), [basis.submatrix_cols((i,)) for i in range(basis.cols)]
+    return _quotient_of_basis(_normal_form_columns(ring, [*seeds.values(), *lifted], outgoing.cols), incoming)
+
+
+def induced_kernel_generators(X: Matrix, relations: Matrix) -> Matrix:
+    """Generators of {v : X v lies in the relation span} (the induced kernel; over Z
+    that lattice, not its saturation), neither normalized nor independent: one
+    elimination of [X | relations] with only X's columns tagged."""
+    return _column_matrix(X.ring, X.cols, _kernel_generator_rows(X.hstack(relations), X.cols))
+
+
+def prune(R: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """(pi, sigma, R'): a smaller presentation of F / R, F = ring^rows, the columns of R its relations.
+
+    In the Hermite form (Z) or RREF (fields) of the columns of R a pivot 1 is
+    alone in its column, so e_c is minus the rest of its row modulo R.  sigma
+    includes the other g' coordinates, pi sends e_c to minus its row on them,
+    and R' is the rows with a pivot > 1 (over Z only) on them.  pi induces an
+    isomorphism F / R -> ring^g' / R', sigma its inverse, and pi * sigma = I.
+    """
+    ring, g, one = R.ring, R.rows, R.ring.one
+    pivots = reduce_pivots(ring, echelon(ring, [dict(c) for c in R.columns if c], g))
+    unit = {c: r for c, r in pivots if r[c] == 1}
+    new = {k: i for i, k in enumerate(k for k in range(g) if k not in unit)}
+    pi = [tuple(sorted((new[j], ring.finish(-v)) for j, v in unit[k].items() if j != k)) if k in unit else ((new[k], one),)
+          for k in range(g)]
+    rest = [tuple(sorted((new[j], v) for j, v in r.items())) for c, r in pivots if c not in unit]
+    sigma = _make(ring, g, len(new), tuple(((k, one),) for k in new))
+    return _make(ring, len(new), g, tuple(pi)), sigma, _make(ring, len(new), len(rest), tuple(rest))

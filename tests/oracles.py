@@ -19,6 +19,13 @@ unseeded_homology is homology at a spot with the kernel of the outgoing map
 computed whole, with no rows seeded from the incoming image.  It shares the
 quotient step with the package, so it checks the seeding alone.
 
+class_space_by_hand is the space of extension classes over F_p as
+enumerate_extension_classes read it before it took the generators of
+homology(b^2, b^1): the cocycles of a kernel basis, each less its image
+part at the leads of the RREF basis of im b^1, brought to RREF.  It shares
+kernel_basis and column_span_basis with the package, not the seeded
+elimination of homology.
+
 _homology_boundary is the cyclic bar boundary C_k(A, M) -> C_(k-1)(A, M)
 assembled directly.  It shares _boundary_triplets with the package, but not
 the dual bimodule, the rows of b^n or the universal-coefficient step by
@@ -35,7 +42,7 @@ from math import comb
 
 from hochschild.algebra import AlgebraError, Bimodule, FiniteAlgebra, LeftModule
 from hochschild.bar import _boundary_triplets, _letters, _tensor_tuples
-from hochschild.cohomology import _as_left_module
+from hochschild.cohomology import _as_left_module, coboundary_matrix
 from hochschild.koszul import _block_differential, homology_of_presented
 from hochschild.matrix import (
     DEFAULT_GUARD,
@@ -43,6 +50,7 @@ from hochschild.matrix import (
     Matrix,
     _quotient_of_basis,
     check_guard,
+    column_span_basis,
     homology_invariants,
     kernel_basis,
 )
@@ -177,6 +185,25 @@ def unpruned_koszul_homology(
 def unseeded_homology(outgoing: Matrix, incoming: Matrix) -> tuple[KModuleInvariants, list[Matrix]]:
     """ker(outgoing) / im(incoming): the whole kernel basis, then the quotient step."""
     return _quotient_of_basis(kernel_basis(outgoing), incoming)
+
+
+# ---------------------------------------------------------------------------
+# the extension class space, read by hand
+# ---------------------------------------------------------------------------
+
+
+def class_space_by_hand(A: FiniteAlgebra, M: Bimodule, guard: int | None = DEFAULT_GUARD) -> Matrix:
+    """The RREF of the 2-cocycles that vanish at the leads of im b^1, over F_p.
+
+    The basis `image` of B^2 is a reduced echelon form, so the least member of
+    the class of v is v - image * v[leads], linear in v; on a basis of the
+    cocycles ker b^2 this map spans the class space.
+    """
+    ring = A.ring
+    cocycles = kernel_basis(coboundary_matrix(A, M, 2, False, guard))
+    image = column_span_basis(coboundary_matrix(A, M, 1, False, guard))
+    at_leads = Matrix.identity(ring, image.rows).submatrix_cols([col[0][0] for col in image.columns]).transpose()
+    return column_span_basis(cocycles - image * (at_leads * cocycles))
 
 
 # ---------------------------------------------------------------------------

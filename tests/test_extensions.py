@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -7,6 +8,8 @@ from hochschild.algebra import AlgebraError, hom_bimodule, regular_bimodule, val
 from hochschild.catalog import (
     base_ring_algebra,
     dual_numbers,
+    free2_truncated,
+    matrix_algebra,
     path_algebra,
     split_pair,
     split_product,
@@ -29,8 +32,9 @@ from hochschild.extensions import (
     two_cochain_from_vector,
     zero_two_cochain,
 )
-from hochschild.matrix import Matrix, SizeGuardError, kernel_basis
+from hochschild.matrix import Matrix, SizeGuardError, homology, kernel_basis
 from hochschild.rings import GF, QQ, ZZ
+from oracles import class_space_by_hand
 
 F2 = GF(2)
 
@@ -285,6 +289,34 @@ def test_enumerated_representatives_are_least_in_their_classes(A):
         assert is_two_cocycle(R)[0]
         # least in its class, so distinct representatives lie in distinct classes
         assert all(dense(R.matrix + b) >= dense(R.matrix) for b in boundaries)
+
+
+def _class_space_cases():
+    """k[x]/(x^n) for n <= 4, the dual numbers, free2_truncated, UT_2, k x k, k and M_2 over
+    F_2, F_3 and F_5, each with the regular, zero and Hom(A, A) bimodules; free2_truncated's
+    Hom(A, A), 16807 x 2401 at b^2, is left out, as the default guard refuses it."""
+    cases = []
+    for ring in (F2, GF(3), GF(5)):
+        algebras = [truncated_poly(ring, n) for n in range(1, 5)] + [
+            dual_numbers(ring), free2_truncated(ring), upper_triangular2(ring),
+            split_pair(ring), base_ring_algebra(ring), matrix_algebra(ring, 2),
+        ]
+        for A in algebras:
+            N = regular_bimodule(A).left_module()
+            cases += [(A, regular_bimodule(A)), (A, zero_bimodule(A))]
+            if A.rank < 7:
+                cases.append((A, hom_bimodule(N, N)))
+    return cases
+
+
+def test_class_space_is_the_homology_generators():
+    # enumerate_extension_classes reads its class space off homology(b^2, b^1)
+    cases = _class_space_cases()
+    assert len(cases) == 87
+    for A, M in cases:
+        b2 = coboundary_matrix(A, M, 2, False)
+        gens = homology(b2, coboundary_matrix(A, M, 1, False))[1]
+        assert reduce(Matrix.hstack, gens, Matrix.zeros(A.ring, b2.cols, 0)) == class_space_by_hand(A, M), (A.basis_names, str(A.ring), M.rank)
 
 
 def test_enumerate_dual_f5_five_classes():

@@ -19,7 +19,6 @@ from hochschild.koszul import (
     _aggregate,
     _koszul_homology,
     _multiplication_maps,
-    _prune,
     base_global_dimension,
     finite_koszul_tor,
     free_module,
@@ -33,7 +32,7 @@ from hochschild.koszul import (
     regular_element_check,
     regular_sequence_check,
 )
-from hochschild.matrix import DEFAULT_GUARD, KModuleInvariants, Matrix, SizeGuardError
+from hochschild.matrix import DEFAULT_GUARD, KModuleInvariants, Matrix, SizeGuardError, prune
 from hochschild.rings import GF, QQ, ZZ
 
 F2 = GF(2)
@@ -355,7 +354,7 @@ def test_finite_tor_matches_the_unpruned_loop(case, monkeypatch):
 
 
 def test_z_mod4_keeps_its_torsion_generator():
-    pi, sigma, R = _prune(_z_mod(4).relations)
+    pi, sigma, R = prune(_z_mod(4).relations)
     assert (pi.rows, R.to_rows()) == (1, [[4]])
     assert finite_koszul_tor(base_ring_algebra(ZZ), [[2]], _z_mod(4)).tor == (KModuleInvariants(0, (2,)),) * 2
 
@@ -367,7 +366,7 @@ def test_residue_ladder_prunes_every_positive_piece_to_zero(ring, monkeypatch):
     kept, middles = {}, []
 
     def spy_prune(R):
-        out = _prune(R)
+        out = prune(R)
         kept[R.rows, R.cols] = out[0].rows
         return out
 
@@ -375,7 +374,7 @@ def test_residue_ladder_prunes_every_positive_piece_to_zero(ring, monkeypatch):
         middles.append(relations_mid.rows)
         return homology_of_presented(incoming, outgoing, relations_mid, relations_out)
 
-    monkeypatch.setattr(koszul_module, "_prune", spy_prune)
+    monkeypatch.setattr(koszul_module, "prune", spy_prune)
     monkeypatch.setattr(koszul_module, "homology_of_presented", spy_homology)
     graded_koszul_tor(v, ring, cap)
     for s in range(cap + 1):
@@ -387,6 +386,6 @@ def test_residue_ladder_prunes_every_positive_piece_to_zero(ring, monkeypatch):
 
 def test_finite_tor_guard_reads_the_unpruned_shape():
     M = _z_mod(1)
-    assert _prune(M.relations)[0].rows == 0
+    assert prune(M.relations)[0].rows == 0
     with pytest.raises(SizeGuardError, match="1x1"):
         finite_koszul_tor(base_ring_algebra(ZZ), [[2]], M, guard=0)

@@ -6,16 +6,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hochschild import matrix as matrix_module
+from hochschild import elimination
 from hochschild.algebra import regular_bimodule
 from hochschild.catalog import dual_numbers, truncated_poly, upper_triangular2
-from hochschild.cohomology import coboundary_matrix, homology
-from hochschild.koszul import _induced_kernel_generators, _prune
+from hochschild.cohomology import coboundary_matrix
+from hochschild.elimination import _reduce_rows_int, echelon, reduce_pivots, row_sub, smith
 from hochschild.matrix import (
-    _reduce_rows_int,
-    _echelon,
-    _reduce,
-    _row_sub,
     ContainmentError,
     KModuleInvariants,
     Matrix,
@@ -24,12 +20,14 @@ from hochschild.matrix import (
     cokernel_invariants,
     column_span_basis,
     coords_in_span,
+    homology,
     homology_invariants,
+    induced_kernel_generators,
     invariants_from_diagonal,
     kernel_basis,
+    prune,
     quotient_generators,
     rank,
-    _smith,
     smith_normal_form,
     solve,
     subquotient_invariants,
@@ -717,7 +715,7 @@ def _oracle_reduce_rows_int(rows: list[dict], pivot_width: int, sparsest: bool =
             for r in holders[1:]:
                 q = r[c] // pv
                 if q:
-                    _row_sub(r, piv, q, 0)
+                    row_sub(r, piv, q, 0)
                 if c in r:
                     rest.append(r)
             holders = [piv] + rest
@@ -732,7 +730,7 @@ def _oracle_reduce_rows_int(rows: list[dict], pivot_width: int, sparsest: bool =
             if c in pr:
                 q = pr[c] // pv
                 if q:
-                    _row_sub(pr, piv, q, 0)
+                    row_sub(pr, piv, q, 0)
         pivots.append((c, piv))
     rows[:] = live
     return pivots
@@ -759,11 +757,11 @@ def _oracle_reduce_rows_field(rows: list[dict], pivot_width: int, ring, sparsest
         live = [r for r in live if r is not piv]
         for r in live:
             if c in r:
-                _row_sub(r, piv, r[c], modp)
+                row_sub(r, piv, r[c], modp)
         live = [r for r in live if r]
         for _, pr in pivots:
             if c in pr:
-                _row_sub(pr, piv, pr[c], modp)
+                row_sub(pr, piv, pr[c], modp)
         pivots.append((c, piv))
     rows[:] = live
     return pivots
@@ -824,7 +822,7 @@ def _reduce_both(ring, rows, width):
     """(reference pivots, reference leftovers, new pivots, new leftovers) on copies of rows.
 
     The new side is the production route to the Hermite form or the RREF:
-    the core _echelon picks for the ring (over Q the integer core on rows
+    the core echelon picks for the ring (over Q the integer core on rows
     cleared of denominators), then back-substitution.
     """
     old_rows, new_rows = [dict(r) for r in rows], [dict(r) for r in rows]
@@ -832,7 +830,7 @@ def _reduce_both(ring, rows, width):
         old = _oracle_reduce_rows_int(old_rows, width)
     else:
         old = _oracle_reduce_rows_field(old_rows, width, ring)
-    return old, old_rows, _reduce(ring, _echelon(ring, new_rows, width)), new_rows
+    return old, old_rows, reduce_pivots(ring, echelon(ring, new_rows, width)), new_rows
 
 
 def _full_rref(pivots, leftovers, ncols):
@@ -927,8 +925,8 @@ def _install_first_row_cores(mp) -> list:
         rows[:] = [r for r in rows if r]
         return pivots
 
-    mp.setattr(matrix_module, "_reduce_rows_int", int_core)
-    mp.setattr(matrix_module, "_reduce_rows_field", field_core)
+    mp.setattr(elimination, "_reduce_rows_int", int_core)
+    mp.setattr(elimination, "_reduce_rows_field", field_core)
     return calls
 
 
@@ -968,16 +966,16 @@ def test_results_do_not_depend_on_the_tie_rule_on_fixed_z_systems(rows, y):
 
 @pytest.mark.parametrize("ring", [GF(3), ZZ])
 def test_sparsest_pivot_keeps_the_fill_down(ring, monkeypatch):
-    # 3750x750; the first-holder rule passes about 157,000 entries through _row_sub
+    # 3750x750; the first-holder rule passes about 157,000 entries through row_sub
     A = truncated_poly(ring, 6)
     b3 = coboundary_matrix(A, regular_bimodule(A), 3, normalized=True)
     touched = []
 
     def counting_row_sub(r, s, q, modp):
         touched.append(len(s))
-        _row_sub(r, s, q, modp)
+        row_sub(r, s, q, modp)
 
-    monkeypatch.setattr(matrix_module, "_row_sub", counting_row_sub)
+    monkeypatch.setattr(elimination, "row_sub", counting_row_sub)
     kernel_basis(b3)
     assert 0 < sum(touched) <= 40_000
 
@@ -1142,7 +1140,7 @@ def test_smith_column_ops_reach_rows_below_the_pivot():
 @PROPS
 @given(st.one_of(torsion_matrices(), matrices(rings=(ZZ,))))
 def test_smith_tracks_the_inverse_of_u(M):
-    _, U, Uinv, _ = _smith([dict(r) for r in M.transpose().columns], M.cols)
+    _, U, Uinv, _ = smith([dict(r) for r in M.transpose().columns], M.cols)
     m = M.rows
     assert Matrix(ZZ, m, m, U).transpose() * Matrix(ZZ, m, m, Uinv) == Matrix.identity(ZZ, m)
 
@@ -1215,7 +1213,7 @@ def test_induced_kernel_generators_span_the_projected_kernel(case):
     K = kernel_basis(X.hstack(R))
     top = ((i, j, v) for j, col in enumerate(K.columns) for i, v in col if i < X.cols)
     expected = column_span_basis(Matrix.from_triplets(X.ring, X.cols, K.cols, top))
-    gens = _induced_kernel_generators(X, R)
+    gens = induced_kernel_generators(X, R)
     _assert_canonical(gens)
     assert column_span_basis(gens) == expected
 
@@ -1250,7 +1248,7 @@ def test_subquotient_invariants_match_the_canonical_route(case):
 @given(st.one_of(torsion_matrices(), rational_matrices(), matrices(rings=(F2, GF(5)))))
 @example(Matrix.from_rows(ZZ, [[1], [1]]))  # e_0 + e_1: e_0 is -e_1 modulo R, not 0
 def test_prune_presents_the_same_module(R):
-    pi, sigma, Rp = _prune(R)
+    pi, sigma, Rp = prune(R)
     for X in (pi, sigma, Rp):
         _assert_canonical(X)
     g, kept = R.rows, pi.rows
