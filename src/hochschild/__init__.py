@@ -33,8 +33,8 @@ from .algebra import (
 from .bar import (
     SyzygyModule,
     bar_differential,
+    coboundary_matrix,
     contracting_homotopy,
-    derivation_factorization,
     syzygy,
     universal_derivation,
 )
@@ -42,8 +42,8 @@ from .cohomology import (
     Cochain,
     CohomologyReport,
     center,
-    coboundary_matrix,
     cocycle_witness,
+    derivation_factorization,
     derivations,
     hh,
     hh1_report,

@@ -74,6 +74,12 @@ class FiniteAlgebra:
         # mul[(i d + j) d + k] is entry (k, i d + j)
         return Matrix.from_triplets(self.ring, d, d * d, ((t % d, t // d, c) for t, c in enumerate(self.mul) if c))
 
+    @cached_property  # kept like _mu
+    def _regular(self) -> "Bimodule":
+        d = self.rank
+        left = tuple(left_mult_matrix(self, i) for i in range(d))
+        return Bimodule(self, d, left, tuple(right_mult_matrix(self, i) for i in range(d)))
+
     def __str__(self) -> str:
         return f"<algebra of rank {self.rank} over {self.ring}>"
 
@@ -103,7 +109,7 @@ def _swapped_pairs(d: int) -> list[int]:
     return [j * d + i for i in range(d) for j in range(d)]
 
 
-def _first_mismatch(lhs: Matrix, rhs: Matrix) -> int | None:
+def first_mismatch(lhs: Matrix, rhs: Matrix) -> int | None:
     """Index of the first column where two equal-shaped matrices differ, or None."""
     return next((j for j, (x, y) in enumerate(zip(lhs.columns, rhs.columns)) if x != y), None)
 
@@ -147,12 +153,12 @@ def validate_algebra(
     A = FiniteAlgebra(ring, rank, names, unit_t, mul_t)
     mu, I = A._mu, Matrix.identity(ring, rank)
     # column (i d + j) d + l of each side is (e_i e_j) e_l and e_i (e_j e_l)
-    c = _first_mismatch(mu * mu.kron(I), mu * I.kron(mu))
+    c = first_mismatch(mu * mu.kron(I), mu * I.kron(mu))
     if c is not None:
         i, jl = divmod(c, rank * rank)
         raise AlgebraError(f"associativity fails at basis triple ({i}, {jl // rank}, {jl % rank})")
     u = A.unit_column()
-    left, right = _first_mismatch(mu * u.kron(I), I), _first_mismatch(mu * I.kron(u), I)
+    left, right = first_mismatch(mu * u.kron(I), I), first_mismatch(mu * I.kron(u), I)
     if left is not None and (right is None or left <= right):
         raise AlgebraError(f"unit law fails on the left at basis index {left}")
     if right is not None:
@@ -265,14 +271,8 @@ def validate_bimodule(A: FiniteAlgebra, rank: int, left, right) -> Bimodule:
 
 
 def regular_bimodule(A: FiniteAlgebra) -> Bimodule:
-    """A acting on itself by multiplication on both sides."""
-    d = A.rank
-    return Bimodule(
-        A,
-        d,
-        tuple(left_mult_matrix(A, i) for i in range(d)),
-        tuple(right_mult_matrix(A, i) for i in range(d)),
-    )
+    """A acting on itself by multiplication on both sides; built once per algebra, like mu."""
+    return A._regular
 
 
 def zero_bimodule(A: FiniteAlgebra) -> Bimodule:

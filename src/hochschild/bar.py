@@ -1,22 +1,23 @@
-"""The bar and normalized bar resolutions with their contracting homotopies.
+"""The bar resolutions and every differential and chain-level map built on them.
 
 Chain level n is A^(x)(n+2) (level -1 means A itself); the normalized
 variant replaces the middle factors by Abar = A / k*1 and needs the unit to
 be the 0-th basis vector; one ``normalized`` flag selects the complex.
 _letters is the one description of that choice: the basis vectors that may
 sit between the outer factors (all of them, or the non-unit classes).  Every
-chain size, index map, homotopy and cochain embedding reads it, as a range
-or as the letter inclusion J (the identity restricted to those columns), so
-it alone refuses a normalized complex on a non-unital basis, before any work.
+chain size, index map, homotopy, class and cochain embedding reads it, as a
+range or as the letter inclusion J (the identity restricted to those
+columns), so it alone refuses a normalized complex on a non-unital basis,
+before any work; no other module sees it or the chain layout.
 
 One builder, _boundary_triplets, assembles every differential: the cyclic
 boundary of C_k(A, M) = M (x) A^(x)k.  For M = A (x) A with the inner
 actions a(x (x) y) = x (x) ay and (x (x) y)a = xa (x) y it is b'_k up to the
-order of the basis (Loday, Cyclic Homology, 1992), and cohomology builds
-the Hochschild coboundaries and boundaries with it too.  Differentials,
-chain-level actions and syzygies are cached per (algebra, level): values
-are deterministic, so the memo tables are safe under concurrent use
-(idempotent last-writer-wins entries).
+order of the basis (Loday, Cyclic Homology, 1992), and for the dual M^* its
+transpose is the Hochschild coboundary b^n of C^*(A, M).  Differentials,
+coboundaries, chain-level actions and syzygies are cached per (algebra,
+level): values are deterministic, so the memo tables are safe under
+concurrent use (idempotent last-writer-wins entries).
 """
 
 from __future__ import annotations
@@ -138,24 +139,55 @@ def bar_differential(A: FiniteAlgebra, n: int, normalized: bool = False, guard: 
     return _differential(A, n, normalized)
 
 
-def _homotopy(A: FiniteAlgebra, n: int, normalized: bool) -> Matrix:
-    """s_n = unit (x) P (x) I prepends the unit; P = J^T pushes the old left factor into the
-    letters (the class of 1 in Abar is zero), and at level -1, P = I makes it the right factor."""
-    P = Matrix.identity(A.ring, A.rank) if n == -1 else _letter_inclusion(A, normalized).transpose()
-    return A.unit_column().kron(P).kron(Matrix.identity(A.ring, bar_rank(A, n, normalized) // A.rank))
+@lru_cache(maxsize=None)
+def _coboundary(A: FiniteAlgebra, M: Bimodule, n: int, normalized: bool) -> Matrix:
+    """b^n as the transpose of the boundary of C_(n+1)(A, M^*), swapped triplet by triplet."""
+    width = len(_letters(A, normalized))
+    triplets = ((j, i, v) for i, j, v in _boundary_triplets(A, M._dual, n + 1, normalized))
+    return Matrix.from_triplets(A.ring, M.rank * width ** (n + 1), M.rank * width**n, triplets)
+
+
+def coboundary_matrix(
+    A: FiniteAlgebra,
+    M: Bimodule,
+    n: int,
+    normalized: bool = False,
+    guard: int | None = DEFAULT_GUARD,
+) -> Matrix:
+    """Matrix of b^n : C^n(A, M) -> C^(n+1)(A, M) in the vectorized cochain basis.
+
+    A degree-n cochain on the letter tuples is an m x width^n matrix
+    (width letters), vectorized row-major: module coordinate, then tuple.
+    """
+    if n < 0:
+        raise ValueError("cochain degree must be >= 0")
+    if M.algebra != A:
+        raise AlgebraError("bimodule lives over a different algebra")
+    width = len(_letters(A, normalized))
+    check_guard(M.rank * width ** (n + 1), M.rank * width**n, guard)
+    return _coboundary(A, M, n, normalized)
+
+
+def cochain_embedding(A: FiniteAlgebra, m: int, n: int, normalized: bool) -> Matrix:
+    """I_m (x) J^(x)n: zero-extends a vectorized degree-n cochain with m module coordinates
+    from the letter tuples onto the full tensor basis (the identity for the raw complex)."""
+    return reduce(Matrix.kron, [_letter_inclusion(A, normalized)] * n, Matrix.identity(A.ring, m))
 
 
 def contracting_homotopy(A: FiniteAlgebra, n: int, normalized: bool = False, guard: int | None = DEFAULT_GUARD) -> Matrix:
     """s_n : level n -> level n+1, prepending the unit.
 
-    Satisfies b'_(n+1) s_n + s_(n-1) b'_n = id at level n for every n >= -1
-    (with s_(-2) and b'_(-1) zero), which certifies exactness of the
-    augmented complex wherever it is checked.
+    s_n = unit (x) P (x) I; P = J^T pushes the old left factor into the
+    letters (the class of 1 in Abar is zero), and at level -1, P = I makes it
+    the right factor.  Satisfies b'_(n+1) s_n + s_(n-1) b'_n = id at level n
+    for every n >= -1 (with s_(-2) and b'_(-1) zero), which certifies
+    exactness of the augmented complex wherever it is checked.
     """
     if n < -1:
         raise ValueError("homotopy is defined for n >= -1")
     check_guard(bar_rank(A, n + 1, normalized), bar_rank(A, n, normalized), guard)
-    return _homotopy(A, n, normalized)
+    P = Matrix.identity(A.ring, A.rank) if n == -1 else _letter_inclusion(A, normalized).transpose()
+    return A.unit_column().kron(P).kron(Matrix.identity(A.ring, bar_rank(A, n, normalized) // A.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +281,48 @@ def syzygy(A: FiniteAlgebra, n: int, normalized: bool = False, guard: int | None
     return _syzygy(A, n, normalized)
 
 
+def syzygy_class(om: SyzygyModule, e: Matrix | None = None) -> Matrix:
+    """The boundaries b'(h (x) t (x) 1) at chain level n in the coordinates of om = Omega^n.
+
+    With no e, h = 1 and t runs over the letter tuples of length n: the
+    cocycle f(t) = b'(1 (x) t (x) 1), the class of 0 -> Omega^n -> CB_(n-1)
+    -> Omega^(n-1) -> 0 in HH^n(A, Omega^n).  For e = sum_i p_i (x) q_i,
+    h = sum_i p_i (x) class(q_i) and t runs over length n - 1: b' is left
+    A-linear, so this is x(t) = sum_i p_i f(q_i, t), and b^(n-1) x = f when e
+    is a separability idempotent.  Vectorized row-major (module coordinate,
+    then t), the cochain layout of coboundary_matrix.
+    """
+    A, n, normalized = om.algebra, om.level, om.normalized
+    u, J = A.unit_column(), _letter_inclusion(A, normalized)
+    h = u if e is None else Matrix.identity(A.ring, A.rank).kron(J.transpose()) * e
+    T = J.cols ** (n if e is None else n - 1)
+    x = coords_in_span(om.basis, _differential(A, n, normalized) * h.kron(Matrix.identity(A.ring, T)).kron(u))
+    return x.reshape(x.rows * x.cols, 1)
+
+
+def retraction(om: SyzygyModule, x: Matrix) -> Matrix:
+    """The bimodule map r(a (x) t (x) a') = a x(t) a' from chain level n - 1 to om = Omega^n.
+
+    Chain level n - 1 is the free bimodule on the chains 1 (x) t (x) 1, so a
+    value x(t) on each, vectorized row-major (module coordinate, then t),
+    extends to exactly one bimodule map; for a primitive x of syzygy_class(om)
+    it retracts the inclusion of Omega^n.
+    """
+    A, m = om.algebra, om.rank
+    d = A.rank
+    T = bar_rank(A, om.level - 1, om.normalized) // (d * d)
+    right = [R * x.reshape(m, T) for R in om.right]
+
+    def triplets():
+        for a in range(d):
+            for j in range(d):
+                for t, col in enumerate((om.left[a] * right[j]).columns):
+                    for p, v in col:
+                        yield p, (a * T + t) * d + j, v
+
+    return Matrix.from_triplets(A.ring, m, d * T * d, triplets())
+
+
 # ---------------------------------------------------------------------------
 # the universal derivation d : A -> Omega^1
 # ---------------------------------------------------------------------------
@@ -263,27 +337,3 @@ def _derivation_images(A: FiniteAlgebra) -> Matrix:
     """u (x) I - I (x) u, for u the unit: column i is 1 (x) e_i - e_i (x) 1 in A (x) A."""
     u, I = A.unit_column(), Matrix.identity(A.ring, A.rank)
     return u.kron(I) - I.kron(u)
-
-
-def derivation_factorization(M: Bimodule, D: Matrix) -> Matrix:
-    """The bimodule map f : Omega^1 -> M with f(d(a)) = D(a).
-
-    On a kernel element sum a_p (x) b_q the map takes sum a_p . D(b_q), so
-    f = [L_0 D | ... | L_(d-1) D] applied to the syzygy basis; both the
-    factorization identity and A-bilinearity are verified exactly.
-    """
-    from .cohomology import Cochain, cocycle_witness
-
-    A = M.algebra
-    witness = cocycle_witness(Cochain(A, M, 1, D))  # b^1 D is the Leibniz defect
-    if witness is not None:
-        raise AlgebraError(f"not a derivation: Leibniz fails at basis pair {witness}")
-    om = syzygy(A, 1)
-    F = reduce(Matrix.hstack, (L * D for L in M.left)) * om.basis
-    dmat = universal_derivation(A)
-    if F * dmat != D:
-        raise AlgebraError("factorization identity f(d(a)) = D(a) failed")
-    for i in range(A.rank):
-        if F * om.left[i] != M.left[i] * F or F * om.right[i] != M.right[i] * F:
-            raise AlgebraError(f"factorization is not a bimodule map at basis index {i}")
-    return F

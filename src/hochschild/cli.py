@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 from .algebra import AlgebraError, regular_bimodule, transport_bimodule, with_unital_basis
-from .cohomology import coboundary_matrix, hh, hochschild_homology
+from .bar import coboundary_matrix
+from .cohomology import hh, hochschild_homology
 from .extensions import (
     cocycles_cohomologous,
     enumerate_extension_classes,
@@ -24,16 +25,13 @@ from .extensions import (
 )
 from .io_json import (
     SchemaError,
-    _load_doc,
-    _matrix_to_json,
-    _parse_scalar,
-    _resolve_algebra,
     dumps,
     load_algebra,
     load_bimodule,
     load_cochain,
     load_extension,
-    presented_module_from_json,
+    load_koszul_instance,
+    matrix_to_json,
     ring_from_json,
     ring_to_json,
 )
@@ -105,7 +103,7 @@ def cmd_hh(args) -> int:
         doc["basis_canonicalized"] = True
         doc["canonical_basis"] = list(A.basis_names)
     if args.representatives and report.representatives is not None:
-        doc["representatives"] = [_matrix_to_json(c.matrix) for c in report.representatives]
+        doc["representatives"] = [matrix_to_json(c.matrix) for c in report.representatives]
     _emit(doc, args.output)
     return 0
 
@@ -130,8 +128,8 @@ def cmd_analyze(args) -> int:
     doc["quasi_free"] = {"quasi_free": qf.quasi_free}
     if qf.quasi_free:
         doc["quasi_free"]["lifts_checked"] = qf.lifts_checked
-    elif qf.witness is not None and hasattr(qf.witness, "matrix"):
-        doc["quasi_free"]["witness_cocycle"] = _matrix_to_json(qf.witness.matrix)
+    elif qf.witness is not None:
+        doc["quasi_free"]["witness_cocycle"] = matrix_to_json(qf.witness.matrix)
     scan = hcdim_scan(A, args.cap, guard=guard)
     doc["hcdim"] = {
         "proved_upper": scan.upper_text,
@@ -152,7 +150,7 @@ def cmd_extensions(args) -> int:
         reps = enumerate_extension_classes(A, M, guard=guard)
         doc = {
             "classes": len(reps),
-            "representatives": [_matrix_to_json(r.matrix) for r in reps],
+            "representatives": [matrix_to_json(r.matrix) for r in reps],
         }
     elif args.cocycle_class:
         B = load_cochain(args.cocycle_class)
@@ -165,15 +163,15 @@ def cmd_extensions(args) -> int:
             zeta = cocycles_cohomologous(B, zero_two_cochain(B.algebra, B.bimodule))
             doc["cohomologous_to_zero"] = zeta is not None
             if zeta is not None:
-                doc["zeta"] = _matrix_to_json(zeta)
+                doc["zeta"] = matrix_to_json(zeta)
     else:
         E = load_extension(args.lift)
         _check_over("extension", A, E.algebra, M if args.bimodule else None, E.bimodule)
         Bs = extension_class_from_section(E)
         section = lift_exists(E)
-        doc = {"class": _matrix_to_json(Bs.matrix), "lift": section is not None}
+        doc = {"class": matrix_to_json(Bs.matrix), "lift": section is not None}
         if section is not None:
-            doc["section"] = _matrix_to_json(section)
+            doc["section"] = matrix_to_json(section)
     _emit(doc, args.output)
     return 0
 
@@ -183,14 +181,7 @@ def cmd_koszul(args) -> int:
     if args.finite:
         if args.ring is not None or args.cap is not None:
             raise ValueError("--ring and --cap belong to the graded route; a --finite instance names its algebra")
-        instance = _load_doc(args.finite)
-        seq, module = (instance.get("sequence", []), instance.get("module", "self")) if isinstance(instance, dict) else (None, None)
-        if not (isinstance(seq, list) and all(isinstance(x, list) for x in seq) and (module == "self" or isinstance(module, dict))):
-            raise SchemaError("koszul", 'expected {"algebra", "sequence": [[scalar, ...], ...], "module": "self" or an object}')
-        base = Path(args.finite).parent
-        A = _resolve_algebra(instance.get("algebra"), base)
-        Mod = free_module(A) if module == "self" else presented_module_from_json(dict(module, algebra=instance.get("algebra")), base)
-        seq = [[_parse_scalar(A.ring, s, "koszul.sequence") for s in x] for x in seq]
+        A, seq, Mod = load_koszul_instance(args.finite)
         reg = regular_sequence_check(free_module(A), seq)
         doc = {"regular": reg.ok}
         if not reg.ok:

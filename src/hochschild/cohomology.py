@@ -15,19 +15,20 @@ variant restricts the arguments to non-unit basis classes and drops unit
 components of products; its cohomology agrees with the full complex
 (checked in the test suite).
 
-Homology uses the cyclic bar complex C_k(A, M) = M (x) A^(x)k, and one
-builder (bar._boundary_triplets, which also assembles b') serves both:
-C^n(A, M) is dual to C_n(A, M^*) for the dual bimodule M^* = Hom_k(M, k)
-(Bimodule._dual, built once per bimodule, whose own dual is M), so b^n is the
-transposed boundary C_(n+1)(A, M^*) -> C_n(A, M^*) (Loday, Cyclic Homology,
-1992), and HH_n(A, M) is read off the coboundaries of M^* (Weibel 1994,
-Thm 3.6.2): one memo table serves both.
+The coboundary matrices come from bar.coboundary_matrix, which builds b^n
+as the transposed cyclic boundary C_(n+1)(A, M^*) -> C_n(A, M^*) for the
+dual bimodule M^* = Hom_k(M, k) (Bimodule._dual, built once per bimodule,
+whose own dual is M); bar also owns the letter set and the zero-extension of
+normalized cochains.  So HH_n(A, M) is read off the coboundaries of M^*
+(Weibel 1994, Thm 3.6.2): one memo table serves both.  The derivations of A
+into M factor through the universal derivation d : A -> Omega^1
+(derivation_factorization).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 from .algebra import (
     AlgebraError,
@@ -36,12 +37,11 @@ from .algebra import (
     LeftModule,
     hom_bimodule,
 )
-from .bar import _boundary_triplets, _letter_inclusion, _letters
+from .bar import coboundary_matrix, cochain_embedding, syzygy, universal_derivation
 from .matrix import (
     DEFAULT_GUARD,
     KModuleInvariants,
     Matrix,
-    check_guard,
     column_span_basis,
     homology,
     homology_invariants,
@@ -76,31 +76,6 @@ class CohomologyReport:
     representatives: tuple[Cochain, ...] | None = None
 
 
-@lru_cache(maxsize=None)
-def _coboundary(A: FiniteAlgebra, M: Bimodule, n: int, normalized: bool) -> Matrix:
-    """b^n as the transpose of the boundary of C_(n+1)(A, M^*), swapped triplet by triplet."""
-    width = len(_letters(A, normalized))
-    triplets = ((j, i, v) for i, j, v in _boundary_triplets(A, M._dual, n + 1, normalized))
-    return Matrix.from_triplets(A.ring, M.rank * width ** (n + 1), M.rank * width**n, triplets)
-
-
-def coboundary_matrix(
-    A: FiniteAlgebra,
-    M: Bimodule,
-    n: int,
-    normalized: bool = False,
-    guard: int | None = DEFAULT_GUARD,
-) -> Matrix:
-    """Matrix of b^n : C^n(A, M) -> C^(n+1)(A, M) in the vectorized cochain basis."""
-    if n < 0:
-        raise ValueError("cochain degree must be >= 0")
-    if M.algebra != A:
-        raise AlgebraError("bimodule lives over a different algebra")
-    width = len(_letters(A, normalized))
-    check_guard(M.rank * width ** (n + 1), M.rank * width**n, guard)
-    return _coboundary(A, M, n, normalized)
-
-
 def hh(
     A: FiniteAlgebra,
     M: Bimodule,
@@ -127,8 +102,8 @@ def hh(
     if not representatives:
         return CohomologyReport(n, homology_invariants(bn, B))
     invs, gens = homology(bn, B)
-    if gens:  # zero-extend along I_m (x) J^(x)n, the identity for the raw complex
-        E = reduce(Matrix.kron, [_letter_inclusion(A, normalized)] * n, Matrix.identity(A.ring, M.rank))
+    if gens:
+        E = cochain_embedding(A, M.rank, n, normalized)
         gens = [(E * g).reshape(M.rank, A.rank**n) for g in gens]
     return CohomologyReport(n, invs, tuple(Cochain(A, M, n, g) for g in gens))
 
@@ -171,6 +146,28 @@ def inner_derivations(A: FiniteAlgebra, M: Bimodule) -> Matrix:
 def hh1_report(A: FiniteAlgebra, M: Bimodule) -> CohomologyReport:
     """HH^1 = Der/Inn from the raw b^1 and b^0; hh(A, M, 1) defaults to the normalized complex."""
     return hh(A, M, 1, normalized=False, guard=None)
+
+
+def derivation_factorization(M: Bimodule, D: Matrix) -> Matrix:
+    """The bimodule map f : Omega^1 -> M with f(d(a)) = D(a).
+
+    On a kernel element sum a_p (x) b_q the map takes sum a_p . D(b_q), so
+    f = [L_0 D | ... | L_(d-1) D] applied to the syzygy basis; both the
+    factorization identity and A-bilinearity are verified exactly.
+    """
+    A = M.algebra
+    witness = cocycle_witness(Cochain(A, M, 1, D))  # b^1 D is the Leibniz defect
+    if witness is not None:
+        raise AlgebraError(f"not a derivation: Leibniz fails at basis pair {witness}")
+    om = syzygy(A, 1)
+    F = reduce(Matrix.hstack, (L * D for L in M.left)) * om.basis
+    dmat = universal_derivation(A)
+    if F * dmat != D:
+        raise AlgebraError("factorization identity f(d(a)) = D(a) failed")
+    for i in range(A.rank):
+        if F * om.left[i] != M.left[i] * F or F * om.right[i] != M.right[i] * F:
+            raise AlgebraError(f"factorization is not a bimodule map at basis index {i}")
+    return F
 
 
 # ---------------------------------------------------------------------------

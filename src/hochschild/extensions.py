@@ -24,11 +24,12 @@ from .algebra import (
     AlgebraError,
     Bimodule,
     FiniteAlgebra,
-    _first_mismatch,
+    first_mismatch,
     multiplication_matrix,
     opposite,
 )
-from .cohomology import Cochain, coboundary_matrix, cocycle_witness
+from .bar import coboundary_matrix
+from .cohomology import Cochain, cocycle_witness
 from .matrix import (
     DEFAULT_GUARD,
     Matrix,
@@ -84,15 +85,15 @@ def validate_extension(E: ExtensionPresentation) -> ExtensionPresentation:
     if P * S != Matrix.identity(A.ring, d):
         raise AlgebraError("the section does not split the projection")
     mu_B = multiplication_matrix(B)
-    c = _first_mismatch(P * mu_B, multiplication_matrix(A) * P.kron(P))
+    c = first_mismatch(P * mu_B, multiplication_matrix(A) * P.kron(P))
     if c is not None:
         raise AlgebraError(f"projection is not multiplicative at {divmod(c, B.rank)}")
-    c = _first_mismatch(mu_B * I.kron(I), Matrix.zeros(A.ring, B.rank, m * m))
+    c = first_mismatch(mu_B * I.kron(I), Matrix.zeros(A.ring, B.rank, m * m))
     if c is not None:
         raise AlgebraError(f"ideal is not square-zero at generators {divmod(c, m)}")
     # column (i, p) is s(e_i) times the p-th ideal generator, from the left and from the right
-    left = _first_mismatch(mu_B * S.kron(I), I * reduce(Matrix.hstack, M.left))
-    right = _first_mismatch(multiplication_matrix(opposite(B)) * S.kron(I), I * reduce(Matrix.hstack, M.right))
+    left = first_mismatch(mu_B * S.kron(I), I * reduce(Matrix.hstack, M.left))
+    right = first_mismatch(multiplication_matrix(opposite(B)) * S.kron(I), I * reduce(Matrix.hstack, M.right))
     if left is not None and (right is None or left <= right):
         raise AlgebraError(f"left action mismatch at {divmod(left, m)}")
     if right is not None:
@@ -215,7 +216,7 @@ def lift_exists(E: ExtensionPresentation) -> Matrix | None:
     if zeta is None:
         return None
     s = E.section - E.inclusion * zeta
-    c = _first_mismatch(multiplication_matrix(E.total) * s.kron(s), s * multiplication_matrix(A))
+    c = first_mismatch(multiplication_matrix(E.total) * s.kron(s), s * multiplication_matrix(A))
     if c is not None:
         raise AlgebraError(f"corrected section is not multiplicative at {divmod(c, A.rank)}")
     return s

@@ -73,7 +73,7 @@ def _matrix_from_json(ring: ScalarRing, doc, rows: int, cols: int, where: str) -
     return Matrix.from_rows(ring, [[_parse_scalar(ring, x, where) for x in r] for r in doc])
 
 
-def _matrix_to_json(M: Matrix):
+def matrix_to_json(M: Matrix):
     return [[M.ring.format(x) for x in row] for row in M.to_rows()]
 
 
@@ -124,8 +124,8 @@ def bimodule_to_json(M: Bimodule, algebra_ref: str | None = None) -> dict:
     return {
         "algebra": algebra_ref if algebra_ref is not None else algebra_to_json(M.algebra),
         "rank": M.rank,
-        "left": [_matrix_to_json(L) for L in M.left],
-        "right": [_matrix_to_json(R) for R in M.right],
+        "left": [matrix_to_json(L) for L in M.left],
+        "right": [matrix_to_json(R) for R in M.right],
     }
 
 
@@ -192,7 +192,7 @@ def cochain_to_json(B: Cochain, algebra_ref=None, bimodule_ref=None) -> dict:
     return {
         "algebra": algebra_ref if algebra_ref is not None else algebra_to_json(B.algebra),
         "bimodule": bimodule_ref if bimodule_ref is not None else bimodule_to_json(B.bimodule),
-        "matrix": _matrix_to_json(B.matrix),
+        "matrix": matrix_to_json(B.matrix),
     }
 
 
@@ -268,3 +268,16 @@ def load_cochain(path) -> Cochain:
 
 def load_extension(path) -> ExtensionPresentation:
     return extension_from_json(_load_doc(path), base_dir=Path(path).parent)
+
+
+def load_koszul_instance(path):
+    """A finite Koszul instance {algebra, sequence, module} as (A, sequence, module); the
+    module is "self" (A itself, the default) or a presented module over the same algebra."""
+    instance = _load_doc(path)
+    seq, module = (instance.get("sequence", []), instance.get("module", "self")) if isinstance(instance, dict) else (None, None)
+    if not (isinstance(seq, list) and all(isinstance(x, list) for x in seq) and (module == "self" or isinstance(module, dict))):
+        raise SchemaError("koszul", 'expected {"algebra", "sequence": [[scalar, ...], ...], "module": "self" or an object}')
+    base = Path(path).parent
+    A = _resolve_algebra(instance.get("algebra"), base)
+    Mod = free_module(A) if module == "self" else presented_module_from_json(dict(module, algebra=instance.get("algebra")), base)
+    return A, [[_parse_scalar(A.ring, s, "koszul.sequence") for s in x] for x in seq], Mod

@@ -24,23 +24,24 @@ from .algebra import (
 )
 from .bar import (
     SyzygyModule,
-    _differential,
-    _homotopy,
-    _letter_inclusion,
-    _letters,
+    bar_differential,
     bar_rank,
     chain_actions,
     chain_bimodule,
+    coboundary_matrix,
+    contracting_homotopy,
+    retraction,
     syzygy,
+    syzygy_class,
 )
-from .cohomology import coboundary_matrix, hh
+from .cohomology import Cochain, hh
 from .extensions import (
     coboundary_of,
     crossed_product_presentation,
     lift_exists,
     trivial_extension,
 )
-from .matrix import DEFAULT_GUARD, Matrix, SizeGuardError, check_guard, coords_in_span, rank, solve
+from .matrix import DEFAULT_GUARD, Matrix, SizeGuardError, check_guard, rank, solve
 
 
 @dataclass(frozen=True)
@@ -72,69 +73,13 @@ def separability_idempotent(A: FiniteAlgebra) -> Matrix | None:
 
 
 def _section_is_valid(A: FiniteAlgebra, om: SyzygyModule, S: Matrix) -> bool:
-    n, normalized = om.level, om.normalized
-    b = _differential(A, n, normalized)
-    if b * S != om.basis:
+    if bar_differential(A, om.level, om.normalized, guard=None) * S != om.basis:
         return False
-    Ln, Rn = chain_actions(A, n, normalized)
-    for i in range(A.rank):
-        if S * om.left[i] != Ln[i] * S:
-            return False
-        if S * om.right[i] != Rn[i] * S:
-            return False
-    return True
+    Ln, Rn = chain_actions(A, om.level, om.normalized)
+    return all(S * om.left[i] == Ln[i] * S and S * om.right[i] == Rn[i] * S for i in range(A.rank))
 
 
-def _extension_class(A: FiniteAlgebra, om_next: SyzygyModule) -> Matrix:
-    """The cocycle f(a_1..a_(n+1)) = b'(1 (x) a_1 (x) ... (x) a_(n+1) (x) 1) in Omega^(n+1).
-
-    Returned vectorized row-major (module coordinate, then tensor index),
-    the cochain layout of coboundary_matrix.  The chains 1 (x) t (x) 1 are the
-    columns of u (x) I_T (x) u, with u the unit and T the tensor indices.
-    """
-    level, normalized = om_next.level, om_next.normalized
-    u, I_T = A.unit_column(), Matrix.identity(A.ring, len(_letters(A, normalized)) ** level)
-    f = coords_in_span(om_next.basis, _differential(A, level, normalized) * u.kron(I_T).kron(u))
-    return f.reshape(f.rows * f.cols, 1)
-
-
-def _separable_primitive(A: FiniteAlgebra, om_next: SyzygyModule, e: Matrix, f: Matrix) -> Matrix:
-    """The primitive x(a_1..a_n) = sum_i p_i f(q_i, a_1, ..., a_n) of f for e = sum_i p_i (x) q_i.
-
-    With mu(e) = 1 and a e = e a, b^n x = f for every cocycle f (the
-    standard proof that HH^(>=1) vanishes for separable A).  The unit
-    component of q_i is dropped in the normalized complex, where f vanishes
-    on the unit.
-    """
-    d, m, ring = A.rank, om_next.rank, A.ring
-    J = _letter_inclusion(A, om_next.normalized)
-    T = J.cols ** (om_next.level - 1)
-    C = (e.reshape(d, d) * J).transpose()
-    # column (j, t) of G is sum_k c_jk f(e_k, t)
-    G = f.reshape(m, J.cols * T) * C.kron(Matrix.identity(ring, T))
-    x = Matrix.zeros(ring, m, T)
-    for j in range(d):
-        x = x + om_next.left[j] * G.submatrix_cols(range(j * T, (j + 1) * T))
-    return x.reshape(m * T, 1)
-
-
-def _retraction(A: FiniteAlgebra, om_next: SyzygyModule, x: Matrix) -> Matrix:
-    """The bimodule map r(a (x) t (x) a') = a x(t) a' from chain level n onto Omega^(n+1)."""
-    d, m = A.rank, om_next.rank
-    T = len(_letters(A, om_next.normalized)) ** (om_next.level - 1)
-    X = x.reshape(m, T)
-    right = [R * X for R in om_next.right]
-
-    def triplets():
-        for a in range(d):
-            for j in range(d):
-                for t, col in enumerate((om_next.left[a] * right[j]).columns):
-                    for p, v in col:
-                        yield p, (a * T + t) * d + j, v
-
-    return Matrix.from_triplets(A.ring, m, d * T * d, triplets())
-
-
+@lru_cache(maxsize=None)
 def omega_is_projective(
     A: FiniteAlgebra,
     n: int,
@@ -150,34 +95,30 @@ def omega_is_projective(
     test for quasi-freeness, 1995).  The class is the cocycle
     f(a_1..a_(n+1)) = b'(1 (x) a_1 (x) ... (x) a_(n+1) (x) 1), and a solution
     x of b^n x = f gives the bimodule retraction r(a (x) t (x) a') = a x(t) a'
-    of CB_n onto Omega^(n+1); for separable A the primitive is read off a
-    separability idempotent instead of solved for.  The section (I - i r) s
-    on Omega^n, with s the contracting homotopy and i the inclusion of
-    Omega^(n+1), is verified before it is returned.  Over Z the solution
-    must be integral: a rational-only one reports a torsion obstruction.
+    of CB_n onto Omega^(n+1).  For separable A, with idempotent
+    e = sum p_i (x) q_i, the primitive x(t) = sum p_i f(q_i, t) is read off
+    the class's own chains (bar.syzygy_class) and f is never built.  The
+    section (I - i r) s on Omega^n, with s the contracting homotopy and i the
+    inclusion of Omega^(n+1), is verified before it is returned.  Over Z the
+    solution must be integral: a rational-only one reports a torsion
+    obstruction.  Memoized like the syzygies, so is_quasi_free and hcdim_scan
+    share each level; a refusal raises before anything is cached.
     """
     if normalized is None:
         normalized = A.has_unital_basis
-    return _omega_is_projective(A, n, normalized, guard)
-
-
-@lru_cache(maxsize=None)
-def _omega_is_projective(A: FiniteAlgebra, n: int, normalized: bool, guard: int | None) -> ProjectivityCertificate:
-    """omega_is_projective with normalized resolved, memoized like _syzygy: is_quasi_free
-    and hcdim_scan share each level; a refusal raises before anything is cached."""
     check_guard(bar_rank(A, n, normalized), bar_rank(A, n - 1, normalized), guard)
     om = syzygy(A, n, normalized, guard=guard)
     om_next = syzygy(A, n + 1, normalized, guard=guard)
-    f = _extension_class(A, om_next)
     e = separability_idempotent(A)
     if e is not None:
-        x = _separable_primitive(A, om_next, e, f)
+        x = syzygy_class(om_next, e)
     else:
+        f = syzygy_class(om_next)
         bn = coboundary_matrix(A, om_next.as_bimodule(), n, normalized, guard)
         x = solve(bn, f)
     if x is not None:
-        lift = _homotopy(A, n - 1, normalized) * om.basis
-        S = lift - om_next.basis * (_retraction(A, om_next, x) * lift)
+        lift = contracting_homotopy(A, n - 1, normalized, guard=None) * om.basis
+        S = lift - om_next.basis * (retraction(om_next, x) * lift)
         if not _section_is_valid(A, om, S):
             raise AssertionError("section from the vanishing class failed verification")
         return ProjectivityCertificate("projective", n, normalized, section=S)
@@ -196,7 +137,7 @@ def _omega_is_projective(A: FiniteAlgebra, n: int, normalized: bool, guard: int 
 class QuasiFreeReport:
     quasi_free: bool
     certificate: ProjectivityCertificate
-    witness: object | None = None  # a nonzero degree-2 class when not quasi-free
+    witness: Cochain | None = None  # a nonzero degree-2 class when not quasi-free
     lifts_checked: int = 0
 
 
@@ -226,13 +167,13 @@ def is_quasi_free(A: FiniteAlgebra, guard: int | None = DEFAULT_GUARD) -> QuasiF
             checks += 1
         return QuasiFreeReport(True, cert, lifts_checked=checks)
     witness = None
-    for probe in _probe_modules(A, guard):
+    for _, probe in _probe_modules(A, guard):
         try:
-            rep = hh(A, probe[1], 2, guard=guard)
+            rep = hh(A, probe, 2, guard=guard)
         except SizeGuardError:
             continue
         if not rep.invariants.is_zero:
-            witness = rep.representatives[0] if rep.representatives else probe[0]
+            witness = rep.representatives[0]
             break
     return QuasiFreeReport(False, cert, witness=witness)
 

@@ -26,6 +26,12 @@ part at the leads of the RREF basis of im b^1, brought to RREF.  It shares
 kernel_basis and column_span_basis with the package, not the seeded
 elimination of homology.
 
+separable_primitive is the primitive x(a_1..a_n) = sum_i p_i f(q_i, a_1..a_n)
+of a syzygy class f, assembled from f and the left action of the syzygy,
+as omega_is_projective read it before it took x off the boundaries of the
+chains e (x) t (x) 1 (bar.syzygy_class with an idempotent).  It shares
+syzygy_class without e, which builds f, and nothing else.
+
 _homology_boundary is the cyclic bar boundary C_k(A, M) -> C_(k-1)(A, M)
 assembled directly.  It shares _boundary_triplets with the package, but not
 the dual bimodule, the rows of b^n or the universal-coefficient step by
@@ -41,7 +47,7 @@ from functools import lru_cache
 from math import comb
 
 from hochschild.algebra import AlgebraError, Bimodule, FiniteAlgebra, LeftModule
-from hochschild.bar import _boundary_triplets, _letters, _tensor_tuples
+from hochschild.bar import SyzygyModule, _boundary_triplets, _letter_inclusion, _letters, _tensor_tuples
 from hochschild.cohomology import _as_left_module, coboundary_matrix
 from hochschild.koszul import _block_differential, homology_of_presented
 from hochschild.matrix import (
@@ -217,3 +223,28 @@ def _homology_boundary(A: FiniteAlgebra, M: Bimodule, k: int, normalized: bool) 
     width = len(_letters(A, normalized))
     triplets = _boundary_triplets(A, M, k, normalized)
     return Matrix.from_triplets(A.ring, M.rank * width ** (k - 1), M.rank * width**k, triplets)
+
+
+# ---------------------------------------------------------------------------
+# the separable primitive, assembled from the class
+# ---------------------------------------------------------------------------
+
+
+def separable_primitive(A: FiniteAlgebra, om_next: SyzygyModule, e: Matrix, f: Matrix) -> Matrix:
+    """The primitive x(a_1..a_n) = sum_i p_i f(q_i, a_1, ..., a_n) of f for e = sum_i p_i (x) q_i.
+
+    With mu(e) = 1 and a e = e a, b^n x = f for every cocycle f (the
+    standard proof that HH^(>=1) vanishes for separable A).  The unit
+    component of q_i is dropped in the normalized complex, where f vanishes
+    on the unit.
+    """
+    d, m, ring = A.rank, om_next.rank, A.ring
+    J = _letter_inclusion(A, om_next.normalized)
+    T = J.cols ** (om_next.level - 1)
+    C = (e.reshape(d, d) * J).transpose()
+    # column (j, t) of G is sum_k c_jk f(e_k, t)
+    G = f.reshape(m, J.cols * T) * C.kron(Matrix.identity(ring, T))
+    x = Matrix.zeros(ring, m, T)
+    for j in range(d):
+        x = x + om_next.left[j] * G.submatrix_cols(range(j * T, (j + 1) * T))
+    return x.reshape(m * T, 1)

@@ -33,6 +33,7 @@ from hochschild.catalog import standard_corpus
 from hochschild.cohomology import (
     center,
     coboundary_matrix,
+    cocycle_witness,
     hh,
     hh1_report,
     relative_ext,
@@ -254,7 +255,10 @@ def test_c07_quasi_freeness():
         A = CORPUS[name]
         report = is_quasi_free(A)
         assert not report.quasi_free, name
-        assert report.witness is not None, name  # corroborating nonzero HH^2 class
+        w = report.witness  # corroborating nonzero HH^2 class
+        assert w is not None, name
+        assert cocycle_witness(w) is None, name
+        assert not hh(A, w.bimodule, 2, representatives=False).invariants.is_zero, name
         assert not hh(A, regular_bimodule(A), 2, representatives=False).invariants.is_zero, name
 
 

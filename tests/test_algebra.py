@@ -415,3 +415,11 @@ def test_multiplication_matrix_is_built_once_and_outside_equality(corpus):
     assert multiplication_matrix(A) is multiplication_matrix(A)
     fresh = FiniteAlgebra(A.ring, A.rank, A.basis_names, A.unit, A.mul)
     assert fresh == A and hash(fresh) == hash(A)
+
+
+def test_regular_bimodule_is_built_once_per_algebra(corpus):
+    A = corpus["m2_q"]
+    M = regular_bimodule(A)
+    assert regular_bimodule(A) is M
+    fresh = FiniteAlgebra(A.ring, A.rank, A.basis_names, A.unit, A.mul)
+    assert regular_bimodule(fresh) == M and hash(regular_bimodule(fresh)) == hash(M)

@@ -8,7 +8,6 @@ from hochschild.bar import (
     bar_rank,
     chain_bimodule,
     contracting_homotopy,
-    derivation_factorization,
     syzygy,
     universal_derivation,
 )
@@ -20,7 +19,7 @@ from hochschild.catalog import (
     split_product,
     standard_corpus,
 )
-from hochschild.cohomology import Cochain, coboundary_matrix, cocycle_witness
+from hochschild.cohomology import Cochain, coboundary_matrix, cocycle_witness, derivation_factorization
 from hochschild.matrix import Matrix, SizeGuardError, coords_in_span, column_span_basis, rank, solve
 from hochschild.rings import GF, QQ, ZZ
 

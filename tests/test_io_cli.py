@@ -13,7 +13,6 @@ from hochschild.cli import main
 from hochschild.fixtures_build import corpus_documents
 from hochschild.io_json import (
     SchemaError,
-    _matrix_to_json,
     algebra_from_json,
     algebra_to_json,
     bimodule_from_json,
@@ -21,6 +20,7 @@ from hochschild.io_json import (
     dumps,
     load_algebra,
     load_extension,
+    matrix_to_json,
     ring_from_json,
     ring_to_json,
 )
@@ -182,7 +182,7 @@ def test_cli_extensions_lift_explicit_presentation(capsys, tmp_path, kind):
         "algebra": fx("dual_f2.json"),
         "bimodule": fx("dual_f2_regular.json"),
         "total": algebra_to_json(E.total),
-        **{k: _matrix_to_json(getattr(E, k)) for k in ("projection", "inclusion", "section")},
+        **{k: matrix_to_json(getattr(E, k)) for k in ("projection", "inclusion", "section")},
     }
     explicit = tmp_path / "explicit.json"
     explicit.write_text(json.dumps(doc))

@@ -7,7 +7,7 @@ from hochschild.algebra import (
     validate_algebra,
     with_unital_basis,
 )
-from hochschild.bar import _differential, bar_differential, chain_actions, syzygy
+from hochschild.bar import _differential, bar_differential, chain_actions, syzygy, syzygy_class
 from hochschild.catalog import (
     base_ring_algebra,
     dual_numbers,
@@ -21,14 +21,14 @@ from hochschild.catalog import (
 from hochschild.cohomology import coboundary_matrix, hh
 from hochschild.matrix import Matrix, SizeGuardError, solve
 from hochschild.projectivity import (
-    _extension_class,
-    _separable_primitive,
     hcdim_scan,
     is_quasi_free,
     omega_is_projective,
     separability_idempotent,
 )
 from hochschild.rings import GF, QQ, ZZ
+
+from oracles import separable_primitive
 
 F2 = GF(2)
 
@@ -224,9 +224,28 @@ def test_separable_primitive_solves_the_class():
             assert e is not None
             for n in range(top + 1):
                 om_next = syzygy(B, n + 1, normalized, guard=None)
-                f = _extension_class(B, om_next)
+                f = syzygy_class(om_next)
                 bn = coboundary_matrix(B, om_next.as_bimodule(), n, normalized, guard=None)
-                assert bn * _separable_primitive(B, om_next, e, f) == f, (A.basis_names, n, normalized)
+                assert bn * syzygy_class(om_next, e) == f, (A.basis_names, n, normalized)
+
+
+def test_separable_primitive_matches_the_assembled_oracle():
+    # x read off the chains e (x) t (x) 1 equals sum_i p_i f(q_i, t) assembled from f
+    algebras = [
+        matrix_algebra(QQ, 2), matrix_algebra(QQ, 3), matrix_algebra(GF(5), 2), matrix_algebra(ZZ, 2),
+        split_pair(ZZ), split_product(QQ, 4), base_ring_algebra(ZZ), base_ring_algebra(GF(3)),
+    ]
+    cases = 0
+    for A in algebras:
+        unital = A if A.has_unital_basis else with_unital_basis(A)[0]
+        for B, normalized in ((A, False), (unital, True)):
+            e = separability_idempotent(B)
+            for level in (1, 2, 3):
+                om = syzygy(B, level, normalized, guard=None)
+                want = separable_primitive(B, om, e, syzygy_class(om))
+                assert syzygy_class(om, e) == want, (A.basis_names, level, normalized)
+                cases += 1
+    assert cases == 48
 
 
 def test_separable_rank6_decided_under_default_guard():
@@ -341,14 +360,14 @@ def test_analyze_decides_level_one_once(monkeypatch):
     from hochschild import cli, projectivity
 
     decided = []
-    extension_class = projectivity._extension_class
+    original = projectivity.syzygy_class
 
-    def counting(A, om_next):
-        decided.append(om_next.level - 1)
-        return extension_class(A, om_next)
+    def counting(om, e=None):
+        decided.append(om.level - 1)
+        return original(om, e)
 
-    monkeypatch.setattr(projectivity, "_extension_class", counting)
-    projectivity._omega_is_projective.cache_clear()
+    monkeypatch.setattr(projectivity, "syzygy_class", counting)
+    projectivity.omega_is_projective.cache_clear()
     dual_q = str(resources.files("hochschild") / "fixtures" / "dual_q.json")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["analyze", dual_q, "--cap", "2"]) == 0
@@ -364,7 +383,7 @@ def test_analyze_solves_the_separability_idempotent_once():
 
     from hochschild import cli, projectivity
 
-    projectivity._omega_is_projective.cache_clear()
+    projectivity.omega_is_projective.cache_clear()
     separability_idempotent.cache_clear()
     dual_q = str(resources.files("hochschild") / "fixtures" / "dual_q.json")
     with contextlib.redirect_stdout(io.StringIO()):
